@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..metrics import MetricsRecorder
 from ..simkernel import Process, Simulator
@@ -86,7 +86,12 @@ class LeaseManager:
         self.federation = federation
         self.metrics = metrics
         self.sweep_interval = sweep_interval
+        #: Every lease ever granted or adopted, in grant order.
         self.leases: List[Lease] = []
+        #: The active subset of ``leases``, insertion-ordered (entered
+        #: at grant/adopt, dropped when teardown commits), so queries
+        #: and the sweeper never rescan ended leases.
+        self._live: Dict[Lease, None] = {}
         #: Called as ``on_expire(lease)`` after an expired lease's
         #: resources were reclaimed (the scheduler requeues its job).
         self.on_expire: Optional[Callable[[Lease], None]] = None
@@ -118,8 +123,7 @@ class LeaseManager:
             yield self.sim.timeout(self.sweep_interval)
             if not self._running:
                 return
-            for lease in [l for l in self.leases
-                          if l.active and l.remaining <= 0]:
+            for lease in [l for l in self._live if l.remaining <= 0]:
                 self._teardown(lease, LeaseState.EXPIRED)
                 self.expired_count += 1
                 if self.metrics is not None:
@@ -130,7 +134,7 @@ class LeaseManager:
                 if self.on_expire is not None:
                     self.on_expire(lease)
             if self.metrics is not None:
-                self.metrics.record("lease.active", len(self.active_leases()))
+                self.metrics.record("lease.active", len(self._live))
 
     # -- grants ----------------------------------------------------------
 
@@ -139,15 +143,23 @@ class LeaseManager:
         if term <= 0:
             raise ValueError("lease term must be positive")
         lease = Lease(self.sim, tenant, cluster, term, job=job)
-        self.leases.append(lease)
+        self.adopt(lease)
         eventlog_of(self.sim).append(
             "lease", lease.id, to=LeaseState.ACTIVE.value, cause="grant",
             tenant=tenant, n=len(cluster.vms), term=term,
             job=job.id if job is not None else None,
             cluster=cluster.name, expires=lease.expires_at)
         if self.metrics is not None:
-            self.metrics.record("lease.active", len(self.active_leases()))
+            self.metrics.record("lease.active", len(self._live))
         return lease
+
+    def adopt(self, lease: Lease) -> None:
+        """Track an active lease built elsewhere (crash recovery
+        re-attaching a surviving cluster)."""
+        if not lease.active:
+            raise LeaseError(f"cannot adopt {lease!r}")
+        self.leases.append(lease)
+        self._live[lease] = None
 
     def renew(self, lease: Lease, extra: Optional[float] = None) -> float:
         """Extend an active lease by ``extra`` (default: its original
@@ -198,11 +210,14 @@ class LeaseManager:
                    cause=("expiry" if final_state is LeaseState.EXPIRED
                           else "release"),
                    charged=node_seconds, cost=lease.cost)
+        del self._live[lease]
 
     # -- queries ---------------------------------------------------------
 
     def active_leases(self) -> List[Lease]:
-        return [l for l in self.leases if l.active]
+        """Active leases in grant order (a copy: safe to tear down
+        while iterating)."""
+        return list(self._live)
 
     def leaked(self) -> List[Lease]:
         """Leases whose capacity was not returned — ended (or expired by
@@ -225,5 +240,5 @@ class LeaseManager:
         return leased / total if total else 0.0
 
     def __repr__(self):
-        return (f"<LeaseManager active={len(self.active_leases())} "
+        return (f"<LeaseManager active={len(self._live)} "
                 f"total={len(self.leases)}>")

@@ -24,7 +24,7 @@ workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..cloud.provider import Cloud, CloudError, InstanceSpec
 from ..metrics import MetricsRecorder
@@ -63,6 +63,11 @@ class SchedulerConfig:
     #: (covers boot + image propagation) before comparing against the
     #: blocked head's shadow time.
     backfill_slack: float = 30.0
+
+
+#: One decision point's capacity snapshot: clouds in placement order
+#: (best score first), available nodes per cloud, and their total.
+CapacityView = Tuple[List[Cloud], Dict[str, int], int]
 
 
 class _FixedAllocation:
@@ -176,12 +181,26 @@ class FairShareScheduler:
         utilization = used / cores if cores else 1.0
         return self._price(cloud) + self.config.util_weight * utilization
 
-    def _allocate(self, job: Job) -> Optional[Dict[str, int]]:
-        """Pick clouds for ``job`` right now, or None if it must wait."""
-        clouds = sorted(self.federation.clouds.values(),
-                        key=lambda c: (self._score(c), c.name))
+    def _ranked_clouds(self) -> List[Cloud]:
+        """Member clouds, best placement score first."""
+        return sorted(self.federation.clouds.values(),
+                      key=lambda c: (self._score(c), c.name))
+
+    def _capacity_view(self) -> CapacityView:
+        """Score and query every cloud once for a decision point.
+
+        Valid until the next dispatch: scores and availability change
+        only when a grant commits nodes or the clock moves, so callers
+        that stop scanning at their first dispatch read one view for
+        the whole scan instead of re-querying per candidate job."""
+        clouds = self._ranked_clouds()
         available = {c.name: self._available(c) for c in clouds}
-        total = sum(available.values())
+        return clouds, available, sum(available.values())
+
+    def _allocate(self, job: Job, view: CapacityView
+                  ) -> Optional[Dict[str, int]]:
+        """Pick clouds for ``job`` from ``view``, or None if it must wait."""
+        clouds, available, total = view
         if total < job.min_nodes:
             return None
         target = min(job.n_nodes, total)
@@ -217,9 +236,10 @@ class FairShareScheduler:
         while progressed and self.queue.depth() > 0:
             progressed = False
             starved_head: Optional[Job] = None
+            view = self._capacity_view()
             for tenant in self._ranked_tenants():
                 job = self.queue.peek(tenant.name)
-                allocation = self._allocate(job)
+                allocation = self._allocate(job, view)
                 if allocation is None:
                     # Capacity-blocked: the most underserved such head
                     # drives preemption and the backfill reservation.
@@ -291,11 +311,10 @@ class FairShareScheduler:
         may start now only if it either finishes (plus slack) before the
         shadow time, or fits in the nodes the head will leave spare —
         so backfilling never delays the reservation it jumped."""
-        free = sum(self._available(c)
-                   for c in self.federation.clouds.values())
+        view = self._capacity_view()
         target = head.min_nodes
         shadow = self.sim.now
-        pool = free
+        pool = view[2]
         for est, n in self._release_schedule():
             if pool >= target:
                 break
@@ -310,7 +329,7 @@ class FairShareScheduler:
             for job in self.queue.queued_jobs(tenant.name):
                 if job is head:
                     continue
-                allocation = self._allocate(job)
+                allocation = self._allocate(job, view)
                 if allocation is None:
                     continue
                 k = sum(allocation.values())
@@ -536,9 +555,7 @@ class FairShareScheduler:
                 gap = job.max_nodes - len(lease.cluster.vms)
                 if gap <= 0:
                     continue
-                clouds = sorted(self.federation.clouds.values(),
-                                key=lambda c: (self._score(c), c.name))
-                for cloud in clouds:
+                for cloud in self._ranked_clouds():
                     take = min(gap, self._available(cloud))
                     if take > 0:
                         self._committed[cloud.name] += take
@@ -554,10 +571,8 @@ class FairShareScheduler:
         cluster, cheapest clouds first (generator for the health
         monitor; raises :class:`CloudError` if the federation cannot
         hold the replacements)."""
-        clouds = sorted(self.federation.clouds.values(),
-                        key=lambda c: (self._score(c), c.name))
         remaining = count
-        for cloud in clouds:
+        for cloud in self._ranked_clouds():
             take = min(remaining, self._available(cloud))
             if take <= 0:
                 continue

@@ -16,7 +16,10 @@ class PhysicalHost:
 
     Tracks core and RAM headroom and the set of resident VMs; the
     migration engine moves VMs between hosts with :meth:`evict` /
-    :meth:`place`.
+    :meth:`place`.  ``used_cores`` / ``used_ram`` are running totals
+    kept by those two methods (the only writers of ``vms``; a VM's
+    ``vcpus`` and memory size are fixed at construction), so headroom
+    queries cost O(1) however many VMs are resident.
     """
 
     def __init__(self, name: str, site: str, cores: int = 8,
@@ -28,14 +31,8 @@ class PhysicalHost:
         self.cores = cores
         self.ram_bytes = ram_bytes
         self.vms: List[VirtualMachine] = []
-
-    @property
-    def used_cores(self) -> int:
-        return sum(vm.vcpus for vm in self.vms)
-
-    @property
-    def used_ram(self) -> int:
-        return sum(vm.memory.size_bytes for vm in self.vms)
+        self.used_cores = 0
+        self.used_ram = 0
 
     @property
     def free_cores(self) -> int:
@@ -60,6 +57,8 @@ class PhysicalHost:
                 f"(free: {self.free_cores} cores / {self.free_ram} B)"
             )
         self.vms.append(vm)
+        self.used_cores += vm.vcpus
+        self.used_ram += vm.memory.size_bytes
         vm.host = self
 
     def evict(self, vm: VirtualMachine) -> None:
@@ -68,6 +67,8 @@ class PhysicalHost:
             self.vms.remove(vm)
         except ValueError:
             raise ValueError(f"{vm.name!r} is not on host {self.name!r}") from None
+        self.used_cores -= vm.vcpus
+        self.used_ram -= vm.memory.size_bytes
         vm.host = None
 
     def __repr__(self):

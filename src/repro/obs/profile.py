@@ -386,6 +386,8 @@ class KernelStats:
     dead_entries: int
     dead_ratio: float
     compactions: int
+    #: Events whose callbacks ran (entries skipped as descheduled or
+    #: re-pushed by a batch preemption are not counted).
     events_dispatched: int
     batches_dispatched: int
     max_batch: int

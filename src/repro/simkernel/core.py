@@ -159,8 +159,11 @@ class Simulator:
 
         ``delay`` must be finite and non-negative: a NaN or infinite
         delay would silently corrupt the queue ordering (NaN compares
-        false against everything), so both are rejected here.
+        false against everything), so both are rejected here.  It is
+        coerced to a Python ``float`` so NumPy scalars never leak into
+        the clock.
         """
+        delay = float(delay)
         if not 0.0 <= delay < Infinity:
             raise ValueError(
                 f"delay must be finite and non-negative, got {delay}")
@@ -279,6 +282,7 @@ class Simulator:
                 event = batch[i][3]
                 i += 1
                 if event._descheduled:
+                    self._n_events -= 1
                     continue
                 self._preempted = False
                 # Inlined _dispatch (the method call per event is worth
@@ -287,33 +291,37 @@ class Simulator:
                 if callbacks is None:
                     raise SimulationError(f"{event!r} was scheduled twice")
                 for callback in callbacks:
+                    # Close the previous run *before* a new site starts,
+                    # so its time is never billed to its predecessor and
+                    # a callback that raises is still counted.
+                    if callback is not last_cb:
+                        if run_count:
+                            t1 = clock()
+                            try:
+                                key = last_cb.__code__
+                            except AttributeError:
+                                key = last_cb
+                            entry = sites.get(key)
+                            if entry is None:
+                                sites[key] = entry = [0, 0.0, last_cb]
+                            entry[0] += run_count
+                            entry[1] += t1 - t0
+                            t0 = t1
+                        last_cb = callback
+                        run_count = 0
+                    run_count += 1
                     callback(event)
-                    if callback is last_cb:
-                        run_count += 1
-                        continue
-                    if run_count:
-                        t1 = clock()
-                        try:
-                            key = last_cb.__code__
-                        except AttributeError:
-                            key = last_cb
-                        entry = sites.get(key)
-                        if entry is None:
-                            sites[key] = entry = [0, 0.0, last_cb]
-                        entry[0] += run_count
-                        entry[1] += t1 - t0
-                        t0 = t1
-                    last_cb = callback
-                    run_count = 1
                 if event._ok is False and not event._defused:
                     raise event._exc
                 if self._preempted and i < n:
                     self._n_preemptions += 1
+                    self._n_events -= n - i
                     prof._note_preemption(n - i)
                     for j in range(i, n):
                         queue.push(batch[j])
                     i = n
         except BaseException:
+            self._n_events -= n - i
             for j in range(i, n):
                 queue.push(batch[j])
             raise
@@ -384,7 +392,9 @@ class Simulator:
                 self._batch_priority = batch[0][1]
                 i, n = 0, len(batch)
                 # Kernel self-accounting, once per batch so the null
-                # path stays effectively free per event.
+                # path stays effectively free per event: the whole batch
+                # is counted up front, and entries that never run
+                # (descheduled, re-pushed) are taken back off.
                 self._n_batches += 1
                 self._n_events += n
                 if n > self._max_batch:
@@ -400,6 +410,7 @@ class Simulator:
                         i += 1
                         if event._descheduled:
                             # Cancelled by an earlier event of this batch.
+                            self._n_events -= 1
                             continue
                         self._preempted = False
                         self._dispatch(event)
@@ -409,6 +420,7 @@ class Simulator:
                             # sorts before the rest of the batch (which
                             # all carry older seqs), so yield to it.
                             self._n_preemptions += 1
+                            self._n_events -= n - i
                             for j in range(i, n):
                                 queue.push(batch[j])
                             i = n
@@ -416,6 +428,7 @@ class Simulator:
                     # A callback raised (StopSimulation, a crash, an
                     # undefused failure): the undispatched remainder
                     # must survive for any continuation run.
+                    self._n_events -= n - i
                     for j in range(i, n):
                         queue.push(batch[j])
                     raise

@@ -6,6 +6,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from repro.controlplane import (
     ControlPlane,
     EventLog,
     EventLogError,
+    FailureInjector,
     JOB_MACHINE,
     Job,
     JobState,
@@ -302,6 +304,67 @@ def test_recovered_completed_jobs_stay_done_and_counted():
     # Usage survived the crash to the float.
     assert {n: t.usage for n, t in plane2.queue.tenants.items()} == \
         {n: t.usage for n, t in plane.queue.tenants.items()}
+
+
+def _live_index_holds(leases):
+    """The live-lease index is exactly the active leases, in grant
+    order — what a scan of every lease ever granted would return."""
+    assert leases.active_leases() == [l for l in leases.leases if l.active]
+
+
+def _watch_live_index(sim, leases, every=5.0):
+    def watch():
+        while True:
+            _live_index_holds(leases)
+            yield sim.timeout(every)
+    return sim.process(watch())
+
+
+def test_live_lease_index_tracks_expiry_requeue_and_recovery():
+    cfg = SchedulerConfig(interval=5.0, max_attempts=10)
+    tb, plane = make_plane(config=cfg, heal_policy="requeue",
+                           health_interval=10.0)
+    sim = tb.sim
+    plane.register_tenant("alice")
+    plane.register_tenant("bob", weight=2.0)
+
+    def stray(term):
+        # A holder that never renews: the sweeper expires it.
+        cluster = yield tb.federation.create_virtual_cluster(
+            tb.image_name, 1)
+        plane.leases.grant("alice", cluster, term=term)
+
+    sim.process(stray(40.0))
+    sim.process(stray(90.0))
+    jobs = [plane.submit(t, n_nodes=2, runtime=90.0)
+            for t in ("alice", "bob") for _ in range(6)]
+    injector = FailureInjector(sim, plane.leases, np.random.default_rng(3),
+                               rate=1 / 300.0, tick=20.0)
+    _watch_live_index(sim, plane.leases)
+    sim.run(until=plane.all_done(jobs))
+    injector.stop()
+    assert plane.leases.expired_count >= 2
+    assert plane.scheduler.jobs_requeued >= 1
+    _live_index_holds(plane.leases)
+
+    # Crash with leases live, then recover: restored leases re-enter
+    # the index through the lease manager, in the log's order.
+    more = [plane.submit(t, n_nodes=2, runtime=120.0)
+            for t in ("alice", "bob") for _ in range(3)]
+    sim.run(until=sim.now + 40.0)
+    assert any(j.state is JobState.RUNNING for j in more)
+    log = plane.crash()
+    plane2 = recover(sim, tb.federation, tb.image_name, log,
+                     reconcile_interval=30.0).start()
+    assert plane2.leases.active_leases()
+    _live_index_holds(plane2.leases)
+    _watch_live_index(sim, plane2.leases)
+    plane2.reconciler.reconcile(force=True)
+    jobs2 = [plane2.queue.jobs[j.id] for j in more]
+    sim.run(until=plane2.all_done(jobs2))
+    assert all(j.state is JobState.COMPLETED for j in jobs2)
+    _live_index_holds(plane2.leases)
+    assert plane2.leases.leaked() == []
 
 
 def test_cross_simulation_recovery_from_jsonl_snapshot(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from repro.autonomic import AdaptationEngine
 from repro.emr import DeadlineScalePolicy, ElasticMapReduceService
 from repro.hypervisor import VMState
-from repro.mapreduce import JobTracker
+from repro.mapreduce import JobTracker, MapReduceJob
 from repro.network import Connection
 from repro.patterns import (
     GroundTruthRecorder,
@@ -178,3 +178,28 @@ def test_cluster_startup_then_job_then_teardown_cycle():
         assert len(tb.federation.overlay.members) == 0
     # Warm image caches: later cycles never slower to provision.
     assert len(makespans) == 3
+
+
+def test_sky_blast_keeps_the_clock_a_python_float():
+    """SCALE at smoke size: a 32-VM chain+CoW cluster on four clouds
+    running a 128-batch BLAST job whose task times are NumPy floats.
+    They reach the kernel as delays; the clock must stay a ``float``."""
+    tb = sky_testbed(
+        sites=[SiteSpec(f"c{i}", n_hosts=3, cores_per_host=16,
+                        region="eu" if i < 2 else "us")
+               for i in range(4)],
+        memory_pages=256, image_blocks=1024, seed=0)
+    sim = tb.sim
+    cluster = sim.run(until=tb.federation.create_virtual_cluster(
+        tb.image_name, 32))
+    rng = np.random.default_rng(1)
+    job = MapReduceJob("blast", rng.lognormal(np.log(60.0), 0.25, 128),
+                       np.full(1, 5.0), split_bytes=1e6,
+                       map_output_bytes=256 * 1024)
+    jt = JobTracker(sim, tb.scheduler, rng=np.random.default_rng(2))
+    for vm in cluster:
+        jt.add_tracker(vm)
+    result = sim.run(until=jt.submit(job))
+    assert result.local_maps + result.remote_maps == 128
+    assert type(sim.now) is float
+    assert type(result.makespan) is float

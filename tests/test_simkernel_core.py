@@ -1,12 +1,15 @@
 """Unit tests for the simulation kernel: events, processes, run loop."""
 
+import numpy as np
 import pytest
 
+from repro.obs import CallbackProfiler, kernel_stats
 from repro.simkernel import (
     EmptySchedule,
     Interrupt,
     SimulationError,
     Simulator,
+    URGENT,
 )
 
 
@@ -408,3 +411,78 @@ def test_deschedule_everything_leaves_empty_queue():
     sim.run()
     assert sim.now == 0
     assert sim.peek() == float("inf")
+
+
+def test_numpy_delay_keeps_clock_a_python_float():
+    sim = Simulator()
+    sim.call_in(np.float64(2.5), lambda ev: None)
+    sim.timeout(np.float32(1.0))
+    sim.run()
+    assert sim.now == 2.5
+    assert type(sim.now) is float
+    with pytest.raises(ValueError):
+        sim.call_in(np.float64("nan"), lambda ev: None)
+
+
+# -- kernel event accounting ---------------------------------------------
+
+
+@pytest.mark.parametrize("queue", ["heap", "calendar"])
+@pytest.mark.parametrize("profiled", [False, True])
+def test_events_dispatched_counts_only_events_that_ran(profiled, queue):
+    """One batch of five same-instant events: ``a`` cancels ``b`` after
+    the batch was popped, ``c`` schedules an URGENT event at the current
+    instant, which preempts the batch and re-pushes ``d`` and ``e``.
+    Five events ran (a, c, u, d, e); counting every popped entry would
+    report 8 (5 + 1 + the 2 re-pushed)."""
+    sim = Simulator(queue=queue)
+    prof = CallbackProfiler(sim) if profiled else None
+    ran = []
+
+    def note(tag):
+        return lambda ev: ran.append(tag)
+
+    def cancel_b(ev):
+        ran.append("a")
+        b.deschedule()
+
+    def preempt(ev):
+        ran.append("c")
+        sim.call_in(0.0, note("u"), priority=URGENT)
+
+    sim.call_in(1.0, cancel_b)
+    b = sim.call_in(1.0, note("b"))
+    sim.call_in(1.0, preempt)
+    sim.call_in(1.0, note("d"))
+    sim.call_in(1.0, note("e"))
+    sim.run()
+    assert ran == ["a", "c", "u", "d", "e"]
+    ks = kernel_stats(sim)
+    assert ks.preemptions == 1
+    assert ks.events_dispatched == 5
+    if profiled:
+        assert prof.snapshot().events == 5
+
+
+@pytest.mark.parametrize("profiled", [False, True])
+def test_events_dispatched_excludes_remainder_of_a_crashed_batch(profiled):
+    sim = Simulator()
+    prof = CallbackProfiler(sim) if profiled else None
+    ran = []
+
+    def boom(ev):
+        ran.append("boom")
+        raise RuntimeError("crash")
+
+    sim.call_in(1.0, lambda ev: ran.append("x"))
+    sim.call_in(1.0, boom)
+    sim.call_in(1.0, lambda ev: ran.append("y"))
+    with pytest.raises(RuntimeError):
+        sim.run()
+    # x and the raising callback ran; y was re-pushed, not dispatched.
+    assert kernel_stats(sim).events_dispatched == 2
+    sim.run()
+    assert ran == ["x", "boom", "y"]
+    assert kernel_stats(sim).events_dispatched == 3
+    if profiled:
+        assert prof.snapshot().events == 3
