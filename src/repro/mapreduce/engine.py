@@ -378,13 +378,15 @@ class JobTracker:
         run.done_keys.add(key)
         if started is not None:
             run.completed_durations.append(self.sim.now - started)
-        # Kill the losing speculative sibling, if one is still running.
-        for other, owner in list(run.running.items()):
-            if (other.kind, other.index) == key:
-                run.running.pop(other, None)
-                run.task_start.pop(other, None)
-                run.result.wasted_attempts += 1
-                owner.kill_task(other)
+        # Kill the losing speculative sibling, if one is still running
+        # (only a task that got a backup attempt can have one).
+        if key in run.backup_keys:
+            for other, owner in list(run.running.items()):
+                if (other.kind, other.index) == key:
+                    run.running.pop(other, None)
+                    run.task_start.pop(other, None)
+                    run.result.wasted_attempts += 1
+                    owner.kill_task(other)
         task.state = TaskState.DONE
         task.executed_on = tracker.name
         task.finished_at = self.sim.now
@@ -459,12 +461,15 @@ class JobTracker:
 
     def _dispatch(self) -> None:
         run = self.current
+        # Without speculation the work on offer does not depend on who
+        # asks: once one waiter finds nothing, the rest would too.
+        idle = run is None or run.finished
         still: List[Tuple[TaskTracker, Event]] = []
         for tracker, ev in self._waiters:
             if not tracker.active:
                 ev.succeed(None)
                 continue
-            if run is None or run.finished:
+            if idle:
                 still.append((tracker, ev))
                 continue
             task = self._pick(run, tracker)
@@ -475,6 +480,7 @@ class JobTracker:
                 ev.succeed(task)
             else:
                 still.append((tracker, ev))
+                idle = not self.speculative
         self._waiters = still
 
     # -- public API ----------------------------------------------------

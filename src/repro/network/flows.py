@@ -329,9 +329,12 @@ class FlowScheduler:
             return
         self.stats["batches"] += 1
         self.stats["flows_rerated"] += len(component)
-        self._settle(component)
-        self._maxmin_rates(component)
-        for flow in sorted(component, key=_flow_id):
+        # One flow-id order for settling (billing sums), filling and
+        # re-arming: set order would follow memory addresses.
+        order = sorted(component, key=_flow_id)
+        self._settle(order)
+        self._maxmin_rates(order)
+        for flow in order:
             self._schedule_completion(flow)
 
     def _component(self, flows: Iterable[Flow] = (),
@@ -375,15 +378,16 @@ class FlowScheduler:
 
     def _recompute(self) -> None:
         """Settle, re-run max-min fair allocation, reschedule completions."""
-        self._settle(self._active)
-        self._maxmin_rates(self._active)
-        for flow in sorted(self._active, key=_flow_id):
+        order = sorted(self._active, key=_flow_id)
+        self._settle(order)
+        self._maxmin_rates(order)
+        for flow in order:
             self._schedule_completion(flow)
 
-    def _maxmin_rates(self, flows: Iterable[Flow]) -> None:
+    def _maxmin_rates(self, order: List[Flow]) -> None:
         """Weighted progressive-filling max-min fair allocation over
-        ``flows`` (the whole network in full mode, one bottleneck
-        component in incremental mode).
+        ``order``, a flow-id-sorted list (the whole network in full
+        mode, one bottleneck component in incremental mode).
 
         All unfrozen flows' rates rise proportionally to their weights;
         when a link saturates, the flows crossing it freeze at the
@@ -391,7 +395,6 @@ class FlowScheduler:
         carrying only that flow; a :class:`SharedCap` is a virtual link
         carrying every flow attached to it.
         """
-        order = sorted(flows, key=_flow_id)
         if not order:
             return
         # Map each (shared or virtual) link to the flows crossing it.

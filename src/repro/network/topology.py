@@ -29,9 +29,15 @@ class NoRoute(NetworkError):
     """There is no path between the requested endpoints."""
 
 
-@dataclass
+@dataclass(eq=False)
 class DirectedLink:
-    """One direction of a physical link: a shared-bandwidth pipe."""
+    """One direction of a physical link: a shared-bandwidth pipe.
+
+    Links are unique objects owned by their :class:`Topology`, so they
+    compare and hash by identity: the allocator's link-keyed dicts and
+    sets then hash in C, and a capacity change (``bandwidth`` is
+    mutable) never changes what a link equals.
+    """
 
     src: str
     dst: str
@@ -43,9 +49,6 @@ class DirectedLink:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         if self.latency < 0:
             raise ValueError(f"latency must be >= 0, got {self.latency}")
-
-    def __hash__(self):
-        return hash((self.src, self.dst))
 
     def __repr__(self):
         return f"<Link {self.src}->{self.dst} {self.bandwidth:.3g} B/s>"

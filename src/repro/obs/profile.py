@@ -119,7 +119,7 @@ class ProfileSnapshot:
     batches: int                     #: batches dispatched under profile
     kernel_wall: float               #: queue-pop / loop overhead, seconds
     preemptions: int                 #: mid-batch URGENT preemptions
-    preempted_entries: int           #: batch entries re-pushed by them
+    preempted_entries: int           #: batch entries held back by them
     batch_hist: Dict[int, int]       #: batch-size upper bound -> count
     obs_taps: Dict[str, dict] = field(default_factory=dict)
 
@@ -387,7 +387,7 @@ class KernelStats:
     dead_ratio: float
     compactions: int
     #: Events whose callbacks ran (entries skipped as descheduled or
-    #: re-pushed by a batch preemption are not counted).
+    #: re-pushed after a raising callback are not counted).
     events_dispatched: int
     batches_dispatched: int
     max_batch: int

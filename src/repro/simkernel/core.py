@@ -254,11 +254,56 @@ class Simulator:
         self._n_events += 1
         self._dispatch(entry[3])
 
+    def _drain_urgent(self, dispatch) -> None:
+        """Run, in hand, every entry that sorts before the batch remainder.
+
+        Called when a batch member scheduled an entry at the current
+        instant with a more urgent priority than the running batch.
+        Such entries pop one at a time in key order — including the
+        ones they schedule in turn — while the undispatched remainder of
+        the batch waits where it is: the remainder carries a less urgent
+        priority, so everything drained here sorts before it, and
+        same-priority entries scheduled meanwhile carry newer seqs, so
+        they still follow it.  ``dispatch`` runs one event (plain or
+        profiled).  An exception leaves the entries not yet popped in
+        the queue.
+        """
+        queue = self._queue
+        now = self._now
+        priority = self._batch_priority
+        while True:
+            head = queue.peek()
+            if head is None or head[0] != now or head[1] >= priority:
+                return
+            queue.pop()
+            self._n_events += 1
+            dispatch(head[3])
+
+    def _profiled_dispatch(self, event: Event) -> None:
+        """:meth:`_dispatch` for an event drained by
+        :meth:`_drain_urgent` under the profiler: each callback is
+        billed the wall time since the previous clock reading, exactly
+        like a run of one in :meth:`_profiled_batch`."""
+        prof = self._profiler
+        clock = prof._clock
+        callbacks, event.callbacks = event.callbacks, None
+        if callbacks is None:
+            raise SimulationError(f"{event!r} was scheduled twice")
+        for callback in callbacks:
+            try:
+                callback(event)
+            finally:
+                t1 = clock()
+                _bill(prof._sites, callback, 1, t1 - prof._last_t)
+                prof._last_t = t1
+        if event._ok is False and not event._defused:
+            raise event._exc
+
     def _profiled_batch(self, batch: list) -> None:
         """Dispatch one popped batch with wall-clock attribution.
 
         Semantically identical to the inline loop in :meth:`run`
-        (descheduled skips, exact mid-batch URGENT preemption,
+        (descheduled skips, in-hand drain of mid-batch URGENT entries,
         exception-safe remainder re-push) — the only addition is
         profiler accounting.  The key trick keeping this affordable on
         a sub-microsecond dispatch loop: consecutive dispatches of the
@@ -269,7 +314,6 @@ class Simulator:
         reading closes the whole run since the previous one.
         """
         prof = self._profiler
-        queue = self._queue
         clock = prof._clock
         sites = prof._sites
         t0 = clock()
@@ -296,6 +340,7 @@ class Simulator:
                     # a callback that raises is still counted.
                     if callback is not last_cb:
                         if run_count:
+                            # Inlined _bill.
                             t1 = clock()
                             try:
                                 key = last_cb.__code__
@@ -315,28 +360,24 @@ class Simulator:
                     raise event._exc
                 if self._preempted and i < n:
                     self._n_preemptions += 1
-                    self._n_events -= n - i
                     prof._note_preemption(n - i)
-                    for j in range(i, n):
-                        queue.push(batch[j])
-                    i = n
+                    t1 = clock()
+                    if run_count:
+                        _bill(sites, last_cb, run_count, t1 - t0)
+                    prof._last_t = t1
+                    last_cb = None
+                    run_count = 0
+                    self._drain_urgent(self._profiled_dispatch)
+                    t0 = prof._last_t
         except BaseException:
             self._n_events -= n - i
             for j in range(i, n):
-                queue.push(batch[j])
+                self._queue.push(batch[j])
             raise
         finally:
             t1 = clock()
             if run_count:
-                try:
-                    key = last_cb.__code__
-                except AttributeError:
-                    key = last_cb
-                entry = sites.get(key)
-                if entry is None:
-                    sites[key] = entry = [0, 0.0, last_cb]
-                entry[0] += run_count
-                entry[1] += t1 - t0
+                _bill(sites, last_cb, run_count, t1 - t0)
             prof._last_t = t1
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
@@ -356,10 +397,13 @@ class Simulator:
         lifts the whole run of events sharing the head's ``(time,
         priority)``, so a coalesced storm (URGENT flow recomputes, tick-
         aligned timers) stops paying one heap percolation per event.
-        Dispatch order is exactly the per-event order — if a callback
-        schedules something that must run *before* the rest of the
-        batch (an URGENT event at the current instant), the remainder
-        is pushed back and re-popped in order.
+        Dispatch order is exactly the per-event order of :meth:`step`:
+        if a callback schedules something that must run *before* the
+        rest of the batch (an URGENT event at the current instant),
+        those entries are popped and dispatched in hand
+        (:meth:`_drain_urgent`) while the remainder waits, then the
+        remainder resumes.  Only a raising callback sends the
+        undispatched remainder back to the queue.
         """
         stop_event: Optional[Event] = None
         if until is not None:
@@ -394,7 +438,8 @@ class Simulator:
                 # Kernel self-accounting, once per batch so the null
                 # path stays effectively free per event: the whole batch
                 # is counted up front, and entries that never run
-                # (descheduled, re-pushed) are taken back off.
+                # (descheduled, or re-pushed after a raise) are taken
+                # back off.
                 self._n_batches += 1
                 self._n_events += n
                 if n > self._max_batch:
@@ -416,14 +461,11 @@ class Simulator:
                         self._dispatch(event)
                         if self._preempted and i < n:
                             # The callback scheduled an event at this
-                            # instant with a more urgent priority — it
-                            # sorts before the rest of the batch (which
-                            # all carry older seqs), so yield to it.
+                            # instant with a more urgent priority: it
+                            # sorts before the rest of the batch, so run
+                            # it (and its followers) first, in hand.
                             self._n_preemptions += 1
-                            self._n_events -= n - i
-                            for j in range(i, n):
-                                queue.push(batch[j])
-                            i = n
+                            self._drain_urgent(self._dispatch)
                 except BaseException:
                     # A callback raised (StopSimulation, a crash, an
                     # undefused failure): the undispatched remainder
@@ -451,6 +493,21 @@ class Simulator:
     def __repr__(self) -> str:
         return (f"<Simulator now={self._now} queued={len(self._queue)} "
                 f"backend={getattr(self._queue, 'name', '?')}>")
+
+
+def _bill(sites: dict, callback, count: int, wall: float) -> None:
+    """Charge ``count`` calls and ``wall`` seconds to ``callback``'s
+    site in a profiler's ``sites`` table (keyed by code object, so
+    every closure of one function shares a site)."""
+    try:
+        key = callback.__code__
+    except AttributeError:
+        key = callback
+    entry = sites.get(key)
+    if entry is None:
+        sites[key] = entry = [0, 0.0, callback]
+    entry[0] += count
+    entry[1] += wall
 
 
 def _stop_simulation(event: Event) -> None:

@@ -116,6 +116,12 @@ class SkyMigrationService:
         yield sim.timeout(self.crypto_handshake_time)
         aspan.end()
         auth_done = sim.now
+        if vm.host is None or vm not in src_cloud.instances:
+            # Released (lease teardown, customer close) while the clouds
+            # authenticated: there is nothing left to move.
+            root.end(status="error")
+            raise MigrationError(
+                f"{vm.name!r} left {src_cloud.name!r} during authentication")
 
         # 2-3. The live migration proper, over the secured channel.  The
         # destination's image repository seeds the dedup registry so the

@@ -246,3 +246,40 @@ def test_taps_receive_flow_records():
     assert rec.tag == "migration"
     assert rec.meta["src_vm"] == "vm1"
     assert rec.duration == pytest.approx(1.0)
+
+
+def test_batched_recompute_settles_and_bills_in_flow_id_order():
+    """Billing sums are float sums: the batched recompute must settle
+    the component in flow-id order, not in memory-address set order."""
+    sim = Simulator()
+    topo = Topology()
+    for name in ["m", "d"] + [f"s{i}" for i in range(40)]:
+        topo.add_site(Site(name))
+    topo.connect("m", "d", bandwidth=1e6, latency=0.0)
+    for i in range(40):
+        topo.connect(f"s{i}", "m", bandwidth=1e9, latency=0.0)
+    meter = BillingMeter()
+    sched = FlowScheduler(sim, topo, billing=meter)
+    billed = []
+    record = meter.record
+
+    def spy(src, dst, nbytes):
+        billed.append((sim.now, src))
+        record(src, dst, nbytes)
+
+    meter.record = spy
+    ids = {}
+
+    def arrive(src):
+        ids[src] = sched.start_flow(src, "d", size=1e12).id
+
+    for i in range(37):
+        arrive(f"s{i}")
+    for t in (1, 2, 3):
+        # One arrival per instant re-rates (and settles) everyone.
+        sim.call_in(t, lambda _ev, src=f"s{36 + t}": arrive(src))
+    sim.run(until=3.5)
+    for t in (1, 2, 3):
+        at_t = [ids[src] for now, src in billed if now == t]
+        assert len(at_t) == 36 + t
+        assert at_t == sorted(at_t)

@@ -139,3 +139,34 @@ def test_federation_members_trust_each_other_by_default():
         for b in fed.clouds.values():
             if a is not b:
                 assert b.name in a.trusted_peers
+
+
+def test_spot_rescue_loses_cleanly_when_vm_released_during_auth():
+    """The lease releases the VM while the two clouds authenticate: the
+    rescue must report a lost race (False), not crash on the VM's
+    missing host."""
+    sim, fed = build_federation(n_clouds=2, prices=[0.10, 0.08])
+    cloud_a = fed.cloud("cloud-a")
+    times = np.array([0.0, 600.0])
+    prices = np.array([0.03, 0.50])
+    market = SpotMarket(sim, cloud_a, SpotPriceProcess(sim, times, prices),
+                        reclaim_grace=300.0)
+    manager = MigratableSpotManager(fed)
+    rescues = []
+
+    def handler(inst):
+        rescues.append(manager.rescue(market, inst))
+        # Mid-authentication, the customer closes the instance.
+        sim.call_in(0.1, lambda _ev: market.close(inst))
+        return rescues[-1]
+
+    market.reclaim_handler = handler
+    inst = sim.run(until=market.request_spot("debian", bid=0.10))
+    sim.run()
+    assert len(rescues) == 1
+    assert rescues[0].value is False
+    record = manager.records[0]
+    assert record.attempted and not record.succeeded
+    assert inst.state is SpotState.CLOSED
+    assert inst.vm.host is None
+    assert inst.vm not in fed.cloud("cloud-b").instances
