@@ -1,4 +1,4 @@
-"""KERNEL HOT PATH — queue backends, batch dispatch, vectorized timers.
+"""KERNEL HOT PATH — queue backends and batch dispatch.
 
 Every scale story (million-job dispatch, HTC runs, serving) bottoms out
 in the simkernel event loop, so this bench measures the loop itself in
@@ -6,7 +6,7 @@ the regime the flow allocator actually creates: a huge mass of armed
 far-future timers (BENCH_flows showed ~1.4M timers for 1300 flows) with
 a dense tick storm at the head of the queue.
 
-Four scenarios, each run on both queue backends:
+Three scenarios, each run on both queue backends:
 
 ``drain``
     The timer-dominated headline: ``N_TICKERS x N_TICKS`` tick timers
@@ -20,13 +20,6 @@ Four scenarios, each run on both queue backends:
     Self-re-arming tickers (every dispatch schedules its successor) —
     the live-flow shape, dominated by event construction rather than
     queue ops, so the backend gap narrows; recorded for transparency.
-
-``vectorized``
-    The same homogeneous storm expressed through a
-    :class:`~repro.simkernel.TimerBank`: all fire-times live in one
-    NumPy array behind a single sentinel event, so each instant costs
-    one kernel dispatch + one ``searchsorted`` regardless of how many
-    timers fire.
 
 ``cancel``
     Lazy cancellation: 70% of armed timers descheduled, forcing the
@@ -44,7 +37,7 @@ import time
 
 import numpy as np
 
-from repro.simkernel import Simulator, TimerBank
+from repro.simkernel import Simulator
 
 from _meta import write_payload
 from _tables import fmt, print_table
@@ -125,25 +118,6 @@ def run_rearm(queue):
             "events_per_sec": fired[0] / wall}
 
 
-def run_vectorized(queue):
-    """The same storm through a TimerBank: one sentinel, array drains."""
-    sim = Simulator(queue=queue)
-    _arm_decoys(sim)
-    bank = TimerBank(sim)
-    fired = [0]
-
-    def on_fire(indices, _now):
-        fired[0] += indices.size
-
-    delays = np.repeat(np.arange(1, N_TICKS + 1, dtype=float), N_TICKERS)
-    bank.arm_array(delays, on_fire)
-    wall = time.perf_counter()
-    sim.run(until=N_TICKS + 0.5)
-    wall = time.perf_counter() - wall
-    return {"wall_s": wall, "events": fired[0], "final_now": sim.now,
-            "events_per_sec": fired[0] / wall}
-
-
 def run_cancel(queue):
     """Arm N_CANCEL timers, deschedule 70%, drain the survivors —
     exercises lazy cancellation and the >50%-dead compaction."""
@@ -171,7 +145,6 @@ def run_cancel(queue):
 SCENARIOS = [
     ("drain", run_drain),
     ("rearm", run_rearm),
-    ("vectorized", run_vectorized),
     ("cancel", run_cancel),
 ]
 
@@ -196,7 +169,6 @@ def test_kernel_hot_path(benchmark):
         }
 
     drain = results["drain"]
-    vec = results["vectorized"]
     rows = []
     for name, r in results.items():
         rows.append((name,
@@ -224,10 +196,6 @@ def test_kernel_hot_path(benchmark):
         "headline": {
             "calendar_events_per_sec": drain["calendar"]["events_per_sec"],
             "speedup_calendar_vs_heap": drain["speedup_calendar_vs_heap"],
-            "vectorized_events_per_sec":
-                vec["calendar"]["events_per_sec"],
-            "speedup_vectorized_calendar_vs_plain_heap":
-                heap_over_vec(results),
         },
     }
     write_payload("kernel", out)
@@ -237,14 +205,6 @@ def test_kernel_hot_path(benchmark):
     # thresholds under KERNEL_BENCH_SCALE=ci).
     assert drain["calendar"]["events_per_sec"] >= MIN_EVENTS_PER_SEC
     assert drain["speedup_calendar_vs_heap"] >= MIN_SPEEDUP
-    # The vectorized fast path must beat per-event dispatch outright.
-    assert (vec["calendar"]["events_per_sec"]
-            > drain["calendar"]["events_per_sec"])
-
-
-def heap_over_vec(results):
-    return (results["drain"]["heap"]["wall_s"]
-            / results["vectorized"]["calendar"]["wall_s"])
 
 
 if __name__ == "__main__":

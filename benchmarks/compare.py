@@ -64,7 +64,6 @@ METRICS = {
     "kernel": [
         ("headline.calendar_events_per_sec", "higher", 0.25, 0.60),
         ("headline.speedup_calendar_vs_heap", "higher", 0.30, 0.60),
-        ("headline.vectorized_events_per_sec", "higher", 0.25, 0.60),
         ("scenarios.drain.calendar.events", "exact", 0, 0),
         ("scenarios.drain.heap.events", "exact", 0, 0),
         ("scenarios.cancel.calendar.events", "exact", 0, 0),

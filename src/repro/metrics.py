@@ -41,7 +41,7 @@ from .obs.instruments import (
     failed_name,
     labeled_name,
 )
-from .simkernel import Interrupt, Simulator, TimerBank
+from .simkernel import Interrupt, Simulator
 
 
 def recorder_of(sim: Simulator) -> Optional["MetricsRecorder"]:
@@ -170,19 +170,10 @@ class Exemplar(NamedTuple):
 
 
 class Probe:
-    """Samples ``fn()`` every ``interval`` simulated seconds.
-
-    With ``bank`` (a :class:`~repro.simkernel.TimerBank`), the probe
-    skips the generator process entirely: ticks ride the bank's shared
-    sentinel, so a fleet of probes costs one kernel event per instant
-    instead of one process + timeout each.  Sampling times and recorded
-    values are identical either way; the bank path is opt-in because it
-    changes the raw event-count timeline.
-    """
+    """Samples ``fn()`` every ``interval`` simulated seconds."""
 
     def __init__(self, sim: Simulator, series: TimeSeries,
-                 fn: Callable[[], float], interval: float,
-                 bank: Optional[TimerBank] = None):
+                 fn: Callable[[], float], interval: float):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
@@ -190,14 +181,8 @@ class Probe:
         self.fn = fn
         self.interval = interval
         self.active = True
-        self._bank = bank
         self._pending = None
-        if bank is not None:
-            self.process = None
-            self._pending = bank.arm(interval, self._tick)
-        else:
-            self.process = sim.process(self._run(),
-                                       name=f"probe-{series.name}")
+        self.process = sim.process(self._run(), name=f"probe-{series.name}")
 
     def stop(self) -> None:
         """Stop sampling *now*: the pending timeout is descheduled so a
@@ -207,10 +192,6 @@ class Probe:
             return
         self.active = False
         pending, self._pending = self._pending, None
-        if self._bank is not None:
-            if pending is not None:
-                pending.cancel()
-            return
         if (pending is not None and self.process.is_alive
                 and self.process is not self.sim.active_process
                 and self.process.target is pending):
@@ -224,18 +205,8 @@ class Probe:
         if self.active:
             return
         self.active = True
-        if self._bank is not None:
-            self._pending = self._bank.arm(self.interval, self._tick)
-        else:
-            self.process = self.sim.process(
-                self._run(), name=f"probe-{self.series.name}")
-
-    def _tick(self, now: float) -> None:
-        """Bank-path tick: sample and re-arm."""
-        if not self.active:
-            return
-        self.series.record(now, self.fn())
-        self._pending = self._bank.arm(self.interval, self._tick)
+        self.process = self.sim.process(
+            self._run(), name=f"probe-{self.series.name}")
 
     def _run(self):
         try:
@@ -284,7 +255,6 @@ class MetricsRecorder:
         self._series: Dict[str, TimeSeries] = {}
         self._probes: List[Probe] = []
         self._instruments: Dict[str, Instrument] = {}
-        self._timer_bank: Optional[TimerBank] = None
         self._exemplars: Dict[str, deque] = {}
         self._active_span = None
 
@@ -357,24 +327,14 @@ class MetricsRecorder:
                 for name, bucket in sorted(self._exemplars.items())}
 
     def probe(self, name: str, fn: Callable[[], float],
-              interval: float = 1.0, vectorized: bool = False,
+              interval: float = 1.0,
               max_points: Optional[int] = None) -> Probe:
         """Start a periodic sampler feeding series ``name``.
 
-        ``vectorized=True`` runs the probe on the recorder's shared
-        :class:`~repro.simkernel.TimerBank`: a whole probe fleet shares
-        one kernel sentinel event per distinct deadline instead of one
-        process + timeout each.  Identical samples, far fewer events —
-        opt-in because it changes the raw event-count timeline.
         ``max_points`` ring-bounds the backing series (long-running
         probes are exactly where unbounded growth bites)."""
-        bank = None
-        if vectorized:
-            if self._timer_bank is None:
-                self._timer_bank = TimerBank(self.sim)
-            bank = self._timer_bank
         probe = Probe(self.sim, self.series(name, max_points=max_points),
-                      fn, interval, bank=bank)
+                      fn, interval)
         self._probes.append(probe)
         return probe
 

@@ -11,7 +11,7 @@ CI artifact tab.  :func:`dump_dashboard` writes both.
 The payload also carries a ``kernel`` section — the
 :func:`~repro.obs.profile.kernel_stats` snapshot of the simulator that
 drives the recorder (queue depth, dead-entry ratio, compactions,
-dispatch counters, TimerBank occupancy) — rendered as its own panel.
+dispatch counters) — rendered as its own panel.
 """
 
 from __future__ import annotations
@@ -149,7 +149,6 @@ def render_html(payload: dict, metrics=None) -> str:
             ("events", "events_dispatched"),
             ("batches", "batches_dispatched"), ("max batch", "max_batch"),
             ("preemptions", "preemptions"),
-            ("timers pending", "timers_pending"),
         ]
         if "bucket_width" in kernel:
             columns += [("bucket width", "bucket_width"),

@@ -15,16 +15,21 @@ infrastructure; this one watches the simulator itself.  Three pieces:
     clock, never the simulation clock, so same-seed runs are
     byte-identical with it on or off.
 
-    The hot-path trick (see ``Simulator._profiled_batch``): consecutive
-    dispatches of the same callback object fold into a run counted with
-    one identity check, and the wall clock is read only when the
-    callback identity changes — exact attribution at a fraction of a
-    clock read per event in the storm regime.
+    The profiler rides the kernel's one batch loop (``Simulator.run``):
+    each batch picks plain or profiled dispatch once, when it starts,
+    and a profiled batch is bracketed by two hooks — one opens it
+    (batch size, the kernel gap since the previous batch), one closes
+    it (bills the open callback run, takes the kernel's event-count
+    delta).  In between, ``Simulator._profiled_dispatch`` folds
+    consecutive dispatches of the same callback object into a run
+    counted with one identity check, and the wall clock is read only
+    when the callback identity changes — exact attribution at a
+    fraction of a clock read per event in the storm regime.
 
 :class:`KernelStats` / :func:`kernel_stats`
     A point-in-time kernel-health snapshot — queue depth, dead-entry
-    ratio, compaction count, calendar bucket occupancy, TimerBank
-    occupancy, dispatch/batch/preemption counters — and
+    ratio, compaction count, calendar bucket occupancy,
+    dispatch/batch/preemption counters — and
     :func:`install_kernel_gauges` to stream the same signals into
     watchtower as labeled series.  This is the input signal for the
     roadmap's adaptive bucket-width follow-up.
@@ -102,7 +107,7 @@ class SiteStat:
 
     site: str        #: ``module:qualname``
     subsystem: str   #: coarse bucket (``network``, ``obs``, ...)
-    count: int       #: events dispatched through this site
+    count: int       #: callback invocations of this site
     wall: float      #: wall-clock self-time, seconds
 
     def to_dict(self) -> dict:
@@ -115,7 +120,9 @@ class ProfileSnapshot:
     """A point-in-time aggregation of everything the profiler saw."""
 
     sites: List[SiteStat]            #: per-site stats, hottest first
-    events: int                      #: callbacks attributed
+    #: Events dispatched under profile, counted by the kernel's rule
+    #: (equals the ``events_dispatched`` delta of :func:`kernel_stats`).
+    events: int
     batches: int                     #: batches dispatched under profile
     kernel_wall: float               #: queue-pop / loop overhead, seconds
     preemptions: int                 #: mid-batch URGENT preemptions
@@ -215,8 +222,6 @@ class CallbackProfiler:
         snap.dump_collapsed("profile.collapsed")   # flamegraph.pl input
     """
 
-    enabled = True
-
     def __init__(self, sim=None, clock: Callable[[], float] = time.perf_counter):
         self.sim = sim
         self._clock = clock
@@ -226,16 +231,33 @@ class CallbackProfiler:
         self._taps: Dict[str, list] = {}
         self._tapped: List[tuple] = []
         self._n_batches = 0
-        self._batch_events = 0
+        self._events = 0
         self._batch_hist = [0] * _BATCH_BINS
         self._preemptions = 0
         self._preempted_entries = 0
         self._kernel_wall = 0.0
-        self._last_t = 0.0
+        #: The kernel's event counter when the running batch opened.
+        self._events_at_open = 0
+        self._clear_run()
         if sim is not None:
             self.install(sim)
 
+    def _clear_run(self) -> None:
+        """Forget the open callback run and the last clock reading (so
+        the gap before the next batch is not billed as kernel time)."""
+        #: Run-length fold state, driven by ``Simulator._profiled_dispatch``:
+        #: the callback of the open run, its length, and the clock
+        #: reading where it started (0.0: none yet).
+        self._last_cb = None
+        self._run_count = 0
+        self._last_t = 0.0
+
     # -- lifecycle ------------------------------------------------------
+
+    @property
+    def enabled(self) -> bool:
+        """Whether batches dispatched from now on are profiled."""
+        return self._enabled
 
     def install(self, sim=None) -> "CallbackProfiler":
         """Attach to ``sim`` (or the one given at construction) as its
@@ -249,7 +271,7 @@ class CallbackProfiler:
 
     def enable(self) -> None:
         self._enabled = True
-        self._last_t = 0.0  # don't attribute the disabled gap to kernel
+        self._clear_run()  # don't attribute the disabled gap to kernel
 
     def disable(self) -> None:
         """Pause profiling; accumulated samples are kept."""
@@ -261,25 +283,64 @@ class CallbackProfiler:
         for cell in self._taps.values():
             cell[0], cell[1] = 0, 0.0
         self._n_batches = 0
-        self._batch_events = 0
+        self._events = 0
         self._batch_hist = [0] * _BATCH_BINS
         self._preemptions = 0
         self._preempted_entries = 0
         self._kernel_wall = 0.0
-        self._last_t = 0.0
+        self._clear_run()
 
-    # -- kernel hooks (called from Simulator._profiled_batch) -----------
+    # -- kernel hooks (called from Simulator.run) -----------------------
 
-    def _note_batch(self, n: int, t0: float) -> None:
-        """Once per dispatched batch: size accounting plus the
-        inter-batch gap (queue pop, loop overhead) into the kernel
-        bucket."""
+    def _open_batch(self, n: int, n_events: int) -> None:
+        """A profiled batch of ``n`` entries starts; ``n_events`` is the
+        kernel's dispatched-event counter before it.  Size accounting,
+        plus the inter-batch gap (queue pop, loop overhead) into the
+        kernel bucket."""
+        t0 = self._clock()
         if self._last_t:
             self._kernel_wall += t0 - self._last_t
+        self._last_t = t0
+        self._events_at_open = n_events
         self._n_batches += 1
-        self._batch_events += n
-        bins = self._batch_hist
-        bins[min(n.bit_length(), _BATCH_BINS - 1)] += 1
+        self._batch_hist[min(n.bit_length(), _BATCH_BINS - 1)] += 1
+
+    def _close_run(self, callback) -> None:
+        """Bill the open run (if any) up to now and start one for
+        ``callback``."""
+        if self._run_count:
+            self._bill(self._clock())
+        self._last_cb = callback
+
+    def _close_batch(self, n_events: int) -> None:
+        """The batch opened by :meth:`_open_batch` ended (normally or
+        by a raise); ``n_events`` is the kernel's counter after it, so
+        the profiler counts events exactly as the kernel does —
+        descheduled skips and re-pushed entries excluded, events with no
+        callbacks included."""
+        t1 = self._clock()
+        if self._run_count:
+            self._bill(t1)
+        self._last_t = t1
+        self._last_cb = None
+        self._events += n_events - self._events_at_open
+
+    def _bill(self, t1: float) -> None:
+        """Charge the open run and the wall time since the previous
+        clock reading to its callback's site (keyed by code object, so
+        every closure of one function shares a site)."""
+        callback = self._last_cb
+        try:
+            key = callback.__code__
+        except AttributeError:
+            key = callback
+        entry = self._sites.get(key)
+        if entry is None:
+            self._sites[key] = entry = [0, 0.0, callback]
+        entry[0] += self._run_count
+        entry[1] += t1 - self._last_t
+        self._last_t = t1
+        self._run_count = 0
 
     def _note_preemption(self, remaining: int) -> None:
         self._preemptions += 1
@@ -353,7 +414,7 @@ class CallbackProfiler:
                 for name, cell in self._taps.items() if cell[0]}
         return ProfileSnapshot(
             sites=sites,
-            events=sum(s.count for s in sites),
+            events=self._events,
             batches=self._n_batches,
             kernel_wall=self._kernel_wall,
             preemptions=self._preemptions,
@@ -399,11 +460,6 @@ class KernelStats:
     mean_bucket: Optional[float] = None
     #: Raw per-day occupancy (``kernel_stats(..., occupancy=True)``).
     bucket_occupancy: Optional[Dict[int, int]] = None
-    timer_banks: List[dict] = field(default_factory=list)
-
-    @property
-    def timers_pending(self) -> int:
-        return sum(b["pending"] for b in self.timer_banks)
 
     def to_dict(self) -> dict:
         doc = {
@@ -417,8 +473,6 @@ class KernelStats:
             "batches_dispatched": self.batches_dispatched,
             "max_batch": self.max_batch,
             "preemptions": self.preemptions,
-            "timer_banks": list(self.timer_banks),
-            "timers_pending": self.timers_pending,
         }
         if self.bucket_width is not None:
             doc["bucket_width"] = self.bucket_width
@@ -434,7 +488,7 @@ class KernelStats:
 
 def kernel_stats(sim, occupancy: bool = False) -> KernelStats:
     """Snapshot the kernel's health: queue shape, dead entries,
-    compactions, dispatch counters and TimerBank occupancy.
+    compactions and dispatch counters.
 
     ``occupancy=True`` additionally includes the calendar backend's raw
     per-day bucket histogram (the head-density signal the adaptive
@@ -444,11 +498,6 @@ def kernel_stats(sim, occupancy: bool = False) -> KernelStats:
     depth = len(queue)
     dead = getattr(queue, "dead", 0)
     stats = queue.stats() if hasattr(queue, "stats") else {}
-    banks = []
-    for ref in getattr(sim, "_timer_banks", ()):
-        bank = ref()
-        if bank is not None:
-            banks.append(bank.stats())
     raw = None
     if occupancy and hasattr(queue, "bucket_occupancy"):
         raw = queue.bucket_occupancy()
@@ -468,20 +517,18 @@ def kernel_stats(sim, occupancy: bool = False) -> KernelStats:
         max_bucket=stats.get("max_bucket"),
         mean_bucket=stats.get("mean_bucket"),
         bucket_occupancy=raw,
-        timer_banks=banks,
     )
 
 
 def install_kernel_gauges(sim, metrics, interval: float = 1.0,
-                          vectorized: bool = False,
                           max_points: Optional[int] = None) -> list:
     """Stream kernel health into watchtower as labeled series.
 
     Starts periodic probes (every ``interval`` simulated seconds)
     feeding ``kernel.queue.depth{backend=...}``,
     ``kernel.queue.dead_ratio``, ``kernel.queue.compactions``,
-    ``kernel.events.dispatched``, ``kernel.batch.max``,
-    ``kernel.preemptions`` and ``kernel.timerbank.pending`` — the same
+    ``kernel.events.dispatched``, ``kernel.batch.max`` and
+    ``kernel.preemptions`` — the same
     signals :func:`kernel_stats` snapshots, but as dashboard/SLO-ready
     time series.  ``max_points`` ring-bounds each backing series so
     week-long runs do not grow them without limit.  Returns the probes
@@ -493,14 +540,6 @@ def install_kernel_gauges(sim, metrics, interval: float = 1.0,
         depth = len(queue)
         return (getattr(queue, "dead", 0) / depth) if depth else 0.0
 
-    def timers_pending() -> float:
-        total = 0
-        for ref in getattr(sim, "_timer_banks", ()):
-            bank = ref()
-            if bank is not None:
-                total += len(bank)
-        return float(total)
-
     samplers = [
         ("kernel.queue.depth", lambda: float(len(queue))),
         ("kernel.queue.dead_ratio", dead_ratio),
@@ -509,10 +548,9 @@ def install_kernel_gauges(sim, metrics, interval: float = 1.0,
         ("kernel.events.dispatched", lambda: float(sim._n_events)),
         ("kernel.batch.max", lambda: float(sim._max_batch)),
         ("kernel.preemptions", lambda: float(sim._n_preemptions)),
-        ("kernel.timerbank.pending", timers_pending),
     ]
     return [metrics.probe(labeled_name(name, labels), fn, interval,
-                          vectorized=vectorized, max_points=max_points)
+                          max_points=max_points)
             for name, fn in samplers]
 
 

@@ -32,8 +32,6 @@ from .resources import (
     Store,
 )
 
-from .vectime import TimerBank, TimerHandle
-
 __all__ = [
     "AllOf",
     "AnyOf",
@@ -61,8 +59,6 @@ __all__ = [
     "Store",
     "StopSimulation",
     "Timeout",
-    "TimerBank",
-    "TimerHandle",
     "URGENT",
     "make_queue",
 ]

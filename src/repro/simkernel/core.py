@@ -105,9 +105,6 @@ class Simulator:
         self._n_batches = 0
         self._n_preemptions = 0
         self._max_batch = 0
-        #: Weakrefs to TimerBanks riding this kernel (vectime registers
-        #: itself here so KernelStats can report bank occupancy).
-        self._timer_banks: list = []
 
     # -- clock & introspection ------------------------------------------
 
@@ -134,9 +131,9 @@ class Simulator:
     def set_profiler(self, profiler) -> None:
         """Install ``profiler`` (or :data:`NULL_PROFILER` for ``None``).
 
-        The profiler takes effect at the next dispatched batch; it is
-        handed this simulator via its ``sim`` attribute when it wants
-        one.
+        The profiler takes effect at the next dispatched batch; install
+        it between runs, not from inside a callback.  It is handed this
+        simulator via its ``sim`` attribute when it wants one.
         """
         self._profiler = NULL_PROFILER if profiler is None else profiler
         if (self._profiler is not NULL_PROFILER
@@ -180,9 +177,9 @@ class Simulator:
 
         Cheaper than a :class:`Timeout` plus a manual
         ``callbacks.append`` and far cheaper than a process for
-        fire-and-forget timers (flow completions, batched recomputes,
-        timer-bank wake-ups).  The returned event supports
-        :meth:`Event.deschedule` for lazy cancellation.
+        fire-and-forget timers (flow completions, batched recomputes).
+        The returned event supports :meth:`Event.deschedule` for lazy
+        cancellation.
         """
         event = Event(self)
         event._ok = True
@@ -280,105 +277,32 @@ class Simulator:
             dispatch(head[3])
 
     def _profiled_dispatch(self, event: Event) -> None:
-        """:meth:`_dispatch` for an event drained by
-        :meth:`_drain_urgent` under the profiler: each callback is
-        billed the wall time since the previous clock reading, exactly
-        like a run of one in :meth:`_profiled_batch`."""
+        """:meth:`_dispatch` with wall-clock attribution per callback
+        site, used for every event of a batch that started profiled.
+
+        The key trick keeping this affordable on a sub-microsecond
+        dispatch loop: consecutive dispatches of the *same callback
+        object* (the storm shape — one closure ticking thousands of
+        times) fold into one run on the profiler, counted with a single
+        identity check; the wall clock is read only when the callback
+        identity changes, and each reading closes the whole run since
+        the previous one.
+        """
         prof = self._profiler
-        clock = prof._clock
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
             raise SimulationError(f"{event!r} was scheduled twice")
         for callback in callbacks:
-            try:
-                callback(event)
-            finally:
-                t1 = clock()
-                _bill(prof._sites, callback, 1, t1 - prof._last_t)
-                prof._last_t = t1
+            if callback is not prof._last_cb:
+                # Close the previous run *before* a new site starts, so
+                # its time is never billed to its predecessor and a
+                # callback that raises is still counted.
+                prof._close_run(callback)
+            prof._run_count += 1
+            callback(event)
+
         if event._ok is False and not event._defused:
             raise event._exc
-
-    def _profiled_batch(self, batch: list) -> None:
-        """Dispatch one popped batch with wall-clock attribution.
-
-        Semantically identical to the inline loop in :meth:`run`
-        (descheduled skips, in-hand drain of mid-batch URGENT entries,
-        exception-safe remainder re-push) — the only addition is
-        profiler accounting.  The key trick keeping this affordable on
-        a sub-microsecond dispatch loop: consecutive dispatches of the
-        *same callback object* (the storm shape — one closure ticking
-        thousands of times) are folded into a run counted with a single
-        identity check, and the wall clock is only read when the
-        callback identity changes.  Timing stays exact: each clock
-        reading closes the whole run since the previous one.
-        """
-        prof = self._profiler
-        clock = prof._clock
-        sites = prof._sites
-        t0 = clock()
-        prof._note_batch(len(batch), t0)
-        last_cb = None
-        run_count = 0
-        i, n = 0, len(batch)
-        try:
-            while i < n:
-                event = batch[i][3]
-                i += 1
-                if event._descheduled:
-                    self._n_events -= 1
-                    continue
-                self._preempted = False
-                # Inlined _dispatch (the method call per event is worth
-                # ~10% here; keep the two in sync).
-                callbacks, event.callbacks = event.callbacks, None
-                if callbacks is None:
-                    raise SimulationError(f"{event!r} was scheduled twice")
-                for callback in callbacks:
-                    # Close the previous run *before* a new site starts,
-                    # so its time is never billed to its predecessor and
-                    # a callback that raises is still counted.
-                    if callback is not last_cb:
-                        if run_count:
-                            # Inlined _bill.
-                            t1 = clock()
-                            try:
-                                key = last_cb.__code__
-                            except AttributeError:
-                                key = last_cb
-                            entry = sites.get(key)
-                            if entry is None:
-                                sites[key] = entry = [0, 0.0, last_cb]
-                            entry[0] += run_count
-                            entry[1] += t1 - t0
-                            t0 = t1
-                        last_cb = callback
-                        run_count = 0
-                    run_count += 1
-                    callback(event)
-                if event._ok is False and not event._defused:
-                    raise event._exc
-                if self._preempted and i < n:
-                    self._n_preemptions += 1
-                    prof._note_preemption(n - i)
-                    t1 = clock()
-                    if run_count:
-                        _bill(sites, last_cb, run_count, t1 - t0)
-                    prof._last_t = t1
-                    last_cb = None
-                    run_count = 0
-                    self._drain_urgent(self._profiled_dispatch)
-                    t0 = prof._last_t
-        except BaseException:
-            self._n_events -= n - i
-            for j in range(i, n):
-                self._queue.push(batch[j])
-            raise
-        finally:
-            t1 = clock()
-            if run_count:
-                _bill(sites, last_cb, run_count, t1 - t0)
-            prof._last_t = t1
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run until the queue drains, a time is reached, or an event fires.
@@ -404,6 +328,12 @@ class Simulator:
         (:meth:`_drain_urgent`) while the remainder waits, then the
         remainder resumes.  Only a raising callback sends the
         undispatched remainder back to the queue.
+
+        Profiling rides the same loop: whether a batch dispatches
+        through :meth:`_dispatch` or :meth:`_profiled_dispatch` is
+        decided once, when the batch starts, from the profiler's
+        ``_enabled`` flag; a profiled batch is opened and closed on the
+        profiler around its dispatch.
         """
         stop_event: Optional[Event] = None
         if until is not None:
@@ -435,6 +365,15 @@ class Simulator:
                 self._now = batch[0][0]
                 self._batch_priority = batch[0][1]
                 i, n = 0, len(batch)
+                # The only per-batch choice: plain or profiled dispatch.
+                # The null profiler costs this one attribute read.
+                prof = self._profiler
+                if prof._enabled:
+                    prof._open_batch(n, self._n_events)
+                    dispatch = self._profiled_dispatch
+                else:
+                    prof = None
+                    dispatch = self._dispatch
                 # Kernel self-accounting, once per batch so the null
                 # path stays effectively free per event: the whole batch
                 # is counted up front, and entries that never run
@@ -444,11 +383,6 @@ class Simulator:
                 self._n_events += n
                 if n > self._max_batch:
                     self._max_batch = n
-                if self._profiler._enabled:
-                    # Same dispatch semantics as the inline loop below,
-                    # with wall-clock attribution per callback site.
-                    self._profiled_batch(batch)
-                    continue
                 try:
                     while i < n:
                         event = batch[i][3]
@@ -458,14 +392,16 @@ class Simulator:
                             self._n_events -= 1
                             continue
                         self._preempted = False
-                        self._dispatch(event)
+                        dispatch(event)
                         if self._preempted and i < n:
                             # The callback scheduled an event at this
                             # instant with a more urgent priority: it
                             # sorts before the rest of the batch, so run
                             # it (and its followers) first, in hand.
                             self._n_preemptions += 1
-                            self._drain_urgent(self._dispatch)
+                            if prof is not None:
+                                prof._note_preemption(n - i)
+                            self._drain_urgent(dispatch)
                 except BaseException:
                     # A callback raised (StopSimulation, a crash, an
                     # undefused failure): the undispatched remainder
@@ -474,6 +410,9 @@ class Simulator:
                     for j in range(i, n):
                         queue.push(batch[j])
                     raise
+                finally:
+                    if prof is not None:
+                        prof._close_batch(self._n_events)
         except StopSimulation as stop:
             return stop.value
         except EmptySchedule:
@@ -493,21 +432,6 @@ class Simulator:
     def __repr__(self) -> str:
         return (f"<Simulator now={self._now} queued={len(self._queue)} "
                 f"backend={getattr(self._queue, 'name', '?')}>")
-
-
-def _bill(sites: dict, callback, count: int, wall: float) -> None:
-    """Charge ``count`` calls and ``wall`` seconds to ``callback``'s
-    site in a profiler's ``sites`` table (keyed by code object, so
-    every closure of one function shares a site)."""
-    try:
-        key = callback.__code__
-    except AttributeError:
-        key = callback
-    entry = sites.get(key)
-    if entry is None:
-        sites[key] = entry = [0, 0.0, callback]
-    entry[0] += count
-    entry[1] += wall
 
 
 def _stop_simulation(event: Event) -> None:

@@ -16,7 +16,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from ..simkernel import Simulator, TimerBank
+from ..simkernel import Simulator
 
 
 def spot_price_trace(rng: np.random.Generator, duration: float,
@@ -58,20 +58,10 @@ class SpotPriceProcess:
 
     Exposes ``current_price`` and notifies subscribers on every change —
     the spot market's reclamation monitor hangs off this.
-
-    ``vectorized=True`` replays the whole trace through a
-    :class:`~repro.simkernel.TimerBank` group instead of a generator
-    process: every tick of every market shares one kernel sentinel per
-    distinct instant, so a many-market run stops paying one process
-    resume + timeout per tick.  Price/history/subscriber semantics are
-    identical; the fast path is opt-in because it changes the raw
-    event-count timeline.  An existing ``bank`` may be shared across
-    markets.
     """
 
     def __init__(self, sim: Simulator, times: np.ndarray,
-                 prices: np.ndarray, vectorized: bool = False,
-                 bank: TimerBank = None):
+                 prices: np.ndarray):
         if len(times) != len(prices) or len(times) == 0:
             raise ValueError("times and prices must be equal-length, non-empty")
         self.sim = sim
@@ -81,39 +71,23 @@ class SpotPriceProcess:
         self.history: List[PricePoint] = [PricePoint(float(times[0]),
                                                      self.current_price)]
         self._subscribers: List[Callable[[float], None]] = []
-        if vectorized or bank is not None:
-            self.process = None
-            self.bank = bank if bank is not None else TimerBank(sim)
-            if len(self.times) > 1:
-                delays = np.maximum(self.times[1:] - sim.now, 0.0)
-                self.bank.arm_array(delays, self._on_ticks)
-        else:
-            self.bank = None
-            self.process = sim.process(self._run(), name="spot-prices")
+        self.process = sim.process(self._run(), name="spot-prices")
 
     def subscribe(self, callback: Callable[[float], None]) -> None:
         """``callback(new_price)`` fires on every price change."""
         self._subscribers.append(callback)
-
-    def _apply(self, t: float, p: float) -> None:
-        if p != self.current_price:
-            self.current_price = p
-            self.history.append(PricePoint(t, p))
-            for cb in list(self._subscribers):
-                cb(p)
-
-    def _on_ticks(self, indices, _now: float) -> None:
-        # Indices are positions in times[1:]/prices[1:], ascending — the
-        # same order the generator path visits them.
-        for i in indices:
-            self._apply(float(self.times[i + 1]), float(self.prices[i + 1]))
 
     def _run(self):
         for t, p in zip(self.times[1:], self.prices[1:]):
             delay = t - self.sim.now
             if delay > 0:
                 yield self.sim.timeout(delay)
-            self._apply(float(t), float(p))
+            p = float(p)
+            if p != self.current_price:
+                self.current_price = p
+                self.history.append(PricePoint(float(t), p))
+                for cb in list(self._subscribers):
+                    cb(p)
 
     def mean_price(self) -> float:
         return float(np.mean([pt.price for pt in self.history]))

@@ -21,7 +21,6 @@ def _payload(events_per_sec=3e6, scale="full"):
         "headline": {
             "calendar_events_per_sec": events_per_sec,
             "speedup_calendar_vs_heap": 4.0,
-            "vectorized_events_per_sec": 1e8,
         },
         "scenarios": {
             "drain": {"calendar": {"events": 50_000},

@@ -20,7 +20,7 @@ from repro.obs import (
     validate_speedscope,
 )
 from repro.obs.dashboard import dashboard_payload, render_html
-from repro.simkernel import Simulator, TimerBank
+from repro.simkernel import Simulator
 from repro.simkernel.events import URGENT
 
 
@@ -133,21 +133,29 @@ def test_profiler_does_not_shift_the_timeline():
 def test_enable_disable_reset():
     prof = CallbackProfiler()
     sim = Simulator(profiler=prof)
+    assert prof.enabled is True
     sim.call_in(1.0, _tick)
     sim.run()
     assert prof.snapshot().events == 1
 
     prof.disable()
+    assert prof.enabled is False
     sim.call_in(1.0, _tick)
     sim.run()
     assert prof.snapshot().events == 1  # nothing recorded while off
 
+    # enable() and reset() both drop any run-length fold state.
+    prof._last_cb, prof._run_count, prof._last_t = _tock, 3, 1.0
     prof.enable()
+    assert prof.enabled is True
+    assert (prof._last_cb, prof._run_count, prof._last_t) == (None, 0, 0.0)
     sim.call_in(1.0, _tick)
     sim.run()
     assert prof.snapshot().events == 2
 
+    prof._last_cb, prof._run_count, prof._last_t = _tock, 3, 1.0
     prof.reset()
+    assert (prof._last_cb, prof._run_count, prof._last_t) == (None, 0, 0.0)
     snap = prof.snapshot()
     assert snap.events == 0 and snap.batches == 0
     assert snap.sites == [] and snap.kernel_wall == 0.0
@@ -243,6 +251,29 @@ def test_preemption_accounting_counts_repushed_entries():
     assert snap.events == 5  # preempting + urgent + 3 re-pushed ticks
 
 
+@pytest.mark.parametrize("queue", ["heap", "calendar"])
+def test_profiler_counts_events_like_the_kernel(queue):
+    # The profiler's event count follows the kernel's rule: an event
+    # with no callbacks is still one dispatched event, and an event
+    # with two callbacks is one event but two site invocations.
+    prof = CallbackProfiler()
+    sim = Simulator(queue=queue, profiler=prof)
+    before = kernel_stats(sim).events_dispatched
+    sim.timeout(1.0)                        # zero callbacks
+    sim.timeout(1.5)                        # zero callbacks
+    both = sim.timeout(2.0)
+    both.callbacks.extend([_tick, _tock])   # two callbacks
+    sim.call_in(3.0, _tick)
+    sim.run()
+
+    snap = prof.snapshot()
+    dispatched = kernel_stats(sim).events_dispatched - before
+    assert dispatched == 4
+    assert snap.events == dispatched
+    by_site = {s.site.rsplit(":", 1)[1]: s.count for s in snap.sites}
+    assert by_site == {"_tick": 2, "_tock": 1}
+
+
 # -- obs tax -------------------------------------------------------------
 
 
@@ -291,7 +322,6 @@ def test_kernel_stats_heap_counters():
     assert ks.queue_depth == 0 and ks.dead_ratio == 0.0
     assert ks.bucket_width is None
     doc = ks.to_dict()
-    assert doc["timers_pending"] == 0
     assert "bucket_width" not in doc
 
 
@@ -312,22 +342,11 @@ def test_kernel_stats_calendar_shape_and_occupancy():
     assert kernel_stats(sim).bucket_occupancy is None
 
 
-def test_kernel_stats_sees_timer_banks():
-    sim = Simulator()
-    bank = TimerBank(sim)
-    import numpy as np
-
-    bank.arm_array(np.array([5.0, 6.0, 7.0]), lambda idx, now: None)
-    ks = kernel_stats(sim)
-    assert ks.timers_pending == 3
-    assert ks.timer_banks[0]["pending"] == 3
-
-
 def test_install_kernel_gauges_streams_labeled_series():
     sim = Simulator(queue="calendar")
     metrics = MetricsRecorder(sim)
     probes = install_kernel_gauges(sim, metrics, interval=1.0)
-    assert len(probes) == 7
+    assert len(probes) == 6
     for t in range(1, 6):
         sim.call_in(float(t), _tick)
     sim.run(until=5.5)

@@ -1,4 +1,4 @@
-"""Queue backends, batch dispatch, and the vectorized timer fast path.
+"""Queue backends and batch dispatch.
 
 The core contract under test: every queue backend delivers events in
 the identical ``(time, priority, seq)`` total order, so a simulation is
@@ -25,7 +25,6 @@ from repro.simkernel import (
     NORMAL,
     Simulator,
     StopSimulation,
-    TimerBank,
     URGENT,
     make_queue,
 )
@@ -299,155 +298,6 @@ def test_empty_calendar_raises_empty_schedule():
 
 
 # ---------------------------------------------------------------------------
-# TimerBank (vectorized fast path)
-# ---------------------------------------------------------------------------
-
-def test_timerbank_single_timers_fire_in_arm_order():
-    sim = Simulator()
-    bank = TimerBank(sim, initial_capacity=2)  # force growth
-    log = []
-    for i in range(10):
-        bank.arm(5.0, lambda now, i=i: log.append((now, i)))
-    assert len(bank) == 10
-    sim.run()
-    assert log == [(5.0, i) for i in range(10)]
-    assert len(bank) == 0
-
-
-def test_timerbank_cancel_and_handle_reuse():
-    sim = Simulator()
-    bank = TimerBank(sim)
-    log = []
-    keep = bank.arm(1.0, lambda now: log.append("keep"))
-    drop = bank.arm(1.0, lambda now: log.append("drop"))
-    drop.cancel()
-    drop.cancel()  # idempotent
-    assert keep.active and not drop.active
-    # The freed slot is reused; the stale handle must not cancel it.
-    bank.arm(2.0, lambda now: log.append("reused"))
-    drop.cancel()
-    sim.run()
-    assert log == ["keep", "reused"]
-
-
-def test_timerbank_rejects_bad_delays():
-    sim = Simulator()
-    bank = TimerBank(sim)
-    for bad in (float("nan"), float("inf"), -1.0):
-        with pytest.raises(ValueError):
-            bank.arm(bad, lambda now: None)
-    with pytest.raises(ValueError):
-        bank.arm_array([1.0, float("nan")], lambda idx, now: None)
-    with pytest.raises(ValueError):
-        bank.arm_array([], lambda idx, now: None)
-
-
-def test_timerbank_group_drains_by_deadline():
-    sim = Simulator()
-    bank = TimerBank(sim)
-    seen = []
-    # Deliberately unsorted, with ties: index order must be ascending
-    # within one instant.
-    bank.arm_array([3.0, 1.0, 3.0, 2.0],
-                   lambda idx, now: seen.append((now, list(idx))))
-    sim.run()
-    assert seen == [(1.0, [1]), (2.0, [3]), (3.0, [0, 2])]
-
-
-def test_timerbank_group_cancel():
-    sim = Simulator()
-    bank = TimerBank(sim)
-    seen = []
-    handle = bank.arm_array([1.0, 2.0], lambda idx, now: seen.extend(idx))
-    handle.cancel()
-    assert not handle.active
-    sim.run()
-    assert seen == []
-
-
-def test_timerbank_rearm_during_drain():
-    """A callback arming a new earlier timer mid-drain re-aims the
-    sentinel correctly."""
-    sim = Simulator()
-    bank = TimerBank(sim)
-    log = []
-
-    def first(now):
-        log.append(("first", now))
-        bank.arm(0.5, lambda n: log.append(("nested", n)))
-
-    bank.arm(1.0, first)
-    bank.arm(4.0, lambda n: log.append(("last", n)))
-    sim.run()
-    assert log == [("first", 1.0), ("nested", 1.5), ("last", 4.0)]
-
-
-def test_timerbank_codue_callback_cancels_codue_timer():
-    """A co-due callback cancelling a timer due at the same instant must
-    suppress it — not crash the drain or double-free the slot."""
-    sim = Simulator()
-    bank = TimerBank(sim)
-    log = []
-    handles = {}
-
-    def first(now):
-        log.append("first")
-        handles["second"].cancel()
-
-    bank.arm(1.0, first)
-    handles["second"] = bank.arm(1.0, lambda now: log.append("second"))
-    sim.run()
-    assert log == ["first"]
-    assert len(bank) == 0
-
-
-def test_timerbank_rearm_recycles_cancelled_codue_slot():
-    """A re-arm during a drain may claim a slot freed by a co-due
-    cancellation; the new timer must fire at its own deadline, not be
-    swept up (or cleared) by the in-progress drain."""
-    sim = Simulator()
-    bank = TimerBank(sim, initial_capacity=2)
-    log = []
-    handles = {}
-
-    def first(now):
-        log.append(("first", now))
-        handles["second"].cancel()
-        bank.arm(1.0, lambda n: log.append(("rearmed", n)))
-
-    bank.arm(1.0, first)
-    handles["second"] = bank.arm(1.0, lambda now: log.append(("second", now)))
-    sim.run()
-    assert log == [("first", 1.0), ("rearmed", 2.0)]
-    assert len(bank) == 0
-
-
-def test_timerbank_matches_plain_timeouts():
-    """The bank fires at exactly the same simulated times as individual
-    timeouts for the same delays."""
-    delays = [0.25, 1.0, 1.0, 2.75, 3.0]
-
-    def plain():
-        sim = Simulator()
-        log = []
-        for i, d in enumerate(delays):
-            sim.call_in(d, lambda _e, i=i: log.append((sim.now, i)))
-        sim.run()
-        return log
-
-    def banked():
-        sim = Simulator()
-        bank = TimerBank(sim)
-        log = []
-        for i, d in enumerate(delays):
-            bank.arm(d, lambda now, i=i: log.append((now, i)))
-        sim.run()
-        return log
-
-    assert plain() == banked()
-
-
-# ---------------------------------------------------------------------------
 # Byte-identical traces across backends
 # ---------------------------------------------------------------------------
 
@@ -486,65 +336,6 @@ def test_same_seed_traces_byte_identical_across_backends():
     lines = [json.loads(l) for l in heap_jsonl.strip().splitlines()]
     assert len(lines) >= 4
     assert all(math.isfinite(s["start"]) for s in lines)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized call sites (probes, spot prices) match the plain paths
-# ---------------------------------------------------------------------------
-
-def test_vectorized_probe_matches_plain():
-    from repro.metrics import MetricsRecorder
-
-    def run(vectorized):
-        sim = Simulator()
-        metrics = MetricsRecorder(sim)
-        tick = {"n": 0}
-
-        def sample():
-            tick["n"] += 1
-            return tick["n"]
-
-        probe = metrics.probe("ticks", sample, interval=1.0,
-                              vectorized=vectorized)
-        sim.run(until=5.5)
-        probe.stop()
-        sim.run()
-        return metrics.series("ticks").samples
-
-    assert run(False) == run(True)
-
-
-def test_vectorized_probe_stop_restart():
-    from repro.metrics import MetricsRecorder
-    sim = Simulator()
-    metrics = MetricsRecorder(sim)
-    probe = metrics.probe("x", lambda: 1.0, interval=1.0, vectorized=True)
-    sim.run(until=2.5)
-    probe.stop()
-    probe.stop()  # idempotent
-    sim.run(until=5.0)
-    assert len(metrics.series("x").samples) == 2
-    probe.restart()
-    sim.run(until=6.5)
-    assert len(metrics.series("x").samples) == 3
-
-
-def test_vectorized_spot_prices_match_plain():
-    import numpy as np
-    from repro.workloads.traces import SpotPriceProcess, spot_price_trace
-
-    times, prices = spot_price_trace(np.random.default_rng(3),
-                                     duration=3600.0, tick=60.0)
-
-    def run(vectorized):
-        sim = Simulator()
-        proc = SpotPriceProcess(sim, times, prices, vectorized=vectorized)
-        changes = []
-        proc.subscribe(lambda p: changes.append((sim.now, p)))
-        sim.run(until=3600.0)
-        return ([(pt.time, pt.price) for pt in proc.history], changes)
-
-    assert run(False) == run(True)
 
 
 # ---------------------------------------------------------------------------
