@@ -98,7 +98,7 @@ def test_e2_savings_grow_with_cluster_size(benchmark, n_vms):
 def test_e2_summary_table(benchmark):
     def sweep():
         out = []
-        for n in (1, 2, 4, 8, 16):
+        for n in (1, 2, 4, 8, 16, 32):
             raw_m, _ = migrate(n, False, False)
             shr_m, ideal = migrate(n, True, False)
             raw_d, _ = migrate(n, False, True)

@@ -17,6 +17,7 @@ from .memory import (
     UniqueContentFactory,
     ZERO_PAGE,
     pool_fingerprints,
+    sorted_unique,
 )
 from .migration import (
     LiveMigrator,
@@ -50,4 +51,5 @@ __all__ = [
     "VirtualMachine",
     "ZERO_PAGE",
     "pool_fingerprints",
+    "sorted_unique",
 ]

@@ -22,6 +22,8 @@ rounds read-and-clear it while the guest keeps writing.
 
 from __future__ import annotations
 
+import hashlib
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -47,6 +49,28 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array.
+
+    Returns exactly what :func:`numpy.unique` returns for integer input,
+    by sorting and keeping each run's first element.  NumPy 2.x routes
+    ``np.unique`` on integers through a hash table that is several times
+    slower than this on fingerprint arrays (see DESIGN.md).
+    """
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+@lru_cache(maxsize=None)
+def _pool_salt(pool: str) -> np.uint64:
+    """A 63-bit salt for ``pool``, the same in every interpreter
+    (unlike ``hash(str)``, which ``PYTHONHASHSEED`` randomises)."""
+    digest = hashlib.blake2b(pool.encode(), digest_size=8).digest()
+    return np.uint64(int.from_bytes(digest, "little") & 0x7FFFFFFFFFFFFFFF)
+
+
 def pool_fingerprints(pool: str, indices: np.ndarray) -> np.ndarray:
     """Deterministic fingerprints for pages ``indices`` of a shared pool.
 
@@ -55,7 +79,7 @@ def pool_fingerprints(pool: str, indices: np.ndarray) -> np.ndarray:
     libraries, same buffer-cache files) enters the model.  The top bit is
     cleared so shared content never collides with unique content.
     """
-    salt = np.uint64(hash(pool) & 0x7FFFFFFFFFFFFFFF)
+    salt = _pool_salt(pool)
     with np.errstate(over="ignore"):
         fps = _splitmix64(indices.astype(np.uint64) + salt * np.uint64(0x9E37))
     fps &= ~UNIQUE_FLAG
@@ -160,7 +184,9 @@ class MemoryImage:
     def duplication_ratio(self) -> float:
         """Fraction of pages whose content also appears elsewhere in
         this image (self-duplication, e.g. zero pages)."""
-        _, counts = np.unique(self.pages, return_counts=True)
+        pages = np.sort(self.pages)
+        starts = np.flatnonzero(np.diff(pages)) + 1
+        counts = np.diff(starts, prepend=0, append=len(pages))
         duplicated = counts[counts > 1].sum()
         return float(duplicated) / self.n_pages
 

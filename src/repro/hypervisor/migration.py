@@ -35,6 +35,7 @@ from ..network.transport import Transport
 from ..obs.trace import tracer_of
 from ..simkernel import Process, Simulator
 from .host import CapacityError, PhysicalHost
+from .memory import sorted_unique
 from .vm import VirtualMachine, VMState
 
 
@@ -293,8 +294,8 @@ class LiveMigrator:
                               phase="stopcopy")
         # The dirty set that triggered the stop decision plus anything
         # written since (the guest ran on until this instant).
-        final_dirty = np.union1d(pending_dirty,
-                                 vm.memory.read_and_clear_dirty())
+        final_dirty = sorted_unique(np.concatenate(
+            (pending_dirty, vm.memory.read_and_clear_dirty())))
         # Disk blocks written during the migration flush with the final
         # round (QEMU-style iterative block migration, one catch-up pass).
         dirty_disk_wire = 0.0

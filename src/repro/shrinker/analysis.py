@@ -15,6 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ..hypervisor.memory import sorted_unique
 from .hashing import HashScheme
 
 
@@ -56,7 +57,7 @@ def ideal_dedup_saving(fingerprint_sets: Iterable[np.ndarray]) -> float:
         all_parts.append(fps)
     if total == 0:
         return 0.0
-    distinct = len(np.unique(np.concatenate(all_parts)))
+    distinct = len(sorted_unique(np.concatenate(all_parts)))
     return 1.0 - distinct / total
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..hypervisor.memory import sorted_unique
 from ..hypervisor.migration import TransferEncoding
 from .hashing import HashScheme, SHA1
 from .registry import ContentRegistry
@@ -52,7 +53,7 @@ class ShrinkerCodec:
         n = len(fingerprints)
         if n == 0:
             return TransferEncoding(0, 0, 0, 0.0, 0.0)
-        distinct = np.unique(fingerprints)
+        distinct = sorted_unique(fingerprints)
         known = self.registry.contains(distinct)
         fresh = distinct[~known]
         full = len(fresh)  # each unknown content crosses once

@@ -11,9 +11,14 @@ The registry is shared by **all** VMs migrating to that site, which is
 how inter-VM deduplication across a whole virtual cluster emerges: the
 first VM pays for the common OS pages, every later VM sends digests.
 
-Implementation: a sorted, deduplicated ``uint64`` array plus a pending
-buffer, giving vectorized O((n+m) log m) batch membership tests via
-:func:`numpy.isin` — no Python-level loops, per the HPC guides.
+Implementation: a sorted, deduplicated ``uint64`` array (the index)
+plus a pending buffer of recent additions.  A batch of m queries probes
+the index of n entries with :func:`numpy.searchsorted`, O(m log n), and
+never re-sorts it.  Consolidation deduplicates only the pending buffer,
+drops what the index already holds, and merges the two sorted runs in
+linear time.  No Python-level loops, and no :func:`numpy.unique` or
+:func:`numpy.isin`, which would rebuild the whole index per call (see
+DESIGN.md).
 """
 
 from __future__ import annotations
@@ -22,9 +27,15 @@ from typing import Iterable
 
 import numpy as np
 
+from ..hypervisor.memory import sorted_unique
+
 
 class ContentRegistry:
     """Site-wide content index with vectorized batch operations."""
+
+    #: Pending additions merge into the index once they exceed this many
+    #: fingerprints, or half the index if that is larger.
+    min_pending = 4096
 
     def __init__(self, site: str):
         self.site = site
@@ -37,11 +48,24 @@ class ContentRegistry:
 
     # -- internal -------------------------------------------------------
 
+    def _probe(self, fingerprints: np.ndarray) -> np.ndarray:
+        """Which of ``fingerprints`` (``uint64``) the index holds."""
+        known = self._known
+        if len(known) == 0:
+            return np.zeros(len(fingerprints), dtype=bool)
+        at = known.searchsorted(fingerprints)
+        np.minimum(at, len(known) - 1, out=at)
+        return known[at] == fingerprints
+
     def _consolidate(self) -> None:
         if not self._pending:
             return
-        arrays = [self._known] + self._pending
-        self._known = np.unique(np.concatenate(arrays))
+        fresh = sorted_unique(np.concatenate(self._pending))
+        fresh = fresh[~self._probe(fresh)]
+        merged = np.concatenate((self._known, fresh))
+        # Two sorted runs: the stable sort (timsort) merges them linearly.
+        merged.sort(kind="stable")
+        self._known = merged
         self._pending = []
         self._pending_count = 0
 
@@ -55,7 +79,7 @@ class ContentRegistry:
         """Boolean mask: which of ``fingerprints`` are already present."""
         fingerprints = np.asarray(fingerprints, dtype=np.uint64)
         self._consolidate()
-        mask = np.isin(fingerprints, self._known)
+        mask = self._probe(fingerprints)
         self.queries += len(fingerprints)
         self.hits += int(mask.sum())
         return mask
@@ -68,16 +92,16 @@ class ContentRegistry:
         self._pending.append(fingerprints)
         self._pending_count += len(fingerprints)
         # Keep the pending buffer small relative to the index.
-        if self._pending_count > max(4096, len(self._known) // 2):
+        if self._pending_count > max(self.min_pending, len(self._known) // 2):
             self._consolidate()
 
     def prepopulate_from_memory(self, memory) -> None:
         """Index the pages of a VM already resident at this site."""
-        self.add(np.unique(memory.pages))
+        self.add(sorted_unique(memory.pages))
 
     def prepopulate_from_disk(self, disk) -> None:
         """Index the blocks of a disk image stored at this site."""
-        self.add(np.unique(disk.blocks()))
+        self.add(sorted_unique(disk.blocks()))
 
     def prepopulate(self, vms: Iterable = (), disks: Iterable = ()) -> None:
         """Index a collection of resident VMs and stored images."""

@@ -21,6 +21,7 @@ workload").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict
 
 import numpy as np
@@ -30,6 +31,7 @@ from ..hypervisor.memory import (
     UniqueContentFactory,
     ZERO_PAGE,
     pool_fingerprints,
+    sorted_unique,
 )
 
 
@@ -73,6 +75,11 @@ class MemoryProfile:
         if not 0 < self.hot_fraction <= 1:
             raise ValueError("hot_fraction out of range")
 
+    @cached_property
+    def dirty_pool(self) -> str:
+        """The shared pool that shared writes draw their content from."""
+        return f"{self.os_pool}:dirty"
+
     @property
     def unique_fraction(self) -> float:
         return 1.0 - self.zero_fraction - self.shared_fraction
@@ -111,7 +118,11 @@ class MemoryProfile:
 
     def pick_indices(self, rng: np.random.Generator, n: int,
                      n_pages: int) -> np.ndarray:
-        """Choose pages to dirty: hot-set biased, deduplicated."""
+        """Choose pages to dirty: hot-set biased, deduplicated, ascending.
+
+        The order is part of the contract: :meth:`dirty_values` content
+        is assigned to the picked pages by position.
+        """
         hot_size = max(1, int(self.hot_fraction * n_pages))
         in_hot = rng.random(n) < self.hot_weight
         picks = np.where(
@@ -119,7 +130,7 @@ class MemoryProfile:
             rng.integers(0, hot_size, n),
             rng.integers(0, n_pages, n),
         )
-        return np.unique(picks)
+        return sorted_unique(picks)
 
     def dirty_values(self, rng: np.random.Generator, n: int,
                      vm=None) -> np.ndarray:
@@ -136,7 +147,7 @@ class MemoryProfile:
         if n_shared:
             pool_idx = rng.integers(0, self.dirty_pool_size, n_shared)
             values[shared_mask] = pool_fingerprints(
-                f"{self.os_pool}:dirty", pool_idx.astype(np.uint64)
+                self.dirty_pool, pool_idx.astype(np.uint64)
             )
         return values
 

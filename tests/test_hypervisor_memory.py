@@ -1,5 +1,10 @@
 """Tests for the fingerprint memory model and dirty tracking."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -71,6 +76,32 @@ def test_pool_fingerprints_deterministic_and_distinct():
     assert np.all((a & UNIQUE_FLAG) == 0)
     # Injective over the tested range.
     assert len(np.unique(a)) == len(a)
+
+
+def test_pool_fingerprints_identical_across_hash_seeds():
+    """String hashing is randomised per interpreter; the fingerprints of a
+    pool must not depend on it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import numpy as np; from repro.hypervisor import "
+            "pool_fingerprints as p; print(p('debian', "
+            "np.arange(8, dtype=np.uint64)).tolist())")
+    seen = set()
+    for seed in ("0", "1", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        seen.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                check=True, capture_output=True,
+                                text=True).stdout)
+    assert len(seen) == 1
+    idx = np.arange(8, dtype=np.uint64)
+    assert seen.pop().strip() == str(pool_fingerprints("debian", idx).tolist())
+
+
+def test_duplication_ratio_counts_every_copy_of_each_run():
+    # Contents with 3, 2, 1 and 1 copies, shuffled: 5 of 7 pages are
+    # duplicated.
+    fps = np.array([9, 2**63, 9, 5, 7, 9, 2**63], dtype=np.uint64)
+    mem = MemoryImage(7, fingerprints=fps)
+    assert mem.duplication_ratio() == pytest.approx(5 / 7)
 
 
 def test_unique_factory_never_repeats():
