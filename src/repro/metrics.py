@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import deque
+from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .network.flows import FlowScheduler
@@ -38,7 +39,6 @@ from .obs.instruments import (
     Instrument,
     Timer,
     _interpolated_percentile,
-    failed_name,
     labeled_name,
 )
 from .simkernel import Interrupt, Simulator
@@ -57,6 +57,12 @@ def recorder_of(sim: Simulator) -> Optional["MetricsRecorder"]:
 class TimeSeries:
     """A named sequence of (simulation time, value) samples.
 
+    A series is identified by its ``base`` name and its ``labels`` (a
+    dict of stringified values, empty for a flat series); :attr:`name`
+    is rendered from the two once, by
+    :func:`~repro.obs.instruments.labeled_name`, and is what exports key
+    on.
+
     ``max_points`` turns the series into a bounded ring: once the
     backing list reaches twice the cap, the oldest samples are evicted
     in one chunk back down to ``max_points`` (amortized O(1) per
@@ -66,10 +72,15 @@ class TimeSeries:
     SLO engine) can keep absolute positions across evictions.
     """
 
-    def __init__(self, name: str, max_points: Optional[int] = None):
+    def __init__(self, name: str, max_points: Optional[int] = None,
+                 labels: Optional[Mapping[str, object]] = None):
         if max_points is not None and max_points < 1:
             raise ValueError("max_points must be >= 1")
-        self.name = name
+        self.base = name
+        labels = labels or {}
+        self.labels: Dict[str, str] = {
+            key: str(labels[key]) for key in sorted(labels)}
+        self.name = labeled_name(name, self.labels)
         self.samples: List[Tuple[float, float]] = []
         self.max_points = max_points
         #: Samples evicted by the ring bound (0 for unbounded series).
@@ -253,8 +264,13 @@ class MetricsRecorder:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._series: Dict[str, TimeSeries] = {}
+        #: Series of instrument handles that have not recorded yet; the
+        #: first sample registers them, so an idle handle exports nothing.
+        self._unrecorded: Dict[str, TimeSeries] = {}
         self._probes: List[Probe] = []
         self._instruments: Dict[str, Instrument] = {}
+        #: (base, label set) -> instrument: a hit skips rendering the name.
+        self._handles: Dict[object, Instrument] = {}
         self._exemplars: Dict[str, deque] = {}
         self._active_span = None
 
@@ -264,16 +280,20 @@ class MetricsRecorder:
         self.sim._metrics = self
         return self
 
-    def series(self, name: str,
-               max_points: Optional[int] = None) -> TimeSeries:
-        """Get (or create) a series.  ``max_points`` bounds it as a
-        ring (see :class:`TimeSeries`); on an existing series the bound
-        is (re)applied from the next record."""
-        ts = self._series.get(name)
+    def series(self, name: str, max_points: Optional[int] = None,
+               labels: Optional[Mapping[str, object]] = None) -> TimeSeries:
+        """Get (or create) the series ``name`` carrying ``labels``.
+        ``max_points`` bounds it as a ring (see :class:`TimeSeries`); on
+        an existing series the bound is (re)applied from the next
+        record."""
+        qualified = labeled_name(name, labels)
+        ts = self._series.get(qualified)
         if ts is None:
-            ts = self._series[name] = TimeSeries(name,
-                                                 max_points=max_points)
-        elif max_points is not None:
+            ts = self._unrecorded.pop(qualified, None)
+            if ts is None:
+                ts = TimeSeries(name, labels=labels)
+            self._series[qualified] = ts
+        if max_points is not None:
             if max_points < 1:
                 raise ValueError("max_points must be >= 1")
             ts.max_points = max_points
@@ -288,7 +308,10 @@ class MetricsRecorder:
         """Record a sample at the current simulation time.  Inside an
         :meth:`exemplar_scope`, the sample also lands in the series'
         exemplar reservoir, linked to the active span's trace."""
-        self.series(name).record(self.sim.now, value)
+        ts = self._series.get(name)
+        if ts is None:
+            ts = self.series(name)
+        ts.record(self.sim.now, value)
         span = self._active_span
         if span is not None and span.trace_id is not None:
             bucket = self._exemplars.get(name)
@@ -328,12 +351,14 @@ class MetricsRecorder:
 
     def probe(self, name: str, fn: Callable[[], float],
               interval: float = 1.0,
-              max_points: Optional[int] = None) -> Probe:
-        """Start a periodic sampler feeding series ``name``.
+              max_points: Optional[int] = None,
+              labels: Optional[Mapping[str, object]] = None) -> Probe:
+        """Start a periodic sampler feeding series ``name`` with
+        ``labels``.
 
         ``max_points`` ring-bounds the backing series (long-running
         probes are exactly where unbounded growth bites)."""
-        probe = Probe(self.sim, self.series(name, max_points=max_points),
+        probe = Probe(self.sim, self.series(name, max_points, labels),
                       fn, interval)
         self._probes.append(probe)
         return probe
@@ -344,54 +369,74 @@ class MetricsRecorder:
 
     # -- typed instruments ----------------------------------------------
 
-    def _instrument(self, name: str, cls, **kwargs):
-        inst = self._instruments.get(name)
+    def _instrument(self, cls, base: str,
+                    labels: Optional[Mapping[str, object]]):
+        # Stringified values key the memo: 1, 1.0 and True are equal
+        # dict keys but render to different series names.
+        key = ((base, frozenset(zip(labels, map(str, labels.values()))))
+               if labels else base)
+        inst = self._handles.get(key)
         if inst is None:
-            inst = self._instruments[name] = cls(
-                name, sink=lambda value: self.record(name, value), **kwargs)
-        elif not isinstance(inst, cls):
+            ts = self._unrecorded_series(base, labels)
+            inst = self._instruments.get(ts.name)
+            if inst is None:
+                sink = partial(self.record, ts.name)
+                if cls is Timer:
+                    failed = self._unrecorded_series(base + ".failed", labels)
+                    inst = Timer(ts.name, sink, ts, fail_sink=partial(
+                        self.record, failed.name))
+                elif cls is Histogram:
+                    inst = Histogram(ts.name, sink, ts)
+                else:
+                    inst = cls(ts.name, sink)
+                self._instruments[ts.name] = inst
+            self._handles[key] = inst
+        if not isinstance(inst, cls):
             raise TypeError(
-                f"{name!r} is already a {type(inst).__name__}, "
+                f"{inst.name!r} is already a {type(inst).__name__}, "
                 f"not a {cls.__name__}"
             )
         return inst
 
+    def _unrecorded_series(self, base: str,
+                           labels: Optional[Mapping[str, object]]
+                           ) -> TimeSeries:
+        """The series ``base`` + ``labels`` without registering it: the
+        registered one if it exists, else one held back for the first
+        :meth:`record` to register."""
+        ts = TimeSeries(base, labels=labels)
+        held = self._series.get(ts.name)
+        if held is None:
+            held = self._unrecorded.setdefault(ts.name, ts)
+        return held
+
     def counter(self, name: str,
                 labels: Optional[Mapping[str, object]] = None) -> Counter:
         """Get (or create) a :class:`~repro.obs.Counter` streaming its
-        running total into series ``name`` (label-qualified when
-        ``labels`` is given, e.g. ``spot.reclaims{cloud=e,tenant=a}``)."""
-        return self._instrument(labeled_name(name, labels), Counter)
+        running total into series ``name`` with ``labels`` (rendered as
+        e.g. ``spot.reclaims{cloud=e,tenant=a}``)."""
+        return self._instrument(Counter, name, labels)
 
     def gauge(self, name: str,
               labels: Optional[Mapping[str, object]] = None) -> Gauge:
         """Get (or create) a :class:`~repro.obs.Gauge` streaming its
-        value into series ``name``."""
-        return self._instrument(labeled_name(name, labels), Gauge)
+        value into series ``name`` with ``labels``."""
+        return self._instrument(Gauge, name, labels)
 
     def histogram(self, name: str,
-                  labels: Optional[Mapping[str, object]] = None,
-                  max_samples: Optional[int] = None) -> Histogram:
+                  labels: Optional[Mapping[str, object]] = None
+                  ) -> Histogram:
         """Get (or create) a :class:`~repro.obs.Histogram` streaming
-        each observation into series ``name``.  ``max_samples`` (first
-        creation only) bounds the in-instrument window."""
-        return self._instrument(labeled_name(name, labels), Histogram,
-                                max_samples=max_samples)
+        each observation into series ``name`` with ``labels``; its
+        statistics read that series."""
+        return self._instrument(Histogram, name, labels)
 
     def timer(self, name: str,
-              labels: Optional[Mapping[str, object]] = None,
-              max_samples: Optional[int] = None,
-              record_failures: bool = True) -> Timer:
+              labels: Optional[Mapping[str, object]] = None) -> Timer:
         """Get (or create) a :class:`~repro.obs.Timer` streaming each
         successful duration into series ``name`` and failed-block
-        durations into ``<name>.failed`` (unless
-        ``record_failures=False``; creation-time options only)."""
-        qualified = labeled_name(name, labels)
-        failure_series = failed_name(qualified)
-        return self._instrument(
-            qualified, Timer, max_samples=max_samples,
-            record_failures=record_failures,
-            fail_sink=lambda value: self.record(failure_series, value))
+        durations into ``<name>.failed``, both with ``labels``."""
+        return self._instrument(Timer, name, labels)
 
     def names(self) -> List[str]:
         return sorted(self._series)

@@ -55,7 +55,6 @@ from .instruments import (
     Histogram,
     Timer,
     labeled_name,
-    split_labeled_name,
 )
 from .query import ExplainReport, alert_window, explain, explain_all
 from .rollup import SeriesStats, health_rollups, rollup, series_stats
@@ -134,7 +133,6 @@ __all__ = [
     "span_to_dict",
     "spans_to_collapsed",
     "spans_to_jsonl",
-    "split_labeled_name",
     "to_chrome_trace",
     "to_speedscope",
     "tracer_of",

@@ -19,23 +19,23 @@ Labels
 ------
 Instruments can carry **labels** — tag dimensions like
 ``counter("spot.reclaims", labels={"tenant": "acme", "cloud": "east"})``.
-A labeled instrument is an ordinary instrument whose series name embeds
-the canonicalized label set: ``spot.reclaims{cloud=east,tenant=acme}``
-(keys sorted, values stringified).  :func:`labeled_name` builds that
-form and :func:`split_labeled_name` parses it back, which is what
-:mod:`repro.obs.rollup` uses to pivot series by tenant/cloud/cluster
-without a separate index.
+The labels are data on the series (:attr:`~repro.metrics.TimeSeries.labels`,
+values stringified), which is what :mod:`repro.obs.rollup` pivots on.
+:func:`labeled_name` renders the series name once, when the series is
+created: ``spot.reclaims{cloud=east,tenant=acme}`` (keys sorted).  The
+name is an export key and is never parsed back.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Mapping, Optional
 
-from .windows import SlidingWindow, _interpolated_percentile
+from .windows import _interpolated_percentile
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "Instrument", "Timer",
-    "labeled_name", "split_labeled_name", "failed_name",
+    "labeled_name",
     "_interpolated_percentile",
 ]
 
@@ -58,10 +58,10 @@ def labeled_name(base: str, labels: Optional[Mapping[str, object]]) -> str:
     """Canonical series name for ``base`` + ``labels``.
 
     Keys are sorted so every call site producing the same label set hits
-    the same series; values are stringified, with the grammar's
-    structural characters (``\\ , = { }``) backslash-escaped so any
-    value round-trips through :func:`split_labeled_name`.  Keys must be
-    free of structural characters — a tag *dimension* containing ``=``
+    the same series; values are stringified, with the structural
+    characters (``\\ , = { }``) backslash-escaped so two different
+    label sets never render to the same name.  Keys must be free of
+    structural characters — a tag *dimension* containing ``=``
     is a bug at the call site, not data.  ``labels=None`` / ``{}``
     returns ``base`` unchanged.
     """
@@ -77,53 +77,6 @@ def labeled_name(base: str, labels: Optional[Mapping[str, object]]) -> str:
     body = ",".join(f"{k}={_escape_label_value(str(labels[k]))}"
                     for k in sorted(labels))
     return f"{base}{{{body}}}"
-
-
-def split_labeled_name(name: str) -> Tuple[str, Dict[str, str]]:
-    """Inverse of :func:`labeled_name`: ``(base, labels)``.
-
-    Backslash escapes in values are undone; an unescaped ``=`` inside a
-    value (legacy names written before escaping existed) is kept as
-    data, matching the old first-``=``-wins parse.  Unlabeled or
-    malformed names come back with an empty dict.
-    """
-    if not name.endswith("}") or "{" not in name:
-        return name, {}
-    base, _, body = name[:-1].partition("{")
-    labels: Dict[str, str] = {}
-    key: List[str] = []
-    value: List[str] = []
-    target, in_value = key, False
-    i, n = 0, len(body)
-    while i < n:
-        ch = body[i]
-        if ch == "\\" and i + 1 < n:
-            target.append(body[i + 1])
-            i += 2
-            continue
-        if ch == "=" and not in_value:
-            target, in_value = value, True
-        elif ch == ",":
-            if not in_value or not key:
-                return name, {}  # brace-bearing but not our grammar
-            labels["".join(key)] = "".join(value)
-            key, value = [], []
-            target, in_value = key, False
-        else:
-            target.append(ch)
-        i += 1
-    if not in_value or not key:
-        return name, {}
-    labels["".join(key)] = "".join(value)
-    return base, labels
-
-
-def failed_name(name: str) -> str:
-    """The companion failure series for ``name``: ``.failed`` is
-    appended to the base so labels stay at the end
-    (``op{tenant=a}`` → ``op.failed{tenant=a}``)."""
-    base, labels = split_labeled_name(name)
-    return labeled_name(f"{base}.failed", labels)
 
 
 class Instrument:
@@ -192,65 +145,58 @@ class Gauge(Instrument):
 class Histogram(Instrument):
     """A distribution of observations with summary statistics.
 
-    Observations live in a :class:`~repro.obs.windows.SlidingWindow`
-    whose sorted shadow makes ``percentile()`` an O(1) rank lookup —
-    the full history is *not* re-sorted per query.  ``max_samples``
-    bounds retention: once exceeded, the oldest observation is evicted
-    per new one (summary stats then describe the retained window; the
-    streamed series keeps the full record).
+    The observations are stored once, in the
+    :class:`~repro.metrics.TimeSeries` they are recorded into, and the
+    statistics are read from there (``percentile()`` sorts per query).
+    The recorder passes that ``series`` together with the ``sink`` that
+    records into it; a standalone histogram records into a private
+    series of its own.
     """
 
-    __slots__ = ("_window",)
+    __slots__ = ("_series",)
 
-    def __init__(self, name: str, sink: Sink = None,
-                 max_samples: Optional[int] = None):
+    def __init__(self, name: str, sink: Sink = None, series=None):
+        if series is None:
+            if sink is not None:
+                raise TypeError("a sink needs the series it records into")
+            from ..metrics import TimeSeries
+
+            series = TimeSeries(name)
+            sink = partial(series.record, 0.0)
         super().__init__(name, sink)
-        self._window = SlidingWindow(maxlen=max_samples)
-
-    @property
-    def max_samples(self) -> Optional[int]:
-        return self._window.maxlen
+        self._series = series
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        self._window.observe(value)
-        self._emit(value)
+        self._emit(float(value))
+
+    def _observations(self) -> List[float]:
+        values = self._series.values()
+        if not values:
+            raise ValueError(f"histogram {self.name!r} has no observations")
+        return values
 
     @property
     def count(self) -> int:
-        return self._window.count
+        return len(self._series)
 
     @property
     def sum(self) -> float:
-        return self._window.sum
-
-    @property
-    def _values(self) -> List[float]:
-        """Retained observations, arrival order (kept for callers that
-        peeked at the old list attribute)."""
-        return self._window.values()
+        return sum(self._series.values(), 0.0)
 
     def mean(self) -> float:
-        if not self._window.count:
-            raise ValueError(f"histogram {self.name!r} has no observations")
-        return self._window.mean()
+        values = self._observations()
+        return sum(values, 0.0) / len(values)
 
     def minimum(self) -> float:
-        if not self._window.count:
-            raise ValueError(f"histogram {self.name!r} has no observations")
-        return self._window.minimum()
+        return min(self._observations())
 
     def maximum(self) -> float:
-        if not self._window.count:
-            raise ValueError(f"histogram {self.name!r} has no observations")
-        return self._window.maximum()
+        return max(self._observations())
 
     def percentile(self, q: float) -> float:
         """The q-th percentile (linear interpolation between ranks),
         e.g. ``percentile(50)`` is the median."""
-        if not self._window.count:
-            raise ValueError(f"histogram {self.name!r} has no observations")
-        return self._window.percentile(q)
+        return _interpolated_percentile(sorted(self._observations()), q)
 
 
 class Timer(Histogram):
@@ -265,25 +211,22 @@ class Timer(Histogram):
 
     Failure handling: when the timed block raises, the duration is a
     *failed-operation* latency and would skew the success histogram, so
-    it is routed to ``fail_sink`` (the recorder wires this to a
-    ``<name>.failed`` series) instead of being observed here.  Set
-    ``record_failures=False`` to drop failed durations entirely.  The
-    exception always propagates.
+    it is routed to ``fail_sink`` (the recorder wires this to the
+    ``<base>.failed`` series with the same labels) instead of being
+    observed here.  The exception always propagates.
     """
 
-    __slots__ = ("_fail_sink", "record_failures")
+    __slots__ = ("_fail_sink",)
 
-    def __init__(self, name: str, sink: Sink = None,
-                 max_samples: Optional[int] = None,
-                 fail_sink: Sink = None, record_failures: bool = True):
-        super().__init__(name, sink, max_samples=max_samples)
+    def __init__(self, name: str, sink: Sink = None, series=None,
+                 fail_sink: Sink = None):
+        super().__init__(name, sink, series)
         self._fail_sink = fail_sink
-        self.record_failures = record_failures
 
     def observe_failure(self, value: float) -> None:
         """Record a failed-operation duration (separate stream; does not
         enter this histogram's distribution)."""
-        if self.record_failures and self._fail_sink is not None:
+        if self._fail_sink is not None:
             self._fail_sink(float(value))
 
     class _Running:

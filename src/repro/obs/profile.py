@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..simkernel.core import NULL_PROFILER
-from .instruments import labeled_name
 
 __all__ = [
     "CallbackProfiler",
@@ -549,8 +548,8 @@ def install_kernel_gauges(sim, metrics, interval: float = 1.0,
         ("kernel.batch.max", lambda: float(sim._max_batch)),
         ("kernel.preemptions", lambda: float(sim._n_preemptions)),
     ]
-    return [metrics.probe(labeled_name(name, labels), fn, interval,
-                          max_points=max_points)
+    return [metrics.probe(name, fn, interval, max_points=max_points,
+                          labels=labels)
             for name, fn in samplers]
 
 

@@ -1,8 +1,8 @@
 """Health rollups: pivot labeled series by tenant / cloud / cluster.
 
-Labeled instruments encode their dimensions in the series name
-(``queue.wait{tenant=acme}`` — see
-:func:`repro.obs.instruments.labeled_name`), so a rollup is a pure
+Every series carries its base name and label set as data
+(:attr:`~repro.metrics.TimeSeries.base`,
+:attr:`~repro.metrics.TimeSeries.labels`), so a rollup is a pure
 read-side pivot over the recorder: group every series carrying a given
 label key by that label's value, and summarize each series with the
 standard statistic block.  No extra bookkeeping at record time.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .instruments import split_labeled_name
+from .instruments import labeled_name
 from .windows import _interpolated_percentile
 
 #: The label keys health dashboards pivot on by default.
@@ -67,21 +67,24 @@ def series_stats(ts) -> Optional[SeriesStats]:
 def rollup(metrics, dimension: str) -> Dict[str, Dict[str, SeriesStats]]:
     """Pivot the recorder by one label key.
 
-    Returns ``{label_value: {base_series_name: stats}}`` covering every
-    series whose name carries ``dimension`` as a label.  Stats describe
-    the *streamed* series (full history), not the instrument's bounded
-    window.
+    Returns ``{label_value: {entry: stats}}`` covering every series
+    that carries ``dimension`` as a label.  An entry is the series name
+    with the pivot label removed: the base name for a series labeled by
+    ``dimension`` alone (``queue.wait`` under ``tenant=acme``), the
+    remaining labels otherwise (``spot.reclaims{cloud=c0}``), so series
+    that share a base and a pivot value each keep their own entry.
     """
     out: Dict[str, Dict[str, SeriesStats]] = {}
     for name in metrics.names():
-        base, labels = split_labeled_name(name)
-        value = labels.get(dimension)
+        ts = metrics.get(name)
+        value = ts.labels.get(dimension)
         if value is None:
             continue
-        stats = series_stats(metrics.get(name))
+        stats = series_stats(ts)
         if stats is None:
             continue
-        out.setdefault(value, {})[base] = stats
+        rest = {k: v for k, v in ts.labels.items() if k != dimension}
+        out.setdefault(value, {})[labeled_name(ts.base, rest)] = stats
     return out
 
 
@@ -90,15 +93,16 @@ def health_rollups(
     dimensions: Sequence[str] = DEFAULT_DIMENSIONS,
 ) -> Dict[str, Dict[str, Dict[str, dict]]]:
     """JSON-ready rollups across every dimension:
-    ``{dimension: {label_value: {base_name: stats_dict}}}``.
+    ``{dimension: {label_value: {entry: stats_dict}}}`` (entries as in
+    :func:`rollup`).
     Dimensions with no labeled series are omitted."""
     out: Dict[str, Dict[str, Dict[str, dict]]] = {}
     for dim in dimensions:
         pivot = rollup(metrics, dim)
         if pivot:
             out[dim] = {
-                value: {base: stats.to_dict()
-                        for base, stats in sorted(groups.items())}
+                value: {entry: stats.to_dict()
+                        for entry, stats in sorted(groups.items())}
                 for value, groups in sorted(pivot.items())
             }
     return out
@@ -109,11 +113,11 @@ def flat_series_summary(metrics, limit: Optional[int] = None) -> List[dict]:
     dashboard's series table."""
     rows = []
     for name in metrics.names():
-        stats = series_stats(metrics.get(name))
+        ts = metrics.get(name)
+        stats = series_stats(ts)
         if stats is None:
             continue
-        base, labels = split_labeled_name(name)
-        rows.append({"name": name, "base": base, "labels": labels,
+        rows.append({"name": name, "base": ts.base, "labels": dict(ts.labels),
                      **stats.to_dict()})
         if limit is not None and len(rows) >= limit:
             break

@@ -1,6 +1,8 @@
 """Unit tests for the typed instruments and their recorder integration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import MetricsRecorder
 from repro.obs import Counter, Gauge, Histogram
@@ -94,36 +96,25 @@ def test_recorder_rejects_kind_mismatch():
         rec.gauge("x")
 
 
-# -- PR 5 satellites: labels, bounded histograms, timer failures ---------
+# -- labels and timer failures ----------------------------------------
 
 
 def test_labeled_name_roundtrip():
-    from repro.obs import labeled_name, split_labeled_name
+    from repro.obs import labeled_name
 
     name = labeled_name("queue.wait", {"tenant": "acme", "cloud": "eu"})
     assert name == "queue.wait{cloud=eu,tenant=acme}"
-    assert split_labeled_name(name) == ("queue.wait",
-                                        {"cloud": "eu", "tenant": "acme"})
-    assert split_labeled_name("plain") == ("plain", {})
+    ts = MetricsRecorder(Simulator()).series(
+        "queue.wait", labels={"tenant": "acme", "cloud": "eu"})
+    assert (ts.name, ts.base, ts.labels) == (
+        name, "queue.wait", {"cloud": "eu", "tenant": "acme"})
     assert labeled_name("plain", None) == "plain"
     with pytest.raises(ValueError):
         labeled_name(name, {"more": 1})  # double-labeling
 
 
-def test_histogram_max_samples_bounds_memory():
-    h = Histogram("lat", max_samples=3)
-    for v in (9.0, 1.0, 5.0, 2.0, 3.0):
-        h.observe(v)
-    assert h.count == 3          # oldest evicted
-    assert h.max_samples == 3
-    assert h.minimum() == 2.0    # 9.0 and 1.0 are gone
-    assert h.maximum() == 5.0
-    assert h.percentile(50) == 3.0
-
-
 def test_histogram_percentile_uses_sorted_shadow():
-    # The shadow stays correct under interleaved observe/percentile —
-    # the exact pattern that re-sorting hid and a stale cache breaks.
+    # Percentiles stay exact under interleaved observe/percentile.
     import random
 
     from repro.obs.instruments import _interpolated_percentile
@@ -163,26 +154,6 @@ def test_timer_records_failure_to_separate_series():
     assert rec.series("op.failed").values() == [3.0]
 
 
-def test_timer_record_failures_opt_out():
-    sim = Simulator()
-    rec = MetricsRecorder(sim)
-    timer = rec.timer("quiet", record_failures=False)
-
-    def work():
-        try:
-            with timer.time(sim):
-                yield sim.timeout(1.0)
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-
-    sim.process(work())
-    sim.run()
-    assert timer.count == 0
-    assert rec.get("quiet.failed") is None
-    assert rec.get("quiet") is None  # nothing streamed at all
-
-
 def test_timer_explicit_stop_inside_block_not_double_counted():
     sim = Simulator()
     rec = MetricsRecorder(sim)
@@ -210,30 +181,53 @@ def test_timer_exception_propagates():
     assert timer.count == 0
 
 
-# -- PR 10 satellite: label values round-trip through the grammar --------
+# -- labels are data on the series; names are rendered injectively -----
 
 
 def test_label_values_with_structural_chars_roundtrip():
-    from repro.obs import labeled_name, split_labeled_name
+    from repro.obs import labeled_name
 
     hostile = {
         "query": "a=b,c=d",
         "path": "x{y}z",
         "slash": "a\\b",
         "plain": "ok",
+        "number": 7,
     }
-    name = labeled_name("op", hostile)
-    base, labels = split_labeled_name(name)
-    assert base == "op"
-    assert labels == {k: str(v) for k, v in hostile.items()}
+    rec = MetricsRecorder(Simulator())
+    rec.counter("op", labels=hostile).inc()
+    (name,) = rec.names()
+    ts = rec.get(name)
+    assert ts.base == "op"
+    assert ts.labels == {k: str(v) for k, v in hostile.items()}
+    # Sets that differ only in where the structural characters sit
+    # must never share a name (and so never share a series).
+    variants = [
+        hostile,
+        {"query": "a", "path": "x{y}z", "slash": "a\\b", "plain": "ok",
+         "number": 7},
+        {"a": "b,c=d"},          # unescaped, both read "op{a=b,c=d}"
+        {"a": "b", "c": "d"},
+        {"a": "x\\", "b": "y"},
+        {"a": "x\\,b=y"},
+        {"query": "x{y}z"},
+        {"query": "x{y", "z": "}"},
+    ]
+    names = {labeled_name("op", labels) for labels in variants}
+    assert len(names) == len(variants)
 
 
 def test_label_value_with_equals_no_longer_corrupts_neighbors():
-    from repro.obs import labeled_name, split_labeled_name
+    from repro.obs import labeled_name
 
-    # The pre-escaping encoding parsed "v=1,extra" as two labels.
-    name = labeled_name("m", {"a": "v=1,extra", "b": "2"})
-    assert split_labeled_name(name) == ("m", {"a": "v=1,extra", "b": "2"})
+    # Unescaped, "v=1,extra" would read as two labels.
+    rec = MetricsRecorder(Simulator())
+    rec.gauge("m", labels={"a": "v=1,extra", "b": "2"}).set(1)
+    rec.gauge("m", labels={"a": "v=1", "b": "2"}).set(2)
+    assert [rec.get(n).labels for n in rec.names()] == [
+        {"a": "v=1", "b": "2"}, {"a": "v=1,extra", "b": "2"}]
+    assert (labeled_name("m", {"a": "v=1,extra", "b": "2"})
+            != labeled_name("m", {"a": "v=1", "extra": "", "b": "2"}))
 
 
 def test_label_keys_reject_structural_chars():
@@ -244,18 +238,78 @@ def test_label_keys_reject_structural_chars():
             labeled_name("m", {bad: "v"})
 
 
-def test_legacy_unescaped_names_still_parse():
-    from repro.obs import split_labeled_name
-
-    # Names minted before escaping existed: first '=' wins, the rest
-    # of the part is the value.
-    assert split_labeled_name("m{k=a=b}") == ("m", {"k": "a=b"})
-    assert split_labeled_name("m{not-a-label}") == ("m{not-a-label}", {})
-    assert split_labeled_name("m{=v}") == ("m{=v}", {})
+_KEYS = st.text(alphabet="abcxyz_.", min_size=1, max_size=3)
+_VALUES = st.one_of(st.text(alphabet="ab\\,={} ", max_size=4),
+                    st.integers(-2, 2), st.booleans())
 
 
-def test_failed_name_preserves_escaped_labels():
-    from repro.obs.instruments import failed_name
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_KEYS, _VALUES, max_size=3),
+       st.dictionaries(_KEYS, _VALUES, max_size=3))
+def test_labeled_name_is_injective(a, b):
+    from repro.obs import labeled_name
 
-    assert (failed_name("op{k=a\\,b}")
-            == "op.failed{k=a\\,b}")
+    def strs(labels):
+        return {k: str(v) for k, v in labels.items()}
+
+    assert ((labeled_name("m", a) == labeled_name("m", b))
+            == (strs(a) == strs(b)))
+
+
+def test_handles_resolve_by_rendered_label_values():
+    rec = MetricsRecorder(Simulator())
+    # Equal as dict keys, different as names: never one handle.
+    one = rec.counter("n", labels={"v": 1})
+    true = rec.counter("n", labels={"v": True})
+    assert one is not true
+    # Different objects, same rendering: one handle, one series.
+    assert rec.counter("n", labels={"v": "1"}) is one
+    one.inc()
+    true.inc(2)
+    assert {n: rec.get(n).last() for n in rec.names()} == {
+        "n{v=1}": 1.0, "n{v=True}": 2.0}
+
+
+def test_idle_labeled_handle_exports_nothing():
+    rec = MetricsRecorder(Simulator())
+    counter = rec.counter("idle", labels={"tenant": "a"})
+    rec.timer("op", labels={"tenant": "a"})
+    assert rec.names() == []
+    counter.inc()
+    (name,) = rec.names()
+    assert name == "idle{tenant=a}"
+    assert rec.get(name).labels == {"tenant": "a"}
+
+
+def test_timer_failure_series_keeps_labels():
+    sim = Simulator()
+    rec = MetricsRecorder(sim)
+    timer = rec.timer("op", labels={"k": "a,b"})
+    with pytest.raises(RuntimeError):
+        with timer.time(sim):
+            raise RuntimeError("boom")
+    (name,) = rec.names()
+    failed = rec.get(name)
+    assert (failed.name, failed.base, failed.labels) == (
+        "op.failed{k=a\\,b}", "op.failed", {"k": "a,b"})
+    assert failed.values() == [0.0]
+    assert timer.count == 0
+
+
+def test_histogram_statistics_read_the_one_recorded_series():
+    sim = Simulator()
+    rec = MetricsRecorder(sim)
+    hist = rec.histogram("lat", labels={"cloud": "c0"})
+    for v in (3.0, 1.0, 2.0):
+        hist.observe(v)
+    ts = rec.get("lat{cloud=c0}")
+    assert ts.values() == [3.0, 1.0, 2.0]
+    assert (hist.count, hist.sum, hist.minimum(), hist.maximum(),
+            hist.percentile(50)) == (3, 6.0, 1.0, 3.0, 2.0)
+    # The histogram describes what its series retains: ring-bounding
+    # the series evicts 3.0 and 1.0 at the fourth sample.
+    rec.series("lat", max_points=2, labels={"cloud": "c0"})
+    for v in (9.0, 8.0):
+        hist.observe(v)
+    assert ts.values() == [2.0, 9.0, 8.0]
+    assert (hist.count, hist.minimum(), hist.maximum()) == (3, 2.0, 9.0)

@@ -160,8 +160,9 @@ class TestRescueRateAlertEndToEnd:
         labeled = m.get("spot.reclaims{cloud=volatile,tenant=acme}")
         assert labeled is not None and labeled.last() >= 1
         rollups = health_rollups(m)
-        assert "spot.reclaims" in rollups["tenant"]["acme"]
-        assert "spot.reclaims" in rollups["cloud"]["volatile"]
+        # Entries keep the labels other than the pivot.
+        assert "spot.reclaims{cloud=volatile}" in rollups["tenant"]["acme"]
+        assert "spot.reclaims{tenant=acme}" in rollups["cloud"]["volatile"]
         # queue.wait is recorded per tenant at first job start.
         assert "queue.wait" in rollups["tenant"]["acme"]
 
