@@ -19,13 +19,24 @@ The scheduler runs in one of two modes:
     untouched by the change.  Same-timestamp changes are coalesced into
     one batched recompute scheduled at URGENT priority (it runs before
     any same-time NORMAL event, so no observer sees a stale allocation),
-    and completion timers are left alone when a flow's rate is unchanged
-    within :data:`EPSILON` — the armed deadline is already exact.
+    and completion deadlines are left alone when a flow's rate is
+    unchanged within :data:`EPSILON` — the armed deadline is already
+    exact.
 
 ``mode="full"``
     The reference implementation: settle every active flow, re-run
-    progressive filling over the whole network, re-arm every timer.
+    progressive filling over the whole network, re-arm every deadline.
     Kept selectable for differential testing and benchmarking.
+
+Completion deadlines live off the kernel queue, in a per-scheduler
+min-heap of ``(time, seq, flow, epoch)`` *arms* (SimGrid's lazy action
+update).  Re-arming a flow pushes a new arm under a seq drawn with
+:meth:`~repro.simkernel.Simulator.reserve_seq` and makes the old one
+stale; only the earliest live arm needs a kernel entry — its *wake* —
+carrying exactly the key ``(time, NORMAL, seq)`` a per-flow timer armed
+at that moment would have had, so the kernel dispatches completions in
+the same order as if every arm were queued, while a max-min re-rate of
+a large component costs heap pushes instead of kernel timers.
 
 Per-flow rate caps (e.g. a VM NIC, or a deliberately throttled
 migration) are modeled as virtual single-flow links, which integrates
@@ -37,11 +48,13 @@ assigned proportionally to weight at each fill level (weighted max-min).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..simkernel import Event, Simulator, URGENT
+from ..simkernel.queues import COMPACT_FRACTION, COMPACT_MIN
 from .billing import BillingMeter
 from .topology import DirectedLink, NetworkError, Topology
 
@@ -90,6 +103,10 @@ class Flow:
     weight:
         Relative share at contended links (weighted max-min); 1.0 for
         plain fair sharing.
+    links:
+        The shared allocation constraints: the path links plus any
+        aggregate class caps (per-flow rate caps never connect flows
+        and are handled inside the water-filling pass).
     """
 
     _ids = itertools.count()
@@ -97,7 +114,8 @@ class Flow:
     __slots__ = (
         "id", "src", "dst", "size", "remaining", "rate", "path", "done",
         "started_at", "finished_at", "rate_cap", "tag", "meta", "weight",
-        "shared_caps", "_last_settled", "_epoch", "_timer", "_armed_rate",
+        "shared_caps", "links", "_last_settled", "_epoch", "_armed",
+        "_armed_rate", "_wake",
     )
 
     def __init__(self, sim: Simulator, src: str, dst: str, size: float,
@@ -119,10 +137,12 @@ class Flow:
         self.meta = meta
         self.weight = weight
         self.shared_caps = tuple(shared_caps)
+        self.links = tuple(path) + self.shared_caps
         self._last_settled = sim.now
-        self._epoch = 0
-        self._timer = None
-        self._armed_rate = -1.0  # rate the live timer was armed with
+        self._epoch = 0  # the live arm's epoch; bumped when superseded
+        self._armed = False  # a live arm sits in the deadline heap
+        self._armed_rate = -1.0  # rate the live arm was armed with
+        self._wake: Optional[Event] = None  # the live arm's kernel entry
 
     @property
     def transferred(self) -> float:
@@ -199,7 +219,12 @@ class FlowScheduler:
         self._dirty_flows: Set[Flow] = set()
         self._dirty_links: Set[object] = set()
         self._batch_pending = False
-        #: Allocator counters (batches run, flows re-rated, timers
+        # Completion deadlines: a min-heap of (time, seq, flow, epoch)
+        # arms, ``_stale`` of them superseded but not yet popped.
+        self._deadlines: list = []
+        self._stale = 0
+        self._wake_cb = self._on_wake  # one bound method for every wake
+        #: Allocator counters (batches run, flows re-rated, deadlines
         #: armed/skipped) — read by benchmarks, never reset.
         self.stats = {"batches": 0, "flows_rerated": 0,
                       "timers_armed": 0, "timers_skipped": 0}
@@ -274,34 +299,24 @@ class FlowScheduler:
         else:
             self._settle(self._active)
         self._active.discard(flow)
-        flow._epoch += 1
-        if flow._timer is not None:
-            flow._timer.deschedule()
-            flow._timer = None
+        self._disarm(flow)
         flow.done.fail(FlowCancelled(f"{flow!r} cancelled"))
         flow.done.defused = True  # cancellation is never a crash
         if self._incremental:
             self._unindex(flow)
-            self._mark_dirty(links=self._alloc_links(flow))
+            self._mark_dirty(links=flow.links)
         else:
             self._recompute()
+        self._wake_head()
 
     # -- incremental machinery ----------------------------------------------
 
-    def _alloc_links(self, flow: Flow):
-        """Shared allocation constraints of ``flow``: its path links plus
-        any aggregate class caps (per-flow rate caps never connect flows
-        and are handled inside the water-filling pass)."""
-        if flow.shared_caps:
-            return list(flow.path) + list(flow.shared_caps)
-        return flow.path
-
     def _index(self, flow: Flow) -> None:
-        for link in self._alloc_links(flow):
+        for link in flow.links:
             self._link_flows.setdefault(link, set()).add(flow)
 
     def _unindex(self, flow: Flow) -> None:
-        for link in self._alloc_links(flow):
+        for link in flow.links:
             flows = self._link_flows.get(link)
             if flows is not None:
                 flows.discard(flow)
@@ -334,8 +349,8 @@ class FlowScheduler:
         order = sorted(component, key=_flow_id)
         self._settle(order)
         self._maxmin_rates(order)
-        for flow in order:
-            self._schedule_completion(flow)
+        self._schedule_completions(order)
+        self._wake_head()
 
     def _component(self, flows: Iterable[Flow] = (),
                    links: Iterable[object] = ()) -> Set[Flow]:
@@ -356,7 +371,7 @@ class FlowScheduler:
             if flow in component:
                 continue
             component.add(flow)
-            for link in self._alloc_links(flow):
+            for link in flow.links:
                 if link not in seen_links:
                     seen_links.add(link)
                     stack.extend(self._link_flows[link])
@@ -381,8 +396,8 @@ class FlowScheduler:
         order = sorted(self._active, key=_flow_id)
         self._settle(order)
         self._maxmin_rates(order)
-        for flow in order:
-            self._schedule_completion(flow)
+        self._schedule_completions(order)
+        self._wake_head()
 
     def _maxmin_rates(self, order: List[Flow]) -> None:
         """Weighted progressive-filling max-min fair allocation over
@@ -402,7 +417,7 @@ class FlowScheduler:
         residual: Dict[object, float] = {}
         wsum: Dict[object, float] = {}
         for flow in order:
-            for link in self._alloc_links(flow):
+            for link in flow.links:
                 crossing = link_flows.get(link)
                 if crossing is None:
                     crossing = link_flows[link] = set()
@@ -442,7 +457,7 @@ class FlowScheduler:
             for flow in frozen:
                 flow.rate = fill * flow.weight
                 unassigned.discard(flow)
-                for link in self._alloc_links(flow):
+                for link in flow.links:
                     link_flows[link].discard(flow)
                     wsum[link] -= flow.weight
                 if flow.rate_cap is not None:
@@ -450,55 +465,119 @@ class FlowScheduler:
                     link_flows[cap_key].discard(flow)
                     wsum[cap_key] -= flow.weight
 
-    def _schedule_completion(self, flow: Flow) -> None:
-        """(Re)arm the completion timer for ``flow`` at its current rate.
+    def _schedule_completions(self, flows: Iterable[Flow]) -> None:
+        """(Re)arm the completion deadline of each of ``flows``, in
+        order, at its current rate.
+
+        An arm is a push of ``(now + eta, seq, flow, epoch)`` onto the
+        deadline heap, with ``seq`` drawn from the kernel exactly where
+        a per-flow timer would have drawn its own; the previous arm goes
+        stale (:meth:`_disarm`).  The kernel hears of the new arm only
+        if it becomes the earliest (:meth:`_wake_head`).
 
         Incremental mode skips re-arming when the rate is unchanged
-        within EPSILON: the deadline the live timer already carries is
+        within EPSILON: the deadline the live arm already carries is
         ``armed_time + remaining_at_arm/rate == now + remaining_now/rate``
-        for an unchanged rate, so descheduling and re-arming would be
-        pure heap churn (any sub-EPSILON drift is absorbed by the
-        re-check in :meth:`_maybe_complete`).
+        for an unchanged rate, so re-arming would be pure churn (any
+        sub-EPSILON drift is absorbed by the re-check in
+        :meth:`_on_wake`).
         """
-        if (self._incremental and flow._timer is not None and flow.rate > 0
-                and abs(flow.rate - flow._armed_rate)
-                <= EPSILON * max(1.0, flow.rate)):
-            self.stats["timers_skipped"] += 1
-            return
-        flow._epoch += 1
-        epoch = flow._epoch
-        if flow._timer is not None:
-            flow._timer.deschedule()
-            flow._timer = None
-        if flow.rate <= 0:  # starved; will be rescheduled on next recompute
-            return
-        eta = flow.remaining / flow.rate
-        flow._timer = self.sim.call_in(
-            eta, lambda _ev: self._maybe_complete(flow, epoch))
-        flow._armed_rate = flow.rate
-        self.stats["timers_armed"] += 1
+        sim = self.sim
+        now = sim.now
+        heap = self._deadlines
+        skip_unchanged = self._incremental
+        armed = skipped = 0
+        for flow in flows:
+            rate = flow.rate
+            if flow._armed:
+                if (skip_unchanged and rate > 0
+                        and abs(rate - flow._armed_rate)
+                        <= EPSILON * (rate if rate > 1.0 else 1.0)):
+                    skipped += 1
+                    continue
+                self._disarm(flow)
+            if rate <= 0:  # starved; re-armed by the next recompute
+                continue
+            eta = float(flow.remaining / rate)
+            if not 0.0 <= eta < math.inf:
+                raise ValueError(
+                    f"delay must be finite and non-negative, got {eta}")
+            heapq.heappush(heap,
+                           (now + eta, sim.reserve_seq(), flow, flow._epoch))
+            flow._armed = True
+            flow._armed_rate = rate
+            armed += 1
+        self.stats["timers_armed"] += armed
+        self.stats["timers_skipped"] += skipped
 
-    def _maybe_complete(self, flow: Flow, epoch: int) -> None:
-        if flow._epoch != epoch or flow not in self._active:
-            return  # superseded by a later recompute or cancellation
-        flow._timer = None  # this timer has fired; never skip-reuse it
+    def _disarm(self, flow: Flow) -> None:
+        """Supersede the live arm of ``flow``, if any: its heap entry
+        goes stale, never to be live again, and its wake is withdrawn."""
+        if flow._armed:
+            flow._armed = False
+            flow._epoch += 1
+            if flow._wake is not None:
+                flow._wake.deschedule()
+                flow._wake = None
+            self._stale += 1
+
+    def _wake_head(self) -> None:
+        """Give the earliest live arm its wake: a kernel entry under the
+        arm's own key ``(time, NORMAL, seq)``.
+
+        Called at the end of every operation that arms or disarms, so
+        the earliest live arm always has a wake and no completion is
+        ever dispatched late.  A wake stays queued until its own arm is
+        superseded, even when an earlier arm takes the top: superseded
+        arms never come back, so every queued key stays unique and
+        every wake that fires is a real completion check.  Stale arms
+        are dropped off the top here, and the whole heap is compacted
+        by the kernel queues' rule once they pass half of it.
+        """
+        heap = self._deadlines
+        if (self._stale > len(heap) * COMPACT_FRACTION
+                and len(heap) >= COMPACT_MIN):
+            heap[:] = [arm for arm in heap if arm[2]._epoch == arm[3]]
+            heapq.heapify(heap)
+            self._stale = 0
+        while heap:
+            time, seq, flow, epoch = heap[0]
+            if flow._epoch != epoch:
+                heapq.heappop(heap)
+                self._stale -= 1
+                continue
+            if flow._wake is None:
+                wake = flow._wake = Event(self.sim)
+                wake._ok = True
+                wake._value = flow
+                wake.callbacks.append(self._wake_cb)
+                self.sim.schedule_at(wake, time, seq)
+            return
+
+    def _on_wake(self, wake: Event) -> None:
+        """Kernel callback of a wake: its flow's live arm is due.  Finish
+        the flow, or re-arm it on numerical drift."""
+        flow = wake._value
+        flow._wake = None  # fired: nothing left to withdraw
         if self._incremental:
             self._settle((flow,))
         else:
             self._settle(self._active)
+        self._disarm(flow)  # this arm has fired; never skip-reuse it
         if flow.remaining > EPSILON * max(1.0, flow.size):
             # Numerical drift: rearm.
-            self._schedule_completion(flow)
-            return
-        flow.remaining = 0.0
-        self._active.discard(flow)
-        latency = sum(l.latency for l in flow.path)
-        self._finish_after_latency(flow, latency)
-        if self._incremental:
-            self._unindex(flow)
-            self._mark_dirty(links=self._alloc_links(flow))
+            self._schedule_completions((flow,))
         else:
-            self._recompute()
+            flow.remaining = 0.0
+            self._active.discard(flow)
+            latency = sum(l.latency for l in flow.path)
+            self._finish_after_latency(flow, latency)
+            if self._incremental:
+                self._unindex(flow)
+                self._mark_dirty(links=flow.links)
+            else:
+                self._recompute()
+        self._wake_head()
 
     def _finish_after_latency(self, flow: Flow, latency: float) -> None:
         def fire(_ev):

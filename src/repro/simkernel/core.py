@@ -91,11 +91,15 @@ class Simulator:
         self._queue = make_queue(queue)
         self._seq = 0
         self._active_proc: Optional[Process] = None
-        # Batch-preemption tracking: a push can only sort before the
-        # rest of the running batch when it lands at the current instant
-        # with a more urgent priority; schedule() flags exactly that.
+        # Batch-preemption tracking: the ``(priority, seq)`` of the
+        # in-hand batch's last entry, and a flag raised by any push that
+        # lands at the current instant sorting before it (see run()).
         self._batch_priority = URGENT
+        self._batch_seq = -1
         self._preempted = False
+        # The entry being dispatched (the last one, between runs):
+        # schedule_at() refuses keys the kernel has already passed.
+        self._dispatching = (-Infinity, URGENT, -1, None)
         self._profiler = NULL_PROFILER
         if profiler is not None:
             self.set_profiler(profiler)
@@ -168,8 +172,45 @@ class Simulator:
         self._queue.push((self._now + delay, priority, self._seq, event))
         # Preemption must match the entry's actual landing time: a tiny
         # positive delay can be absorbed by float addition at large
-        # clock values, landing the entry at the current instant.
+        # clock values, landing the entry at the current instant.  A
+        # fresh seq is newer than every seq in the batch, so the
+        # full-key test of schedule_at() reduces to the priority here.
         if self._now + delay == self._now and priority < self._batch_priority:
+            self._preempted = True
+
+    def reserve_seq(self) -> int:
+        """Draw the next sequence number without queueing anything.
+
+        An entry pushed later with :meth:`schedule_at` under this seq
+        sorts exactly where it would have had it been scheduled now, so
+        a caller can keep its own pending set off the queue and hand
+        the kernel only the entry that must fire next.
+        """
+        self._seq += 1
+        return self._seq
+
+    def schedule_at(self, event: Event, time: float, seq: int,
+                    priority: int = NORMAL) -> None:
+        """Queue ``event`` under exactly the key ``(time, priority, seq)``.
+
+        ``seq`` comes from :meth:`reserve_seq`.  The key must not sort
+        before the entry being dispatched (nor lie in the past): the
+        kernel has already passed it, so the entry would run out of
+        order.  A key that lands inside the rest of the running batch
+        preempts it like an URGENT push does (see :meth:`run`).
+        """
+        time = float(time)
+        now = self._now
+        cur = self._dispatching
+        if not now <= time < Infinity or (
+                time == cur[0] and (priority, seq) < (cur[1], cur[2])):
+            raise ValueError(
+                f"cannot queue key ({time}, {priority}, {seq}) at now="
+                f"{now}: it must be finite and sort after the entry being "
+                f"dispatched ({cur[0]}, {cur[1]}, {cur[2]})")
+        self._queue.push((time, priority, seq, event))
+        if time == now and (priority, seq) < (self._batch_priority,
+                                              self._batch_seq):
             self._preempted = True
 
     def call_in(self, delay: float, fn, priority: int = NORMAL) -> Event:
@@ -177,7 +218,7 @@ class Simulator:
 
         Cheaper than a :class:`Timeout` plus a manual
         ``callbacks.append`` and far cheaper than a process for
-        fire-and-forget timers (flow completions, batched recomputes).
+        fire-and-forget timers (batched recomputes, latency hops).
         The returned event supports :meth:`Event.deschedule` for lazy
         cancellation.
         """
@@ -249,32 +290,42 @@ class Simulator:
         entry = self._pop_next()
         self._now = entry[0]
         self._n_events += 1
+        self._dispatching = entry
         self._dispatch(entry[3])
 
-    def _drain_urgent(self, dispatch) -> None:
-        """Run, in hand, every entry that sorts before the batch remainder.
+    def _drain(self, dispatch, prof, batch: list, i: int) -> None:
+        """Run, in hand, every queued entry that sorts before ``batch[i]``.
 
-        Called when a batch member scheduled an entry at the current
-        instant with a more urgent priority than the running batch.
-        Such entries pop one at a time in key order — including the
-        ones they schedule in turn — while the undispatched remainder of
-        the batch waits where it is: the remainder carries a less urgent
-        priority, so everything drained here sorts before it, and
-        same-priority entries scheduled meanwhile carry newer seqs, so
-        they still follow it.  ``dispatch`` runs one event (plain or
-        profiled).  An exception leaves the entries not yet popped in
-        the queue.
+        Called when a push landed inside the undispatched remainder
+        ``batch[i:]`` of the running batch: an entry at the current
+        instant with a more urgent priority, or one queued through
+        :meth:`schedule_at` under an older reserved seq.  Queue heads
+        pop one at a time in key order — including the entries they
+        schedule in turn — while the remainder waits where it is.
+        Afterwards the flag stays raised while the queue head still
+        sorts inside the remainder (between ``batch[i]`` and
+        ``batch[-1]``), so the next batch entry is checked the same
+        way.  ``dispatch`` runs one event (plain or profiled) and
+        ``prof`` is the batch's profiler, or ``None``.  An exception
+        leaves the entries not yet popped in the queue.
         """
         queue = self._queue
-        now = self._now
-        priority = self._batch_priority
+        after = batch[i]
+        ran = 0
         while True:
             head = queue.peek()
-            if head is None or head[0] != now or head[1] >= priority:
-                return
+            if head is None or after < head:
+                break
             queue.pop()
+            ran += 1
             self._n_events += 1
+            self._dispatching = head
             dispatch(head[3])
+        if ran:
+            self._n_preemptions += 1
+            if prof is not None:
+                prof._note_preemption(len(batch) - i)
+        self._preempted = head is not None and head < batch[-1]
 
     def _profiled_dispatch(self, event: Event) -> None:
         """:meth:`_dispatch` with wall-clock attribution per callback
@@ -321,13 +372,15 @@ class Simulator:
         lifts the whole run of events sharing the head's ``(time,
         priority)``, so a coalesced storm (URGENT flow recomputes, tick-
         aligned timers) stops paying one heap percolation per event.
-        Dispatch order is exactly the per-event order of :meth:`step`:
-        if a callback schedules something that must run *before* the
-        rest of the batch (an URGENT event at the current instant),
-        those entries are popped and dispatched in hand
-        (:meth:`_drain_urgent`) while the remainder waits, then the
-        remainder resumes.  Only a raising callback sends the
-        undispatched remainder back to the queue.
+        Dispatch order is exactly the per-event order of :meth:`step`,
+        by one full-key rule: a push landing at the current instant
+        whose ``(priority, seq)`` sorts below the batch's last entry
+        (an URGENT event, or a :meth:`schedule_at` entry with an older
+        reserved seq) flags a preemption, and before each remaining
+        batch entry the queue heads sorting ahead of it are popped and
+        dispatched in hand (:meth:`_drain`) while the remainder waits.
+        Only a raising callback sends the undispatched remainder back
+        to the queue.
 
         Profiling rides the same loop: whether a batch dispatches
         through :meth:`_dispatch` or :meth:`_profiled_dispatch` is
@@ -364,6 +417,8 @@ class Simulator:
                     raise EmptySchedule("event queue is empty")
                 self._now = batch[0][0]
                 self._batch_priority = batch[0][1]
+                self._batch_seq = batch[-1][2]
+                self._preempted = False
                 i, n = 0, len(batch)
                 # The only per-batch choice: plain or profiled dispatch.
                 # The null profiler costs this one attribute read.
@@ -385,23 +440,20 @@ class Simulator:
                     self._max_batch = n
                 try:
                     while i < n:
-                        event = batch[i][3]
+                        if self._preempted:
+                            # A push landed inside the remainder: run
+                            # whatever sorts before batch[i] first, in
+                            # hand.
+                            self._drain(dispatch, prof, batch, i)
+                        entry = batch[i]
                         i += 1
+                        event = entry[3]
                         if event._descheduled:
                             # Cancelled by an earlier event of this batch.
                             self._n_events -= 1
                             continue
-                        self._preempted = False
+                        self._dispatching = entry
                         dispatch(event)
-                        if self._preempted and i < n:
-                            # The callback scheduled an event at this
-                            # instant with a more urgent priority: it
-                            # sorts before the rest of the batch, so run
-                            # it (and its followers) first, in hand.
-                            self._n_preemptions += 1
-                            if prof is not None:
-                                prof._note_preemption(n - i)
-                            self._drain_urgent(dispatch)
                 except BaseException:
                     # A callback raised (StopSimulation, a crash, an
                     # undefused failure): the undispatched remainder

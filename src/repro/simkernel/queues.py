@@ -10,15 +10,18 @@ ship:
     for every workload shape, and the default.
 
 :class:`CalendarQueue`
-    A bucketed calendar tuned for the timer-dominated regime (the flow
-    allocator arms ~1000 timers per live flow; probes, price ticks and
-    lease expiries add tick-aligned storms).  Entries hash into *days*
+    A bucketed calendar tuned for the timer-dominated regime (probes,
+    price ticks and lease expiries arm tick-aligned storms; the flow
+    allocator keeps its completion deadlines in its own heap and queues
+    only the earliest).  Entries hash into *days*
     — buckets of ``bucket_width`` simulated seconds, held in a dict
     keyed by ``int(time / width)`` — and a lazy min-heap of day keys
     orders the buckets.  Within a bucket entries are kept sorted, so
 
     * pushes in non-decreasing key order (the common case: timers armed
-      "now + delay" while the clock advances) append in O(1);
+      "now + delay" while the clock advances) append in O(1); an entry
+      queued under an older reserved seq (``Simulator.schedule_at``)
+      is insorted into place, even inside a same-time run;
     * a same-``(time, priority)`` run is *contiguous* and pops as one
       ``bisect``-delimited slice — the batch costs O(log b) total
       instead of one O(log n) heap percolation per event;
@@ -29,8 +32,7 @@ Both backends cancel lazily: :meth:`Event.deschedule` only flags the
 event, and stale entries are dropped when they surface at the head.
 Each backend counts deschedule notifications and **compacts** — rebuilds
 itself without the dead entries — once the descheduled fraction exceeds
-~50%, so a cancellation-heavy run (the 1.4M-timers-for-1300-flows
-regime of ``BENCH_flows``) cannot hold unbounded garbage.  The counter
+~50%, so a cancellation-heavy run cannot hold unbounded garbage.  The counter
 may overshoot (events can be descheduled after popping); compaction
 recounts from the ground truth, so an early compaction is the only
 consequence.

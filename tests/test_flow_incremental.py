@@ -234,6 +234,31 @@ def test_capped_flow_timer_survives_unrelated_churn():
     assert sched.stats["timers_skipped"] >= 1
 
 
+@pytest.mark.parametrize("mode", ["incremental", "full"])
+def test_deadline_heap_stays_bounded_under_churn(mode):
+    """Cancel-and-restart churn on one shared link re-arms every flow at
+    every step; superseded arms are compacted away, so past the
+    compaction floor the heap holds at most twice the live arms."""
+    sim = Simulator()
+    topo = Topology()
+    topo.add_site(Site("a"))
+    topo.add_site(Site("b"))
+    topo.connect("a", "b", bandwidth=1e6, latency=0.0)
+    sched = FlowScheduler(sim, topo, mode=mode)
+    flows = [sched.start_flow("a", "b", 1e9) for _ in range(200)]
+    for step in range(80):
+        # Alternate 199 and 200 flows so every change moves every rate.
+        if step % 2:
+            flows.append(sched.start_flow("a", "b", 1e9))
+        else:
+            sched.cancel(flows.pop(0))
+        sim.run(until=sim.now + 0.5)
+        live = sum(flow._armed for flow in sched.active_flows)
+        assert live == len(flows)
+        assert len(sched._deadlines) <= max(512, 2 * live)
+    assert sched.stats["timers_armed"] >= 80 * 199
+
+
 def test_disjoint_components_are_not_re_rated():
     """Arrivals on one island never touch flows on another."""
     sim = Simulator()

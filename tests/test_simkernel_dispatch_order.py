@@ -2,14 +2,17 @@
 
 ``Simulator.step`` pops and runs one entry at a time, so its order is
 the kernel's total order by definition.  ``run`` lifts whole
-same-``(time, priority)`` batches and drains URGENT entries scheduled
-mid-batch in hand; this suite generates same-instant schedules —
-NORMAL and URGENT entries, entries that schedule further entries at
-the current instant or later, mid-batch cancellations and one
-``run(until=...)`` stop — and requires ``run`` to reproduce the
-``step`` order exactly, on both queue backends, with the profiler on
-and off.  A wrapped ``push`` also checks that preempting a batch never
-sends one of its entries back to the queue.
+same-``(time, priority)`` batches and drains in hand every entry pushed
+mid-batch that sorts before the remainder; this suite generates
+same-instant schedules — NORMAL and URGENT entries, entries that
+schedule further entries at the current instant or later, entries that
+reserve their seq when spawned and are queued later through
+``schedule_at`` (landing inside a running batch when their seq is older
+than its tail), mid-batch cancellations and one ``run(until=...)``
+stop — and requires ``run`` to reproduce the ``step`` order exactly, on
+both queue backends, with the profiler on and off.  A wrapped ``push``
+also checks that preempting a batch never sends one of its entries back
+to the queue.
 """
 
 from collections import Counter
@@ -28,17 +31,38 @@ from repro.simkernel import (
 )
 from repro.simkernel.queues import CalendarQueue, HeapQueue
 
-#: One entry kind: (delay when spawned, priority, actions on firing).
-#: An action is ("spawn", k) — schedule kind ``i + 1 + k`` (if any) —
-#: or ("cancel", k) — deschedule the ``k``-th entry created so far.
+#: One entry kind: (delay when spawned, priority, actions on firing,
+#: reserved).  An action is ("spawn", k) — schedule kind ``i + 1 + k``
+#: (if any) — ("cancel", k) — deschedule the ``k``-th entry created so
+#: far — or ("release", _) — queue through ``schedule_at`` every held
+#: reserved entry whose key sorts after the firing entry's own.  A
+#: reserved kind draws its seq when spawned but is only queued when
+#: some entry releases it.
 KINDS = st.lists(
     st.tuples(
         st.sampled_from([0.0, 0.0, 1.0]),
         st.sampled_from([URGENT, NORMAL]),
-        st.lists(st.tuples(st.sampled_from(["spawn", "spawn", "cancel"]),
+        st.lists(st.tuples(st.sampled_from(["spawn", "spawn", "cancel",
+                                            "release"]),
                            st.integers(0, 40)), max_size=3),
+        st.booleans(),
     ),
     min_size=1, max_size=12,
+)
+#: Kinds for one same-instant batch, run with every kind a root at t=1
+#: (``roots=None``): a plain entry that fires before reserved ones older
+#: than the batch tail releases them into the middle of the running
+#: batch.
+BATCH_KINDS = st.lists(
+    st.tuples(
+        st.just(0.0),
+        st.sampled_from([NORMAL, NORMAL, URGENT]),
+        st.lists(st.tuples(st.sampled_from(["release", "release", "spawn",
+                                            "cancel"]),
+                           st.integers(0, 40)), max_size=2),
+        st.booleans(),
+    ),
+    min_size=2, max_size=10,
 )
 ROOTS = st.lists(st.tuples(st.integers(0, 11),
                            st.sampled_from([0.0, 1.0, 2.0])),
@@ -64,11 +88,12 @@ def _play(kinds, roots, until, backend, profiled, stepwise):
     queue = _counting(backend)
     sim = Simulator(queue=queue,
                     profiler=CallbackProfiler() if profiled else None)
-    log, created = [], []
+    log, created, held = [], [], []
 
     def make(i, delay):
-        _delay, priority, actions = kinds[i]
+        _delay, priority, actions, reserved = kinds[i]
         tag = len(created)
+        key = None
 
         def fire(_ev):
             log.append((tag, sim.now))
@@ -76,11 +101,30 @@ def _play(kinds, roots, until, backend, profiled, stepwise):
                 if action == "spawn":
                     if i + 1 + k < len(kinds):
                         make(i + 1 + k, kinds[i + 1 + k][0])
-                else:
+                elif action == "cancel":
                     created[k % len(created)].deschedule()
+                else:
+                    # Only keys sorting after the entry being dispatched
+                    # may be queued: schedule_at's precondition.
+                    for entry in [e for e in held if e[1:] > key]:
+                        held.remove(entry)
+                        event, at, prio, seq = entry
+                        sim.schedule_at(event, at, seq, priority=prio)
 
-        created.append(sim.call_in(delay, fire, priority=priority))
+        if reserved:
+            event = Event(sim)
+            event._ok = True
+            event._value = None
+            event.callbacks.append(fire)
+            key = (sim.now + delay, priority, sim.reserve_seq())
+            held.append((event, *key))
+        else:
+            event = sim.call_in(delay, fire, priority=priority)
+            key = (sim.now + delay, priority, sim._seq)
+        created.append(event)
 
+    if roots is None:
+        roots = [(i, 1.0) for i in range(len(kinds))]
     for i, delay in roots:
         if i < len(kinds):
             make(i, delay)
@@ -115,10 +159,13 @@ def _raise_stop(_ev):
 
 @pytest.mark.parametrize("profiled", [False, True])
 @pytest.mark.parametrize("backend", [HeapQueue, CalendarQueue])
-@given(kinds=KINDS, roots=ROOTS, until=UNTIL)
-@settings(max_examples=120, deadline=None)
-def test_run_dispatches_in_step_order(backend, profiled, kinds, roots,
+@given(kinds_roots=st.one_of(st.tuples(KINDS, ROOTS),
+                            st.tuples(BATCH_KINDS, st.none())),
+       until=UNTIL)
+@settings(max_examples=200, deadline=None)
+def test_run_dispatches_in_step_order(backend, profiled, kinds_roots,
                                       until):
+    kinds, roots = kinds_roots
     sim, queue, log = _play(kinds, roots, until, backend, profiled,
                             stepwise=False)
     _oracle_sim, _oracle_queue, oracle = _play(
@@ -166,3 +213,99 @@ def test_stop_inside_a_drained_entry_resumes_exactly(backend, profiled):
         assert sim.profiler.snapshot().events == 5
     assert sorted(Counter(seq for seq, _time in queue.pushed).values()) == [
         1, 1, 1, 2, 2]
+
+
+def _held(sim, log, tag, delay, priority=NORMAL):
+    """A bare callback event with a reserved seq, not yet queued."""
+    event = Event(sim)
+    event._ok = True
+    event._value = None
+    event.callbacks.append(lambda _ev: log.append(tag))
+    return event, sim.now + delay, sim.reserve_seq(), priority
+
+
+@pytest.mark.parametrize("profiled", [False, True])
+@pytest.mark.parametrize("backend", [HeapQueue, CalendarQueue])
+def test_reserved_entry_waits_for_its_place_inside_the_batch(backend,
+                                                              profiled):
+    """A reserved entry queued mid-batch runs exactly where its seq puts
+    it: after ``b`` (older) but before ``c`` (newer).  The preemption
+    flag survives ``b``'s dispatch because the queue head still sorts
+    inside the remainder, and the batch is never pushed back."""
+    queue = _counting(backend)
+    sim = Simulator(queue=queue,
+                    profiler=CallbackProfiler() if profiled else None)
+    log = []
+
+    def release(_ev):
+        log.append("a")
+        event, at, seq, priority = held
+        sim.schedule_at(event, at, seq, priority)
+
+    sim.call_in(1.0, release)
+    sim.call_in(1.0, lambda _ev: log.append("b"))
+    held = _held(sim, log, "r", 1.0)
+    sim.call_in(1.0, lambda _ev: log.append("c"))
+    sim.run()
+    assert log == ["a", "b", "r", "c"]
+    ks = kernel_stats(sim)
+    assert ks.events_dispatched == 4
+    assert ks.batches_dispatched == 1
+    assert ks.preemptions == 1
+    if profiled:
+        snap = sim.profiler.snapshot()
+        assert snap.events == 4
+        assert snap.preemptions == 1
+        assert snap.preempted_entries == 1
+    assert sorted(Counter(seq for seq, _time in queue.pushed).values()) == [
+        1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("backend", ["heap", "calendar"])
+def test_schedule_at_keeps_the_exact_key(backend):
+    sim = Simulator(queue=backend)
+    log = []
+    first = _held(sim, log, "first", 2.0)
+    sim.call_in(2.0, lambda _ev: log.append("plain"))
+    second = _held(sim, log, "second", 2.0)
+    for event, at, seq, priority in (second, first):
+        sim.schedule_at(event, at, seq, priority)
+    sim.run()
+    assert log == ["first", "plain", "second"]
+    assert sim.now == 2.0
+
+
+def test_schedule_at_rejects_a_time_in_the_past():
+    sim = Simulator()
+    event, _at, seq, _priority = _held(sim, [], "late", 0.0)
+    sim.run(until=5.0)
+    with pytest.raises(ValueError, match="sort after the entry"):
+        sim.schedule_at(event, 4.0, seq)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            sim.schedule_at(event, bad, seq)
+
+
+@pytest.mark.parametrize("priority", [NORMAL, URGENT])
+def test_schedule_at_rejects_a_key_before_the_entry_being_dispatched(
+        priority):
+    """Entry ``a`` is dispatching at (1, NORMAL, seq_a); a key at the
+    same instant with an older seq, or an URGENT one, has already been
+    passed by the kernel."""
+    sim = Simulator()
+    log, errors = [], []
+    event, at, seq, _priority = _held(sim, log, "old", 1.0)
+
+    def late(_ev):
+        log.append("a")
+        with pytest.raises(ValueError, match="sort after the entry"):
+            sim.schedule_at(event, at, seq, priority)
+        errors.append(True)
+        # A fresh reservation at the same instant is still ahead.
+        fresh = _held(sim, log, "fresh", 0.0, priority=NORMAL)
+        sim.schedule_at(fresh[0], fresh[1], fresh[2], fresh[3])
+
+    sim.call_in(1.0, late)
+    sim.run()
+    assert errors == [True]
+    assert log == ["a", "fresh"]
