@@ -13,11 +13,7 @@ the peak — and checks (a) the allocations agree (same completions at
 the same times) and (b) the incremental mode is at least 3x faster.
 The incremental storm is additionally re-run on the calendar queue
 backend, asserting byte-identical completions and recording both wall
-clocks.  Each run counts the entries pushed onto the kernel queue
-(``incremental_kernel_pushes``): completion deadlines live in the
-scheduler's own heap, so only the earliest one per scheduler, the
-batched recomputes and the latency hops reach the kernel.  Results are
-exported to ``BENCH_flows.json`` at the repo root.
+clocks.  Results are exported to ``BENCH_flows.json`` at the repo root.
 """
 
 import time
@@ -26,7 +22,6 @@ import numpy as np
 
 from repro.network import FlowScheduler, Site, Topology
 from repro.simkernel import Simulator
-from repro.simkernel.queues import BACKENDS
 
 from _meta import write_payload
 from _tables import fmt, print_table
@@ -53,26 +48,7 @@ def make_workload(seed=42):
     return flows
 
 
-def counting_queue(name):
-    """A fresh ``name`` queue backend that counts its pushes."""
-    base = BACKENDS[name]
-
-    class Counting(base):
-        __slots__ = ("pushes",)
-
-        def __init__(self):
-            super().__init__()
-            self.pushes = 0
-
-        def push(self, entry):
-            self.pushes += 1
-            base.push(self, entry)
-
-    return Counting()
-
-
-def run_storm(mode, seed=42, queue="heap"):
-    queue = counting_queue(queue)
+def run_storm(mode, seed=42, queue=None):
     sim = Simulator(queue=queue)
     topo = Topology()
     for i in range(N_SITES):
@@ -108,7 +84,6 @@ def run_storm(mode, seed=42, queue="heap"):
              r.finished_at) for r in records),
         "makespan": sim.now,
         "stats": dict(sched.stats),
-        "kernel_pushes": queue.pushes,
     }
 
 
@@ -122,7 +97,6 @@ def test_flow_churn_incremental_vs_full(benchmark):
     # same event order, hence bit-identical completion times.
     assert cal["completions"] == inc["completions"]
     assert cal["makespan"] == inc["makespan"]
-    assert cal["kernel_pushes"] == inc["kernel_pushes"]
 
     # Exactness first: both modes complete the same flows at the same
     # times (identical keys, finish times within float noise).
@@ -145,8 +119,7 @@ def test_flow_churn_incremental_vs_full(benchmark):
         ("speedup", fmt(speedup, 1) + "x"),
         ("recompute batches", inc["stats"]["batches"]),
         ("flows re-rated", inc["stats"]["flows_rerated"]),
-        ("deadline re-arms skipped", inc["stats"]["timers_skipped"]),
-        ("kernel queue pushes", inc["kernel_pushes"]),
+        ("timer re-arms skipped", inc["stats"]["timers_skipped"]),
         ("max |finish delta| (s)", f"{max_delta:.2e}"),
     ]
     print_table("FLOW CHURN: incremental vs full progressive filling "
@@ -162,7 +135,6 @@ def test_flow_churn_incremental_vs_full(benchmark):
         "wall_incremental_calendar_s": cal["wall_s"],
         "speedup": speedup,
         "max_finish_delta_s": max_delta,
-        "incremental_kernel_pushes": inc["kernel_pushes"],
         "incremental_stats": inc["stats"],
         "full_stats": full["stats"],
     }

@@ -81,9 +81,6 @@ METRICS = {
         # from a different host, so only a cliff fails (drift is noted
         # in the report via the meta block).
         ("wall_incremental_s", "lower", 1.00, 3.00),
-        # Deterministic: a rise means completion deadlines are reaching
-        # the kernel queue again.
-        ("incremental_kernel_pushes", "lower", 0.05, 0.25),
         ("n_flows", "exact", 0, 0),
         ("churn_events", "exact", 0, 0),
         ("peak_concurrent", "exact", 0, 0),

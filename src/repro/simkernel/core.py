@@ -189,9 +189,8 @@ class Simulator:
         self._seq += 1
         return self._seq
 
-    def schedule_at(self, event: Event, time: float, seq: int,
-                    priority: int = NORMAL) -> None:
-        """Queue ``event`` under exactly the key ``(time, priority, seq)``.
+    def schedule_at(self, event: Event, time: float, seq: int) -> None:
+        """Queue ``event`` under exactly the key ``(time, NORMAL, seq)``.
 
         ``seq`` comes from :meth:`reserve_seq`.  The key must not sort
         before the entry being dispatched (nor lie in the past): the
@@ -203,14 +202,14 @@ class Simulator:
         now = self._now
         cur = self._dispatching
         if not now <= time < Infinity or (
-                time == cur[0] and (priority, seq) < (cur[1], cur[2])):
+                time == cur[0] and (NORMAL, seq) < (cur[1], cur[2])):
             raise ValueError(
-                f"cannot queue key ({time}, {priority}, {seq}) at now="
+                f"cannot queue key ({time}, {NORMAL}, {seq}) at now="
                 f"{now}: it must be finite and sort after the entry being "
                 f"dispatched ({cur[0]}, {cur[1]}, {cur[2]})")
-        self._queue.push((time, priority, seq, event))
-        if time == now and (priority, seq) < (self._batch_priority,
-                                              self._batch_seq):
+        self._queue.push((time, NORMAL, seq, event))
+        if time == now and (NORMAL, seq) < (self._batch_priority,
+                                            self._batch_seq):
             self._preempted = True
 
     def call_in(self, delay: float, fn, priority: int = NORMAL) -> Event:

@@ -31,14 +31,35 @@ from repro.simkernel import (
 )
 from repro.simkernel.queues import CalendarQueue, HeapQueue
 
-#: One entry kind: (delay when spawned, priority, actions on firing,
-#: reserved).  An action is ("spawn", k) — schedule kind ``i + 1 + k``
-#: (if any) — ("cancel", k) — deschedule the ``k``-th entry created so
-#: far — or ("release", _) — queue through ``schedule_at`` every held
-#: reserved entry whose key sorts after the firing entry's own.  A
-#: reserved kind draws its seq when spawned but is only queued when
-#: some entry releases it.
+#: One entry kind: (delay when spawned, priority, actions on firing).
+#: An action is ("spawn", k) — schedule kind ``i + 1 + k`` (if any) —
+#: or ("cancel", k) — deschedule the ``k``-th entry created so far.
 KINDS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 1.0]),
+        st.sampled_from([URGENT, NORMAL]),
+        st.lists(st.tuples(st.sampled_from(["spawn", "spawn", "cancel"]),
+                           st.integers(0, 40)), max_size=3),
+    ),
+    min_size=1, max_size=12,
+)
+ROOTS = st.lists(st.tuples(st.integers(0, 11),
+                           st.sampled_from([0.0, 1.0, 2.0])),
+                 min_size=1, max_size=10)
+
+
+def _with_reserved(kind):
+    """A kind with a fourth field, ``reserved``: such an entry draws its
+    seq when spawned but is only queued (through ``schedule_at``, hence
+    at NORMAL priority) when a firing entry releases it."""
+    delay, priority, actions, reserved = kind
+    return delay, NORMAL if reserved else priority, actions, reserved
+
+
+#: KINDS plus the reserved flag and a third action, ("release", _):
+#: queue every held reserved entry whose key sorts after the firing
+#: entry's own.
+RESERVED_KINDS = st.lists(
     st.tuples(
         st.sampled_from([0.0, 0.0, 1.0]),
         st.sampled_from([URGENT, NORMAL]),
@@ -46,7 +67,7 @@ KINDS = st.lists(
                                             "release"]),
                            st.integers(0, 40)), max_size=3),
         st.booleans(),
-    ),
+    ).map(_with_reserved),
     min_size=1, max_size=12,
 )
 #: Kinds for one same-instant batch, run with every kind a root at t=1
@@ -61,12 +82,9 @@ BATCH_KINDS = st.lists(
                                             "cancel"]),
                            st.integers(0, 40)), max_size=2),
         st.booleans(),
-    ),
+    ).map(_with_reserved),
     min_size=2, max_size=10,
 )
-ROOTS = st.lists(st.tuples(st.integers(0, 11),
-                           st.sampled_from([0.0, 1.0, 2.0])),
-                 min_size=1, max_size=10)
 UNTIL = st.sampled_from([None, 0.0, 1.0, 1.5, 2.0])
 
 
@@ -91,7 +109,9 @@ def _play(kinds, roots, until, backend, profiled, stepwise):
     log, created, held = [], [], []
 
     def make(i, delay):
-        _delay, priority, actions, reserved = kinds[i]
+        _delay, priority, actions = kinds[i][:3]
+        # Plain KINDS carry no fourth field: they never reserve.
+        reserved = kinds[i][3:] == (True,)
         tag = len(created)
         key = None
 
@@ -106,18 +126,17 @@ def _play(kinds, roots, until, backend, profiled, stepwise):
                 else:
                     # Only keys sorting after the entry being dispatched
                     # may be queued: schedule_at's precondition.
-                    for entry in [e for e in held if e[1:] > key]:
-                        held.remove(entry)
-                        event, at, prio, seq = entry
-                        sim.schedule_at(event, at, seq, priority=prio)
+                    for event, at in [h for h in held if h[1] > key]:
+                        held.remove((event, at))
+                        sim.schedule_at(event, at[0], at[2])
 
         if reserved:
             event = Event(sim)
             event._ok = True
             event._value = None
             event.callbacks.append(fire)
-            key = (sim.now + delay, priority, sim.reserve_seq())
-            held.append((event, *key))
+            key = (sim.now + delay, NORMAL, sim.reserve_seq())
+            held.append((event, key))
         else:
             event = sim.call_in(delay, fire, priority=priority)
             key = (sim.now + delay, priority, sim._seq)
@@ -157,15 +176,7 @@ def _raise_stop(_ev):
     raise StopSimulation(None)
 
 
-@pytest.mark.parametrize("profiled", [False, True])
-@pytest.mark.parametrize("backend", [HeapQueue, CalendarQueue])
-@given(kinds_roots=st.one_of(st.tuples(KINDS, ROOTS),
-                            st.tuples(BATCH_KINDS, st.none())),
-       until=UNTIL)
-@settings(max_examples=200, deadline=None)
-def test_run_dispatches_in_step_order(backend, profiled, kinds_roots,
-                                      until):
-    kinds, roots = kinds_roots
+def _check_run_matches_step(kinds, roots, until, backend, profiled):
     sim, queue, log = _play(kinds, roots, until, backend, profiled,
                             stepwise=False)
     _oracle_sim, _oracle_queue, oracle = _play(
@@ -179,6 +190,27 @@ def test_run_dispatches_in_step_order(backend, profiled, kinds_roots,
     # left behind the raising stop callback go back to the queue.
     for (_seq, time), n in Counter(queue.pushed).items():
         assert n == 1 or (n == 2 and time == until)
+
+
+@pytest.mark.parametrize("profiled", [False, True])
+@pytest.mark.parametrize("backend", [HeapQueue, CalendarQueue])
+@given(kinds=KINDS, roots=ROOTS, until=UNTIL)
+@settings(max_examples=120, deadline=None)
+def test_run_dispatches_in_step_order(backend, profiled, kinds, roots,
+                                      until):
+    _check_run_matches_step(kinds, roots, until, backend, profiled)
+
+
+@pytest.mark.parametrize("profiled", [False, True])
+@pytest.mark.parametrize("backend", [HeapQueue, CalendarQueue])
+@given(kinds_roots=st.one_of(st.tuples(RESERVED_KINDS, ROOTS),
+                            st.tuples(BATCH_KINDS, st.none())),
+       until=UNTIL)
+@settings(max_examples=200, deadline=None)
+def test_run_dispatches_reserved_entries_in_step_order(backend, profiled,
+                                                       kinds_roots, until):
+    kinds, roots = kinds_roots
+    _check_run_matches_step(kinds, roots, until, backend, profiled)
 
 
 @pytest.mark.parametrize("profiled", [False, True])
@@ -215,13 +247,13 @@ def test_stop_inside_a_drained_entry_resumes_exactly(backend, profiled):
         1, 1, 1, 2, 2]
 
 
-def _held(sim, log, tag, delay, priority=NORMAL):
+def _held(sim, log, tag, delay):
     """A bare callback event with a reserved seq, not yet queued."""
     event = Event(sim)
     event._ok = True
     event._value = None
     event.callbacks.append(lambda _ev: log.append(tag))
-    return event, sim.now + delay, sim.reserve_seq(), priority
+    return event, sim.now + delay, sim.reserve_seq()
 
 
 @pytest.mark.parametrize("profiled", [False, True])
@@ -239,8 +271,7 @@ def test_reserved_entry_waits_for_its_place_inside_the_batch(backend,
 
     def release(_ev):
         log.append("a")
-        event, at, seq, priority = held
-        sim.schedule_at(event, at, seq, priority)
+        sim.schedule_at(*held)
 
     sim.call_in(1.0, release)
     sim.call_in(1.0, lambda _ev: log.append("b"))
@@ -268,8 +299,8 @@ def test_schedule_at_keeps_the_exact_key(backend):
     first = _held(sim, log, "first", 2.0)
     sim.call_in(2.0, lambda _ev: log.append("plain"))
     second = _held(sim, log, "second", 2.0)
-    for event, at, seq, priority in (second, first):
-        sim.schedule_at(event, at, seq, priority)
+    for held in (second, first):
+        sim.schedule_at(*held)
     sim.run()
     assert log == ["first", "plain", "second"]
     assert sim.now == 2.0
@@ -277,7 +308,7 @@ def test_schedule_at_keeps_the_exact_key(backend):
 
 def test_schedule_at_rejects_a_time_in_the_past():
     sim = Simulator()
-    event, _at, seq, _priority = _held(sim, [], "late", 0.0)
+    event, _at, seq = _held(sim, [], "late", 0.0)
     sim.run(until=5.0)
     with pytest.raises(ValueError, match="sort after the entry"):
         sim.schedule_at(event, 4.0, seq)
@@ -286,24 +317,21 @@ def test_schedule_at_rejects_a_time_in_the_past():
             sim.schedule_at(event, bad, seq)
 
 
-@pytest.mark.parametrize("priority", [NORMAL, URGENT])
-def test_schedule_at_rejects_a_key_before_the_entry_being_dispatched(
-        priority):
+def test_schedule_at_rejects_a_key_before_the_entry_being_dispatched():
     """Entry ``a`` is dispatching at (1, NORMAL, seq_a); a key at the
-    same instant with an older seq, or an URGENT one, has already been
-    passed by the kernel."""
+    same instant with an older seq has already been passed by the
+    kernel."""
     sim = Simulator()
     log, errors = [], []
-    event, at, seq, _priority = _held(sim, log, "old", 1.0)
+    old = _held(sim, log, "old", 1.0)
 
     def late(_ev):
         log.append("a")
         with pytest.raises(ValueError, match="sort after the entry"):
-            sim.schedule_at(event, at, seq, priority)
+            sim.schedule_at(*old)
         errors.append(True)
         # A fresh reservation at the same instant is still ahead.
-        fresh = _held(sim, log, "fresh", 0.0, priority=NORMAL)
-        sim.schedule_at(fresh[0], fresh[1], fresh[2], fresh[3])
+        sim.schedule_at(*_held(sim, log, "fresh", 0.0))
 
     sim.call_in(1.0, late)
     sim.run()
