@@ -1,16 +1,20 @@
 """FLOW CHURN — incremental vs full max-min allocation.
 
 The federation's WAN carries hundreds of concurrent transfers
-(migration rounds, image propagation, shuffle); every arrival and
-departure used to trigger a *global* progressive-filling recompute,
-O(flows x links) per event.  The incremental allocator settles and
-re-rates only the bottleneck-connected component of each change, so
-churn on one site pair never touches transfers elsewhere.
+(migration rounds, image propagation, shuffle); a *global*
+progressive-filling recompute costs O(flows x links) per arrival or
+departure.  The scheduler settles and re-rates only the
+bottleneck-connected component of each change, so churn on one site
+pair never touches transfers elsewhere.
 
-This bench drives both modes through an identical seeded storm —
-well over a thousand arrivals/departures with >500 flows in flight at
-the peak — and checks (a) the allocations agree (same completions at
-the same times) and (b) the incremental mode is at least 3x faster.
+The reference is :class:`WholeNetworkScheduler`, the same scheduler
+with every active flow as the component of every change.  This bench
+drives both through an identical seeded storm — well over a thousand
+arrivals/departures with >500 flows in flight at the peak — and checks
+(a) the allocations agree (same completions at the same times) and (b)
+the incremental allocator is at least 3x faster.  Exactness itself is
+checked against an exact rational oracle in
+``tests/test_flow_incremental.py``.
 The incremental storm is additionally re-run on the calendar queue
 backend, asserting byte-identical completions and recording both wall
 clocks.  Results are exported to ``BENCH_flows.json`` at the repo root.
@@ -48,7 +52,14 @@ def make_workload(seed=42):
     return flows
 
 
-def run_storm(mode, seed=42, queue=None):
+class WholeNetworkScheduler(FlowScheduler):
+    """Reference allocator: every change re-rates every active flow."""
+
+    def _component(self, flows=(), links=()):
+        return set(self._active)
+
+
+def run_storm(scheduler_cls=FlowScheduler, seed=42, queue=None):
     sim = Simulator(queue=queue)
     topo = Topology()
     for i in range(N_SITES):
@@ -56,7 +67,7 @@ def run_storm(mode, seed=42, queue=None):
     for i in range(N_SITES):
         for j in range(i + 1, N_SITES):
             topo.connect(f"s{i}", f"s{j}", bandwidth=1e6, latency=0.0)
-    sched = FlowScheduler(sim, topo, mode=mode)
+    sched = scheduler_cls(sim, topo)
     records = []
     sched.taps.append(records.append)
     peak = 0
@@ -76,7 +87,6 @@ def run_storm(mode, seed=42, queue=None):
     sim.run()
     wall = time.perf_counter() - wall
     return {
-        "mode": mode,
         "wall_s": wall,
         "peak_concurrent": peak,
         "completions": sorted(
@@ -88,18 +98,17 @@ def run_storm(mode, seed=42, queue=None):
 
 
 def test_flow_churn_incremental_vs_full(benchmark):
-    inc = benchmark.pedantic(run_storm, args=("incremental",),
-                             rounds=1, iterations=1)
-    full = run_storm("full")
-    cal = run_storm("incremental", queue="calendar")
+    inc = benchmark.pedantic(run_storm, rounds=1, iterations=1)
+    full = run_storm(WholeNetworkScheduler)
+    cal = run_storm(queue="calendar")
 
     # Backend equivalence: the calendar queue must deliver the exact
     # same event order, hence bit-identical completion times.
     assert cal["completions"] == inc["completions"]
     assert cal["makespan"] == inc["makespan"]
 
-    # Exactness first: both modes complete the same flows at the same
-    # times (identical keys, finish times within float noise).
+    # Agreement first: both allocators complete the same flows at the
+    # same times (identical keys, finish times within float noise).
     assert len(inc["completions"]) == N_FLOWS
     assert [c[0] for c in inc["completions"]] == \
            [c[0] for c in full["completions"]]
@@ -147,7 +156,7 @@ def test_flow_churn_incremental_vs_full(benchmark):
 if __name__ == "__main__":
     class _Shim:
         @staticmethod
-        def pedantic(fn, args=(), **_):
-            return fn(*args)
+        def pedantic(fn, **_):
+            return fn()
 
     test_flow_churn_incremental_vs_full(_Shim())

@@ -3,30 +3,23 @@
 This is the fluid traffic model standing in for the paper's real WAN and
 LAN links.  Every bulk transfer (a migration round, a MapReduce shuffle,
 an image propagation hop) is a :class:`Flow` routed over the
-:class:`~repro.network.topology.Topology`.  Whenever a flow starts or
-finishes, the scheduler recomputes the **max-min fair** allocation via
-progressive filling — the textbook model of how competing TCP streams
-share bottlenecks — and reschedules each flow's completion accordingly.
+:class:`~repro.network.topology.Topology`.  Rates are the **max-min
+fair** allocation computed by progressive filling — the textbook model
+of how competing TCP streams share bottlenecks — and each flow's
+completion is rescheduled whenever its rate changes.
 
-The scheduler runs in one of two modes:
-
-``mode="incremental"`` (default)
-    On every arrival / departure / cancellation / capacity change, only
-    the **bottleneck-connected component** of affected flows (flows
-    sharing a link with the changed flow, transitively) is settled and
-    re-rated.  This is exact, not an approximation: flows outside the
-    component share no link with it, so their water-filling levels are
-    untouched by the change.  Same-timestamp changes are coalesced into
-    one batched recompute scheduled at URGENT priority (it runs before
-    any same-time NORMAL event, so no observer sees a stale allocation),
-    and completion deadlines are left alone when a flow's rate is
-    unchanged within :data:`EPSILON` — the armed deadline is already
-    exact.
-
-``mode="full"``
-    The reference implementation: settle every active flow, re-run
-    progressive filling over the whole network, re-arm every deadline.
-    Kept selectable for differential testing and benchmarking.
+Allocation is incremental.  On every arrival / departure / cancellation
+/ capacity change, only the **bottleneck-connected component** of
+affected flows (flows sharing a link with the changed flow, transitively)
+is settled and re-rated.  This is exact, not an approximation: flows
+outside the component share no link with it, so their water-filling
+levels are untouched by the change.  Same-timestamp changes are
+coalesced into one batched recompute scheduled at URGENT priority (it
+runs before any same-time NORMAL event, so no observer sees a stale
+allocation), and completion deadlines are left alone when a flow's rate
+is unchanged within :data:`EPSILON` — the armed deadline is already
+exact.  The test suite checks rates and completion times against an
+exact rational (``fractions.Fraction``) water-filling oracle.
 
 Completion deadlines live off the kernel queue, in a per-scheduler
 min-heap of ``(time, seq, flow, epoch)`` *arms* (SimGrid's lazy action
@@ -79,7 +72,7 @@ class SharedCap:
     __slots__ = ("name", "bandwidth")
 
     def __init__(self, name: str, bandwidth: float):
-        if bandwidth <= 0:
+        if not bandwidth > 0:  # also rejects NaN
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         self.name = name
         self.bandwidth = float(bandwidth)
@@ -188,33 +181,27 @@ class FlowScheduler:
     ----------
     sim, topology:
         The simulation kernel and network graph.  The scheduler attaches
-        itself to the topology, so :meth:`Topology.set_bandwidth` takes
-        effect without a manual :meth:`rebalance`.
+        itself to the topology, so :meth:`Topology.set_bandwidth` re-rates
+        the flows in flight.
     billing:
         Optional :class:`BillingMeter`; inter-site bytes are accounted
         progressively, so cancelled flows are billed for what they
         actually moved.
-    mode:
-        ``"incremental"`` (default) re-rates only the bottleneck-connected
-        component touched by each change; ``"full"`` is the reference
-        allocator that recomputes the whole network on every event.
+
+    Each change re-rates only the bottleneck-connected component it
+    touches (see the module docstring).
     """
 
     def __init__(self, sim: Simulator, topology: Topology,
-                 billing: Optional[BillingMeter] = None,
-                 mode: str = "incremental"):
-        if mode not in ("incremental", "full"):
-            raise ValueError(f"unknown scheduler mode {mode!r}")
+                 billing: Optional[BillingMeter] = None):
         self.sim = sim
         self.topology = topology
         self.billing = billing
-        self.mode = mode
-        self._incremental = mode == "incremental"
         self._active: Set[Flow] = set()
         #: Callbacks invoked with a :class:`FlowRecord` on flow completion.
         self.taps: List[Callable[[FlowRecord], None]] = []
-        # Incremental-mode state: persistent link -> active flows index,
-        # plus the dirty sets feeding the next batched recompute.
+        # Persistent link -> active flows index, plus the dirty sets
+        # feeding the next batched recompute.
         self._link_flows: Dict[object, Set[Flow]] = {}
         self._dirty_flows: Set[Flow] = set()
         self._dirty_links: Set[object] = set()
@@ -247,10 +234,14 @@ class FlowScheduler:
         Returns the :class:`Flow`; wait on ``flow.done`` for completion.
         Zero-sized flows complete after the path latency alone.
         """
-        if size < 0:
-            raise ValueError(f"negative flow size {size}")
-        if weight <= 0:
-            raise ValueError(f"flow weight must be positive, got {weight}")
+        if not 0 <= size < math.inf:
+            raise ValueError(f"flow size must be finite and >= 0, got {size}")
+        if not 0 < weight < math.inf:
+            raise ValueError(
+                f"flow weight must be finite and positive, got {weight}")
+        if rate_cap is not None and not 0 < rate_cap < math.inf:
+            raise ValueError(
+                f"rate cap must be finite and positive, got {rate_cap}")
         path = self.topology.path(src, dst)
         flow = Flow(self.sim, src, dst, size, path, rate_cap, tag, meta,
                     weight, shared_caps)
@@ -259,54 +250,33 @@ class FlowScheduler:
             self._finish_after_latency(flow, latency)
             return flow
         self._active.add(flow)
-        if self._incremental:
-            self._index(flow)
-            self._mark_dirty(flows=(flow,))
-        else:
-            self._recompute()
+        self._index(flow)
+        self._mark_dirty(flows=(flow,))
         return flow
 
     def transfer(self, src: str, dst: str, size: float, **kwargs) -> Event:
         """Convenience: start a flow and return its completion event."""
         return self.start_flow(src, dst, size, **kwargs).done
 
-    def rebalance(self) -> None:
-        """Re-run the fair-share allocation over *all* flows now.
-
-        Kept as an escape hatch; arrivals, departures and
-        :meth:`Topology.set_bandwidth` all trigger reallocation
-        automatically.
-        """
-        self._recompute()
-
     def links_changed(self, links: Iterable[object]) -> None:
         """Topology notification: the capacity of ``links`` changed."""
-        if self._incremental:
-            affected = [l for l in links if l in self._link_flows]
-            if affected:
-                self._mark_dirty(links=affected)
-        else:
-            self._recompute()
+        affected = [l for l in links if l in self._link_flows]
+        if affected:
+            self._mark_dirty(links=affected)
 
     def cancel(self, flow: Flow) -> None:
         """Abort an in-flight flow; its waiters see :class:`FlowCancelled`."""
         if flow not in self._active:
             return
-        if self._incremental:
-            # Bill the cancelled flow up to this instant; its neighbours
-            # keep their (still valid) rates until the batched recompute.
-            self._settle((flow,))
-        else:
-            self._settle(self._active)
+        # Bill the cancelled flow up to this instant; its neighbours keep
+        # their (still valid) rates until the batched recompute.
+        self._settle((flow,))
         self._active.discard(flow)
         self._disarm(flow)
         flow.done.fail(FlowCancelled(f"{flow!r} cancelled"))
         flow.done.defused = True  # cancellation is never a crash
-        if self._incremental:
-            self._unindex(flow)
-            self._mark_dirty(links=flow.links)
-        else:
-            self._recompute()
+        self._unindex(flow)
+        self._mark_dirty(links=flow.links)
         self._wake_head()
 
     # -- incremental machinery ----------------------------------------------
@@ -391,18 +361,9 @@ class FlowScheduler:
                     self.billing.record(flow.src, flow.dst, moved)
             flow._last_settled = now
 
-    def _recompute(self) -> None:
-        """Settle, re-run max-min fair allocation, reschedule completions."""
-        order = sorted(self._active, key=_flow_id)
-        self._settle(order)
-        self._maxmin_rates(order)
-        self._schedule_completions(order)
-        self._wake_head()
-
     def _maxmin_rates(self, order: List[Flow]) -> None:
         """Weighted progressive-filling max-min fair allocation over
-        ``order``, a flow-id-sorted list (the whole network in full
-        mode, one bottleneck component in incremental mode).
+        ``order``, one bottleneck component as a flow-id-sorted list.
 
         All unfrozen flows' rates rise proportionally to their weights;
         when a link saturates, the flows crossing it freeze at the
@@ -475,8 +436,8 @@ class FlowScheduler:
         stale (:meth:`_disarm`).  The kernel hears of the new arm only
         if it becomes the earliest (:meth:`_wake_head`).
 
-        Incremental mode skips re-arming when the rate is unchanged
-        within EPSILON: the deadline the live arm already carries is
+        Re-arming is skipped when the rate is unchanged within EPSILON:
+        the deadline the live arm already carries is
         ``armed_time + remaining_at_arm/rate == now + remaining_now/rate``
         for an unchanged rate, so re-arming would be pure churn (any
         sub-EPSILON drift is absorbed by the re-check in
@@ -485,13 +446,11 @@ class FlowScheduler:
         sim = self.sim
         now = sim.now
         heap = self._deadlines
-        skip_unchanged = self._incremental
         armed = skipped = 0
         for flow in flows:
             rate = flow.rate
             if flow._armed:
-                if (skip_unchanged and rate > 0
-                        and abs(rate - flow._armed_rate)
+                if (rate > 0 and abs(rate - flow._armed_rate)
                         <= EPSILON * (rate if rate > 1.0 else 1.0)):
                     skipped += 1
                     continue
@@ -559,10 +518,7 @@ class FlowScheduler:
         the flow, or re-arm it on numerical drift."""
         flow = wake._value
         flow._wake = None  # fired: nothing left to withdraw
-        if self._incremental:
-            self._settle((flow,))
-        else:
-            self._settle(self._active)
+        self._settle((flow,))
         self._disarm(flow)  # this arm has fired; never skip-reuse it
         if flow.remaining > EPSILON * max(1.0, flow.size):
             # Numerical drift: rearm.
@@ -572,11 +528,8 @@ class FlowScheduler:
             self._active.discard(flow)
             latency = sum(l.latency for l in flow.path)
             self._finish_after_latency(flow, latency)
-            if self._incremental:
-                self._unindex(flow)
-                self._mark_dirty(links=flow.links)
-            else:
-                self._recompute()
+            self._unindex(flow)
+            self._mark_dirty(links=flow.links)
         self._wake_head()
 
     def _finish_after_latency(self, flow: Flow, latency: float) -> None:

@@ -166,8 +166,7 @@ class Topology:
                       both_directions: bool = True) -> None:
         """Change a link's capacity at runtime (WAN congestion, QoS
         re-provisioning).  Attached schedulers are notified, so
-        in-flight flows are re-rated without a manual
-        :meth:`FlowScheduler.rebalance`."""
+        in-flight flows are re-rated at once."""
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         try:

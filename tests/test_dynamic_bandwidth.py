@@ -33,7 +33,7 @@ def test_flow_slows_when_link_degrades():
 
     def congestion(sim):
         yield sim.timeout(1.0)  # 1 MB moved at 1 MB/s
-        # No manual rebalance: the topology notifies the scheduler.
+        # The topology notifies the scheduler.
         topo.set_bandwidth("a", "b", 0.25e6)
 
     sim.process(congestion(sim))
@@ -55,12 +55,9 @@ def test_flow_speeds_up_when_link_recovers():
     assert sim.now == pytest.approx(2.5)
 
 
-@pytest.mark.parametrize("mode", ["incremental", "full"])
-def test_rates_update_without_manual_rebalance(mode):
-    """set_bandwidth alone re-rates in-flight flows, in both modes."""
+def test_set_bandwidth_rerates_in_flight_flows():
+    """set_bandwidth alone re-rates in-flight flows."""
     sim, topo, sched = build(bw=1e6)
-    if mode == "full":
-        sched = FlowScheduler(sim, topo, mode="full")
     flow = sched.start_flow("a", "b", 2e6)
 
     def congestion(sim):

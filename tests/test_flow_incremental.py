@@ -1,11 +1,14 @@
-"""Differential tests for the incremental flow allocator.
+"""Property tests for the incremental flow allocator against an exact
+oracle.
 
-The incremental mode must be *exact*: re-rating only the
-bottleneck-connected component of each change has to produce the same
-rates (within EPSILON) and the same completion times as the full
-reference allocator, across arbitrary topologies, flow mixes, rate
-caps, cancellations and runtime capacity changes.  A same-seed run must
-also be bit-for-bit deterministic.
+Re-rating only the bottleneck-connected component of each change has to
+be *exact*: across arbitrary topologies, flow mixes, weights, rate caps,
+shared class caps, cancellations and runtime capacity changes, the live
+rates must equal the exact rational max-min allocation
+(:func:`tests.flow_oracle.maxmin`) of the flows in flight, and every
+completion time must equal the exact fluid replay of the run
+(:func:`tests.flow_oracle.replay`), both to a relative 1e-12.  A
+same-seed run must also be bit-for-bit deterministic.
 """
 
 import numpy as np
@@ -16,9 +19,13 @@ from hypothesis import strategies as st
 from repro.network import FlowScheduler, SharedCap, Site, Topology
 from repro.simkernel import Simulator
 
+from tests.flow_oracle import FlowLog, maxmin, rel_err, replay
+
 #: Snapshot offset after each scenario event: an "odd" float so sampling
 #: instants never coincide with analytically nice completion times.
 SNAP_DELAY = 5.41e-5
+#: Largest relative distance from the exact oracle, for rates and times.
+REL = 1e-12
 
 
 def build_topology(n_sites, bandwidths):
@@ -33,18 +40,20 @@ def build_topology(n_sites, bandwidths):
     return topo, pairs
 
 
-def run_scenario(mode, n_sites, bandwidths, events):
-    """Replay ``events`` under one scheduler mode.
+def run_scenario(n_sites, bandwidths, events, shared_bandwidths=()):
+    """Replay ``events``; a start joins the :class:`SharedCap`s (one per
+    entry of ``shared_bandwidths``) whose indices it lists in ``shared``.
 
-    Returns (completion records, post-event rate snapshots); flows are
-    identified by their scenario index (flow ids are a global counter
-    and differ between runs).
+    Returns (flow log, post-event snapshots); flows are identified by
+    their scenario index (flow ids are a global counter and differ
+    between runs).
     """
     sim = Simulator()
     topo, pairs = build_topology(n_sites, bandwidths)
-    sched = FlowScheduler(sim, topo, mode=mode)
-    records = []
-    sched.taps.append(records.append)
+    sched = FlowScheduler(sim, topo)
+    log = FlowLog(sched)
+    caps = [SharedCap(f"class:{i}", bw)
+            for i, bw in enumerate(shared_bandwidths)]
     flows = []
     snapshots = []
 
@@ -56,7 +65,9 @@ def run_scenario(mode, n_sites, bandwidths, events):
                 dst = f"s{ev['dst'] % n_sites}"
                 flows.append(sched.start_flow(
                     src, dst, ev["size"], rate_cap=ev["cap"],
-                    weight=ev["weight"], idx=len(flows),
+                    weight=ev["weight"],
+                    shared_caps=[caps[i] for i in ev.get("shared", ())],
+                    idx=len(flows),
                 ))
             elif ev["kind"] == "cancel":
                 if flows:
@@ -69,30 +80,23 @@ def run_scenario(mode, n_sites, bandwidths, events):
 
     sim.process(driver())
     sim.run()
-    return records, snapshots
+    return log, snapshots
 
 
 def snapshot(sim, sched):
-    """Instantaneous {idx: (rate, remaining)} over the active flows.
+    """``{idx: (rate, remaining, exact rate)}`` over the active flows.
 
-    ``flow.remaining`` is a *settled* counter: full mode settles every
-    flow on every event while incremental mode settles lazily, so the
-    raw counters legitimately differ — the instantaneous value is
-    ``remaining - rate * (now - last_settled)``.  Flows at exactly their
-    completion instant are skipped: completion is a same-timestamp tie
-    the two modes may process a zero-duration tick apart.
+    ``remaining`` is the instantaneous value ``remaining - rate * (now -
+    last_settled)`` (the counter is settled lazily); the exact rate is
+    the oracle's allocation of the same flows at today's capacities.
     """
-    snap = {}
-    for f in sched.active_flows:
-        remaining = f.remaining - f.rate * (sim.now - f._last_settled)
-        if remaining <= 1e-9 * max(1.0, f.size):
-            continue
-        snap[f.meta["idx"]] = (f.rate, remaining)
-    return snap
-
-
-def record_key(record):
-    return record.meta["idx"]
+    active = sched.active_flows
+    exact = maxmin(active, {link: link.bandwidth
+                            for f in active for link in f.links})
+    return {f.meta["idx"]: (f.rate,
+                            f.remaining - f.rate * (sim.now - f._last_settled),
+                            exact[f])
+            for f in active}
 
 
 _start = st.fixed_dictionaries({
@@ -105,6 +109,7 @@ _start = st.fixed_dictionaries({
                      st.floats(5e4, 5e6, allow_nan=False,
                                allow_infinity=False)),
     "weight": st.sampled_from([0.5, 1.0, 1.0, 2.0]),
+    "shared": st.sampled_from([(), (), (0,), (1,), (0, 1)]),
 })
 _cancel = st.fixed_dictionaries({
     "kind": st.just("cancel"),
@@ -117,38 +122,33 @@ _bandwidth = st.fixed_dictionaries({
     "pick": st.integers(0, 31),
     "bw": st.floats(1e5, 1e7, allow_nan=False, allow_infinity=False),
 })
+_bw = st.floats(1e5, 1e7, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     n_sites=st.integers(2, 4),
-    bandwidths=st.lists(
-        st.floats(1e5, 1e7, allow_nan=False, allow_infinity=False),
-        min_size=1, max_size=6),
+    bandwidths=st.lists(_bw, min_size=1, max_size=6),
+    shared_bandwidths=st.tuples(_bw, _bw),
     events=st.lists(st.one_of(_start, _cancel, _bandwidth),
                     min_size=1, max_size=14),
 )
-def test_incremental_matches_full(n_sites, bandwidths, events):
-    rec_inc, snap_inc = run_scenario("incremental", n_sites, bandwidths,
-                                     events)
-    rec_full, snap_full = run_scenario("full", n_sites, bandwidths, events)
+def test_incremental_matches_exact_oracle(n_sites, bandwidths,
+                                          shared_bandwidths, events):
+    log, snapshots = run_scenario(n_sites, bandwidths, events,
+                                  shared_bandwidths)
 
-    # Same completions at the same times.
-    assert len(rec_inc) == len(rec_full)
-    for a, b in zip(sorted(rec_inc, key=record_key),
-                    sorted(rec_full, key=record_key)):
-        assert record_key(a) == record_key(b)
-        assert a.finished_at == pytest.approx(b.finished_at,
-                                              rel=1e-6, abs=1e-6)
+    # The exact max-min rates after every scenario event.
+    for snap in snapshots:
+        for rate, _remaining, exact in snap.values():
+            assert rel_err(rate, exact) <= REL
 
-    # Same instantaneous rates after every scenario event.
-    assert len(snap_inc) == len(snap_full)
-    for sa, sb in zip(snap_inc, snap_full):
-        assert sorted(sa) == sorted(sb)
-        for idx, (rate_a, rem_a) in sa.items():
-            rate_b, rem_b = sb[idx]
-            assert rate_a == pytest.approx(rate_b, rel=1e-9, abs=1e-9)
-            assert rem_a == pytest.approx(rem_b, rel=1e-6, abs=1e-3)
+    # The same completions as the exact fluid replay, at the same times.
+    finished = replay(log)
+    assert {f for f in log.flows if f.finished_at is not None} \
+        == set(finished)
+    for flow, at in finished.items():
+        assert rel_err(flow.finished_at, at) <= REL
 
 
 def _seeded_events(seed, n=40):
@@ -176,24 +176,22 @@ def _seeded_events(seed, n=40):
     return events
 
 
-@pytest.mark.parametrize("mode", ["incremental", "full"])
-def test_same_seed_identical_flow_records(mode):
+def test_same_seed_identical_flow_records():
     """Two identical runs produce bit-for-bit identical FlowRecords."""
     def run():
         events = _seeded_events(123)
-        return run_scenario(mode, 4, [2e6, 5e6, 1e6], events)
+        return run_scenario(4, [2e6, 5e6, 1e6], events)
 
-    rec1, snap1 = run()
-    rec2, snap2 = run()
-    flat1 = [(record_key(r), r.src, r.dst, r.size, r.started_at,
-              r.finished_at) for r in rec1]
-    flat2 = [(record_key(r), r.src, r.dst, r.size, r.started_at,
-              r.finished_at) for r in rec2]
+    (log1, snap1), (log2, snap2) = run(), run()
+    flat1 = [(r.meta["idx"], r.src, r.dst, r.size, r.started_at,
+              r.finished_at) for r in log1.records]
+    flat2 = [(r.meta["idx"], r.src, r.dst, r.size, r.started_at,
+              r.finished_at) for r in log2.records]
     assert flat1 == flat2  # same completions, same tap order, exact times
     assert snap1 == snap2  # exact rate trajectories
 
 
-# -- targeted incremental-mode behaviour ---------------------------------
+# -- targeted allocator behaviour ---------------------------------
 
 
 def two_site():
@@ -234,8 +232,7 @@ def test_capped_flow_timer_survives_unrelated_churn():
     assert sched.stats["timers_skipped"] >= 1
 
 
-@pytest.mark.parametrize("mode", ["incremental", "full"])
-def test_deadline_heap_stays_bounded_under_churn(mode):
+def test_deadline_heap_stays_bounded_under_churn():
     """Cancel-and-restart churn on one shared link re-arms every flow at
     every step; superseded arms are compacted away, so past the
     compaction floor the heap holds at most twice the live arms."""
@@ -244,7 +241,7 @@ def test_deadline_heap_stays_bounded_under_churn(mode):
     topo.add_site(Site("a"))
     topo.add_site(Site("b"))
     topo.connect("a", "b", bandwidth=1e6, latency=0.0)
-    sched = FlowScheduler(sim, topo, mode=mode)
+    sched = FlowScheduler(sim, topo)
     flows = [sched.start_flow("a", "b", 1e9) for _ in range(200)]
     for step in range(80):
         # Alternate 199 and 200 flows so every change moves every rate.
@@ -318,10 +315,3 @@ def test_shared_cap_limits_aggregate_rate_across_disjoint_paths():
     sim.run(until=sim.all_of([f1.done, f2.done]))
     assert sim.now == pytest.approx(2.0)
 
-
-def test_full_mode_rejects_unknown_mode():
-    sim = Simulator()
-    topo = Topology()
-    topo.add_site(Site("a"))
-    with pytest.raises(ValueError):
-        FlowScheduler(sim, topo, mode="adaptive")

@@ -6,6 +6,7 @@ from repro.network import (
     BillingMeter,
     FlowCancelled,
     FlowScheduler,
+    SharedCap,
     Site,
     Topology,
 )
@@ -49,6 +50,30 @@ def test_negative_size_rejected():
     sched = FlowScheduler(sim, two_sites())
     with pytest.raises(ValueError):
         sched.start_flow("a", "b", size=-1)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("size", NAN), ("size", INF),
+    ("weight", NAN), ("weight", INF), ("weight", 0.0), ("weight", -1.0),
+    ("rate_cap", NAN), ("rate_cap", INF), ("rate_cap", 0.0),
+    ("rate_cap", -5.0),
+    ("shared_cap", NAN),
+])
+def test_bad_flow_inputs_rejected_at_call_site(field, value):
+    """Values that would leave a flow at a zero, negative or NaN rate
+    (so ``done`` never fires) or fail later inside the batched recompute
+    are refused when the flow is started."""
+    sim = Simulator()
+    sched = FlowScheduler(sim, two_sites())
+    with pytest.raises(ValueError):
+        if field == "shared_cap":
+            SharedCap("class:x", value)
+        else:
+            sched.start_flow("a", "b", **{"size": 1e6, field: value})
+    assert not sched.active_flows
 
 
 def test_two_flows_share_fairly():
