@@ -24,8 +24,8 @@ hypervisor-level sniffer sees).
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import defaultdict, deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,16 +42,29 @@ TrafficRecorder = Callable[[str, str, float, str], None]
 
 
 class _JobRun:
-    """Mutable state of one executing job."""
+    """Mutable state of one executing job.
 
-    def __init__(self, sim: Simulator, job: MapReduceJob):
+    Pending map tasks are kept by pending position (``None`` once taken)
+    with a per-node index over them, Hadoop's per-node non-running map
+    cache: each node's positions of the pending maps that had a replica
+    there when queued, in pending order.  Replicas are only ever
+    removed, so a node's list holds every pending map local to it, and
+    taken or no-longer-local positions are pruned as picks meet them.
+    """
+
+    def __init__(self, sim: Simulator, job: MapReduceJob, hdfs: BlockStore):
         self.job = job
+        self.hdfs = hdfs
         self.result = JobResult(job.name, started_at=sim.now,
                                 finished_at=sim.now)
         tasks = job.make_tasks()
-        self.pending_maps: List[Task] = [
-            t for t in tasks if t.kind is TaskKind.MAP
-        ]
+        self._maps: List[Optional[Task]] = []
+        self._maps_head = 0  # every position before it is taken
+        self._maps_pending = 0
+        self._local_maps: Dict[str, Deque[int]] = {}
+        for task in tasks:
+            if task.kind is TaskKind.MAP:
+                self.push_map(task)
         self.pending_reduces: List[Task] = [
             t for t in tasks if t.kind is TaskKind.REDUCE
         ]
@@ -72,6 +85,45 @@ class _JobRun:
         self.completed_durations: List[float] = []
         #: Root trace span for the job's whole run.
         self.span = NULL_SPAN
+
+    @property
+    def pending_maps(self) -> List[Task]:
+        """The pending map tasks in pending order (a fresh list)."""
+        return [t for t in self._maps[self._maps_head:] if t is not None]
+
+    def push_map(self, task: Task) -> None:
+        """Queue a map task at the end of the pending order."""
+        pos = len(self._maps)
+        self._maps.append(task)
+        self._maps_pending += 1
+        for name in self.hdfs.locations(self.job, task.index):
+            local = self._local_maps.get(name)
+            if local is None:
+                local = self._local_maps[name] = deque()
+            local.append(pos)
+
+    def take_map(self, vm: VirtualMachine) -> Optional[Task]:
+        """Dequeue the first pending map whose split is local to ``vm``,
+        else the first pending map; None if no map is pending."""
+        if not self._maps_pending:
+            return None
+        maps = self._maps
+        local = self._local_maps.get(vm.name)
+        while local:
+            pos = local.popleft()
+            task = maps[pos]
+            if task is not None and self.hdfs.is_local(vm, self.job,
+                                                       task.index):
+                break
+        else:  # no pending map is local to vm: take the pending head
+            pos = self._maps_head
+            while maps[pos] is None:
+                pos += 1
+            self._maps_head = pos + 1
+            task = maps[pos]
+        maps[pos] = None
+        self._maps_pending -= 1
+        return task
 
     @property
     def all_maps_done(self) -> bool:
@@ -335,8 +387,7 @@ class JobTracker:
             del run.map_outputs[idx]
             run.done_keys.discard((TaskKind.MAP, idx))
             run.backup_keys.discard((TaskKind.MAP, idx))
-            task = Task(run.job, TaskKind.MAP, idx)
-            run.pending_maps.append(task)
+            run.push_map(Task(run.job, TaskKind.MAP, idx))
             run.maps_done -= 1
             run.result.reexecuted_tasks += 1
 
@@ -356,7 +407,7 @@ class JobTracker:
             return  # a sibling attempt already completed this work
         task.state = TaskState.PENDING
         if task.kind is TaskKind.MAP:
-            run.pending_maps.append(task)
+            run.push_map(task)
         else:
             run.pending_reduces.append(task)
         run.result.reexecuted_tasks += 1
@@ -419,11 +470,9 @@ class JobTracker:
             self._invalidate_outputs(tracker.vm)
 
     def _pick(self, run: _JobRun, tracker: TaskTracker) -> Optional[Task]:
-        if run.pending_maps:
-            for i, task in enumerate(run.pending_maps):
-                if self.hdfs.is_local(tracker.vm, run.job, task.index):
-                    return run.pending_maps.pop(i)
-            return run.pending_maps.pop(0)
+        task = run.take_map(tracker.vm)
+        if task is not None:
+            return task
         if run.all_maps_done and run.pending_reduces:
             return run.pending_reduces.pop(0)
         if self.speculative:
@@ -464,13 +513,15 @@ class JobTracker:
         # Without speculation the work on offer does not depend on who
         # asks: once one waiter finds nothing, the rest would too.
         idle = run is None or run.finished
+        waiters = self._waiters
         still: List[Tuple[TaskTracker, Event]] = []
-        for tracker, ev in self._waiters:
+        rest: List[Tuple[TaskTracker, Event]] = []
+        for k, (tracker, ev) in enumerate(waiters):
+            if idle:
+                rest = waiters[k:]
+                break
             if not tracker.active:
                 ev.succeed(None)
-                continue
-            if idle:
-                still.append((tracker, ev))
                 continue
             task = self._pick(run, tracker)
             if task is not None:
@@ -481,6 +532,14 @@ class JobTracker:
             else:
                 still.append((tracker, ev))
                 idle = not self.speculative
+        # Idle: resolve the rest's retired trackers in order, keep the
+        # others.
+        kept = [waiter for waiter in rest if waiter[0].active]
+        if len(kept) < len(rest):
+            for tracker, ev in rest:
+                if not tracker.active:
+                    ev.succeed(None)
+        still.extend(kept)
         self._waiters = still
 
     # -- public API ----------------------------------------------------
@@ -495,7 +554,7 @@ class JobTracker:
         with self._job_lock.request() as req:
             yield req
             self.hdfs.load_input(job, self.rng)
-            run = _JobRun(self.sim, job)
+            run = _JobRun(self.sim, job, self.hdfs)
             run.span = tracer_of(self.sim).start(
                 f"mr:{job.name}", track=f"mr:{job.name}",
                 maps=job.n_maps, reduces=job.n_reduces,

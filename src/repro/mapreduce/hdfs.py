@@ -24,6 +24,8 @@ class BlockStore:
             raise ValueError("replication must be >= 1")
         self.replication = replication
         self.nodes: List[VirtualMachine] = []
+        #: VM name -> node (the last added, should names repeat).
+        self._by_name: Dict[str, VirtualMachine] = {}
         #: (job id, split index) -> list of VM names holding a replica.
         self._placement: Dict[Tuple[int, int], List[str]] = {}
 
@@ -32,12 +34,14 @@ class BlockStore:
     def add_node(self, vm: VirtualMachine) -> None:
         if vm not in self.nodes:
             self.nodes.append(vm)
+            self._by_name[vm.name] = vm
 
     def remove_node(self, vm: VirtualMachine) -> None:
         """Node departure: its replicas disappear (no re-replication —
         matching the short-lived clusters of the paper's experiments)."""
         if vm in self.nodes:
             self.nodes.remove(vm)
+            self._by_name = {node.name: node for node in self.nodes}
         for locs in self._placement.values():
             if vm.name in locs:
                 locs.remove(vm.name)
@@ -48,24 +52,22 @@ class BlockStore:
         """Distribute the job's input splits over current nodes.
 
         Primary replicas round-robin over nodes (Hadoop balances input),
-        extra replicas land on distinct random nodes.
+        extra replicas land on distinct random nodes: a draw ``i`` over
+        the ``n - 1`` other nodes in order is node ``i + (i >= primary)``.
         """
         if not self.nodes:
             raise RuntimeError("cannot load input: no data nodes")
-        n = len(self.nodes)
+        names = [vm.name for vm in self.nodes]
+        n = len(names)
         reps = min(self.replication, n)
         for split in range(job.n_maps):
             primary = split % n
-            others = [i for i in range(n) if i != primary]
-            if others and reps > 1:
-                extra = rng.choice(len(others), size=reps - 1,
-                                   replace=False)
-                chosen = [primary] + [others[i] for i in extra]
-            else:
-                chosen = [primary]
-            self._placement[(job.id, split)] = [
-                self.nodes[i].name for i in chosen
-            ]
+            chosen = [names[primary]]
+            if reps > 1:
+                for i in rng.choice(n - 1, size=reps - 1,
+                                    replace=False).tolist():
+                    chosen.append(names[i + (i >= primary)])
+            self._placement[(job.id, split)] = chosen
 
     def locations(self, job: MapReduceJob, split: int) -> List[str]:
         """VM names currently holding a replica of ``split``."""
@@ -78,10 +80,8 @@ class BlockStore:
     def any_replica_node(self, job: MapReduceJob, split: int
                          ) -> Optional[VirtualMachine]:
         """Some live node holding the split (for remote fetches)."""
-        names = self._placement.get((job.id, split), ())
-        by_name = {vm.name: vm for vm in self.nodes}
-        for name in names:
-            vm = by_name.get(name)
+        for name in self._placement.get((job.id, split), ()):
+            vm = self._by_name.get(name)
             if vm is not None:
                 return vm
         return None

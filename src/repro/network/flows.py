@@ -21,15 +21,21 @@ is unchanged within :data:`EPSILON` — the armed deadline is already
 exact.  The test suite checks rates and completion times against an
 exact rational (``fractions.Fraction``) water-filling oracle.
 
-Completion deadlines live off the kernel queue, in a per-scheduler
-min-heap of ``(time, seq, flow, epoch)`` *arms* (SimGrid's lazy action
-update).  Re-arming a flow pushes a new arm under a seq drawn with
-:meth:`~repro.simkernel.Simulator.reserve_seq` and makes the old one
-stale; only the earliest live arm needs a kernel entry — its *wake* —
-carrying exactly the key ``(time, NORMAL, seq)`` a per-flow timer armed
-at that moment would have had, so the kernel dispatches completions in
-the same order as if every arm were queued, while a max-min re-rate of
-a large component costs heap pushes instead of kernel timers.
+Completion deadlines live off the kernel queue (SimGrid's lazy action
+update).  Re-arming a flow makes a new ``(time, seq, flow)`` *arm* under
+a seq drawn as :meth:`~repro.simkernel.Simulator.reserve_seq` would and
+makes the old one stale.  The arms of one re-rate are sorted into a
+*run*, and a per-scheduler min-heap holds one entry per run, keyed by
+its earliest retained arm.  Only the earliest live arm needs a kernel
+entry — its *wake* — carrying exactly the key ``(time, NORMAL, seq)`` a
+per-flow timer armed at that moment would have had, so the kernel
+dispatches completions in the same order as if every arm were queued,
+while re-rating a large component costs one sort and one heap push.
+
+A component whose flows all cross one and the same link, with no rate
+cap, is a weighted processor-sharing queue: progressive filling ends in
+one round, which is computed directly with the general loop's exact
+float operations, so its rates are bit-identical.
 
 Per-flow rate caps (e.g. a VM NIC, or a deliberately throttled
 migration) are modeled as virtual single-flow links, which integrates
@@ -107,8 +113,8 @@ class Flow:
     __slots__ = (
         "id", "src", "dst", "size", "remaining", "rate", "path", "done",
         "started_at", "finished_at", "rate_cap", "tag", "meta", "weight",
-        "shared_caps", "links", "_last_settled", "_epoch", "_armed",
-        "_armed_rate", "_wake",
+        "shared_caps", "links", "_last_settled", "_run", "_armed_rate",
+        "_wake",
     )
 
     def __init__(self, sim: Simulator, src: str, dst: str, size: float,
@@ -132,8 +138,7 @@ class Flow:
         self.shared_caps = tuple(shared_caps)
         self.links = tuple(path) + self.shared_caps
         self._last_settled = sim.now
-        self._epoch = 0  # the live arm's epoch; bumped when superseded
-        self._armed = False  # a live arm sits in the deadline heap
+        self._run: Optional[_Run] = None  # the run holding the live arm
         self._armed_rate = -1.0  # rate the live arm was armed with
         self._wake: Optional[Event] = None  # the live arm's kernel entry
 
@@ -174,6 +179,19 @@ def _flow_id(flow: Flow) -> int:
     return flow.id
 
 
+class _Run:
+    """The arms of one re-arming pass: ``(time, seq, flow)`` tuples
+    sorted descending, so the earliest is last, and the count of those
+    still live.  An arm is live while its flow's ``_run`` is this run
+    (a pass arms a flow at most once)."""
+
+    __slots__ = ("arms", "live")
+
+    def __init__(self):
+        self.arms: list = []
+        self.live = 0
+
+
 class FlowScheduler:
     """Runs all flows over a topology with max-min fair sharing.
 
@@ -206,9 +224,11 @@ class FlowScheduler:
         self._dirty_flows: Set[Flow] = set()
         self._dirty_links: Set[object] = set()
         self._batch_pending = False
-        # Completion deadlines: a min-heap of (time, seq, flow, epoch)
-        # arms, ``_stale`` of them superseded but not yet popped.
+        # Completion deadlines: a min-heap of (time, seq, run) entries,
+        # each run keyed by its last (earliest) arm; ``_retained`` arms
+        # in all runs, ``_stale`` of them superseded.
         self._deadlines: list = []
+        self._retained = 0
         self._stale = 0
         self._wake_cb = self._on_wake  # one bound method for every wake
         #: Allocator counters (batches run, flows re-rated, deadlines
@@ -370,8 +390,14 @@ class FlowScheduler:
         current fill level.  A per-flow rate cap is a virtual link
         carrying only that flow; a :class:`SharedCap` is a virtual link
         carrying every flow attached to it.
+
+        A component whose flows all cross the same single link and carry
+        no rate cap is filled in its one round directly (see
+        :meth:`_one_round`).
         """
         if not order:
+            return
+        if self._one_round(order):
             return
         # Map each (shared or virtual) link to the flows crossing it.
         link_flows: Dict[object, Set[Flow]] = {}
@@ -426,15 +452,48 @@ class FlowScheduler:
                     link_flows[cap_key].discard(flow)
                     wsum[cap_key] -= flow.weight
 
+    @staticmethod
+    def _one_round(order: List[Flow]) -> bool:
+        """Rate ``order`` if it is one weighted processor-sharing queue;
+        return whether it was.
+
+        When every flow crosses the same one link and none has a rate
+        cap, progressive filling ends after its first round: the link's
+        residual ``bw - (bw / wsum) * wsum`` is within a few ulps of
+        zero, so the link saturates and every flow freezes at ``fill *
+        weight`` with ``fill = 0.0 + bw / wsum``.  Computing that round
+        directly gives bit-identical rates: ``wsum`` is summed from 0.0
+        left to right in flow-id order, as the general loop does
+        (``sum()`` would not do: it compensates float sums since Python
+        3.12).  An infinite ``fill`` is left to the general loop.
+        """
+        links = order[0].links
+        if len(links) != 1:
+            return False
+        wsum = 0.0
+        for flow in order:
+            if flow.links != links or flow.rate_cap is not None:
+                return False
+            wsum += flow.weight
+        fill = links[0].bandwidth / wsum
+        if fill == math.inf:
+            return False
+        for flow in order:
+            flow.rate = fill * flow.weight
+        return True
+
     def _schedule_completions(self, flows: Iterable[Flow]) -> None:
         """(Re)arm the completion deadline of each of ``flows``, in
         order, at its current rate.
 
-        An arm is a push of ``(now + eta, seq, flow, epoch)`` onto the
-        deadline heap, with ``seq`` drawn from the kernel exactly where
-        a per-flow timer would have drawn its own; the previous arm goes
-        stale (:meth:`_disarm`).  The kernel hears of the new arm only
-        if it becomes the earliest (:meth:`_wake_head`).
+        An arm is ``(now + eta, seq, flow)``, with ``seq`` drawn from
+        the kernel exactly where a per-flow timer would have drawn its
+        own (:meth:`~repro.simkernel.Simulator.reserve_seq`, inlined
+        here); the flow's previous arm goes stale (:meth:`_disarm`,
+        inlined).  The pass's arms are sorted once into a :class:`_Run`
+        that enters the deadline heap as one entry keyed by its earliest
+        arm.  The kernel hears of a new arm only if it becomes the
+        earliest live one (:meth:`_wake_head`).
 
         Re-arming is skipped when the rate is unchanged within EPSILON:
         the deadline the live arm already carries is
@@ -445,36 +504,53 @@ class FlowScheduler:
         """
         sim = self.sim
         now = sim.now
-        heap = self._deadlines
-        armed = skipped = 0
+        seq = sim._seq
+        run = _Run()
+        arms = run.arms
+        stale = skipped = 0
         for flow in flows:
             rate = flow.rate
-            if flow._armed:
+            old = flow._run
+            if old is not None:
                 if (rate > 0 and abs(rate - flow._armed_rate)
                         <= EPSILON * (rate if rate > 1.0 else 1.0)):
                     skipped += 1
                     continue
-                self._disarm(flow)
+                old.live -= 1
+                flow._run = None
+                wake = flow._wake
+                if wake is not None:
+                    wake.deschedule()
+                    flow._wake = None
+                stale += 1
             if rate <= 0:  # starved; re-armed by the next recompute
                 continue
             eta = float(flow.remaining / rate)
             if not 0.0 <= eta < math.inf:
+                sim._seq = seq
                 raise ValueError(
                     f"delay must be finite and non-negative, got {eta}")
-            heapq.heappush(heap,
-                           (now + eta, sim.reserve_seq(), flow, flow._epoch))
-            flow._armed = True
+            seq += 1
+            arms.append((now + eta, seq, flow))
+            flow._run = run
             flow._armed_rate = rate
-            armed += 1
-        self.stats["timers_armed"] += armed
+        sim._seq = seq
+        self._stale += stale
+        if arms:
+            arms.sort(reverse=True)
+            run.live = len(arms)
+            self._retained += run.live
+            heapq.heappush(self._deadlines, (arms[-1][0], arms[-1][1], run))
+        self.stats["timers_armed"] += len(arms)
         self.stats["timers_skipped"] += skipped
 
     def _disarm(self, flow: Flow) -> None:
-        """Supersede the live arm of ``flow``, if any: its heap entry
-        goes stale, never to be live again, and its wake is withdrawn."""
-        if flow._armed:
-            flow._armed = False
-            flow._epoch += 1
+        """Supersede the live arm of ``flow``, if any: it goes stale,
+        never to be live again, and its wake is withdrawn."""
+        run = flow._run
+        if run is not None:
+            run.live -= 1
+            flow._run = None
             if flow._wake is not None:
                 flow._wake.deschedule()
                 flow._wake = None
@@ -489,29 +565,58 @@ class FlowScheduler:
         ever dispatched late.  A wake stays queued until its own arm is
         superseded, even when an earlier arm takes the top: superseded
         arms never come back, so every queued key stays unique and
-        every wake that fires is a real completion check.  Stale arms
-        are dropped off the top here, and the whole heap is compacted
-        by the kernel queues' rule once they pass half of it.
+        every wake that fires is a real completion check.
+
+        Each heap entry is a run keyed by its earliest retained arm, so
+        the top run holds the earliest arm of all.  A run with no live
+        arm left is dropped whole; otherwise a stale head is popped off
+        together with every stale arm behind it and the run is re-keyed
+        by its new, live head with one ``heapreplace``.  Stale arms
+        deeper in a run wait there, and every run is compacted by the
+        kernel queues' rule once stale arms pass half of those retained.
         """
         heap = self._deadlines
-        if (self._stale > len(heap) * COMPACT_FRACTION
-                and len(heap) >= COMPACT_MIN):
-            heap[:] = [arm for arm in heap if arm[2]._epoch == arm[3]]
-            heapq.heapify(heap)
-            self._stale = 0
+        if (self._stale > self._retained * COMPACT_FRACTION
+                and self._retained >= COMPACT_MIN):
+            self._compact()
         while heap:
-            time, seq, flow, epoch = heap[0]
-            if flow._epoch != epoch:
+            run = heap[0][2]
+            arms = run.arms
+            if not run.live:
                 heapq.heappop(heap)
-                self._stale -= 1
+                self._stale -= len(arms)
+                self._retained -= len(arms)
                 continue
-            if flow._wake is None:
-                wake = flow._wake = Event(self.sim)
-                wake._ok = True
-                wake._value = flow
-                wake.callbacks.append(self._wake_cb)
-                self.sim.schedule_at(wake, time, seq)
-            return
+            arm = arms[-1]
+            flow = arm[2]
+            if flow._run is run:
+                if flow._wake is None:
+                    wake = flow._wake = Event(self.sim)
+                    wake._ok = True
+                    wake._value = flow
+                    wake.callbacks.append(self._wake_cb)
+                    self.sim.schedule_at(wake, arm[0], arm[1])
+                return
+            dropped = 0
+            while arm[2]._run is not run:  # stops at a live arm
+                arms.pop()
+                dropped += 1
+                arm = arms[-1]
+            self._stale -= dropped
+            self._retained -= dropped
+            heapq.heapreplace(heap, (arm[0], arm[1], run))
+
+    def _compact(self) -> None:
+        """Drop every stale arm of every run and rebuild the heap."""
+        entries = []
+        for _time, _seq, run in self._deadlines:
+            if run.live:
+                run.arms = [arm for arm in run.arms if arm[2]._run is run]
+                entries.append((run.arms[-1][0], run.arms[-1][1], run))
+        heapq.heapify(entries)
+        self._deadlines[:] = entries
+        self._retained = sum(entry[2].live for entry in entries)
+        self._stale = 0
 
     def _on_wake(self, wake: Event) -> None:
         """Kernel callback of a wake: its flow's live arm is due.  Finish

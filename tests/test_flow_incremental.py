@@ -191,6 +191,85 @@ def test_same_seed_identical_flow_records():
     assert snap1 == snap2  # exact rate trajectories
 
 
+def run_single_link(bandwidths, events, cap_factor):
+    """Replay ``events`` on one a<->b link, every flow on one of its two
+    directions: two weighted processor-sharing components.  With a
+    ``cap_factor`` every flow also joins its direction's
+    :class:`SharedCap`, that many times the largest link capacity of the
+    run, which never binds.
+
+    Returns the rates after each event and the completions, by flow
+    index.
+    """
+    sim = Simulator()
+    topo = Topology()
+    topo.add_site(Site("a"))
+    topo.add_site(Site("b"))
+    topo.connect("a", "b", bandwidth=bandwidths[0], latency=0.0)
+    sched = FlowScheduler(sim, topo)
+    caps = {forward: ([SharedCap(f"loose:{forward}",
+                                 cap_factor * max(bandwidths))]
+                      if cap_factor else [])
+            for forward in (True, False)}
+    flows, rates, done = [], [], {}
+    sched.taps.append(lambda r: done.__setitem__(r.meta["idx"],
+                                                 r.finished_at))
+
+    def driver():
+        for ev in events:
+            yield sim.timeout(ev["delay"])
+            if ev["kind"] == "start":
+                src, dst = ("a", "b") if ev["forward"] else ("b", "a")
+                flows.append(sched.start_flow(
+                    src, dst, ev["size"], weight=ev["weight"],
+                    shared_caps=caps[ev["forward"]], idx=len(flows)))
+            elif ev["kind"] == "cancel":
+                if flows:
+                    sched.cancel(flows[ev["pick"] % len(flows)])
+            else:
+                topo.set_bandwidth(
+                    "a", "b", bandwidths[ev["pick"] % len(bandwidths)])
+            yield sim.timeout(SNAP_DELAY)
+            rates.append({f.meta["idx"]: f.rate
+                          for f in sched.active_flows})
+
+    sim.process(driver())
+    sim.run()
+    return rates, done
+
+
+_ps_start = st.fixed_dictionaries({
+    "kind": st.just("start"),
+    "delay": st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False),
+    "forward": st.booleans(),
+    "size": st.floats(1e3, 1e7, allow_nan=False, allow_infinity=False),
+    "weight": st.floats(0.05, 20.0, allow_nan=False,
+                        allow_infinity=False).filter(lambda w: w != 1.0),
+})
+_ps_other = st.fixed_dictionaries({
+    "kind": st.sampled_from(["cancel", "bandwidth"]),
+    "delay": st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False),
+    "pick": st.integers(0, 31),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bandwidths=st.lists(_bw, min_size=1, max_size=3),
+    events=st.lists(st.one_of(_ps_start, _ps_start, _ps_other),
+                    min_size=2, max_size=16),
+    cap_factor=st.floats(2.0, 50.0),
+)
+def test_single_link_rates_equal_general_fill(bandwidths, events,
+                                              cap_factor):
+    """A one-link, uncapped component takes the one-round fill; a
+    non-binding shared cap sends the same flows through the general
+    progressive-filling loop.  Rates and completion times must be
+    equal, not merely close."""
+    assert run_single_link(bandwidths, events, 0.0) \
+        == run_single_link(bandwidths, events, cap_factor)
+
+
 # -- targeted allocator behaviour ---------------------------------
 
 
@@ -232,10 +311,15 @@ def test_capped_flow_timer_survives_unrelated_churn():
     assert sched.stats["timers_skipped"] >= 1
 
 
+def retained_arms(sched):
+    """Arms held across every run of the deadline heap, stale or live."""
+    return sum(len(entry[2].arms) for entry in sched._deadlines)
+
+
 def test_deadline_heap_stays_bounded_under_churn():
     """Cancel-and-restart churn on one shared link re-arms every flow at
     every step; superseded arms are compacted away, so past the
-    compaction floor the heap holds at most twice the live arms."""
+    compaction floor the runs retain at most twice the live arms."""
     sim = Simulator()
     topo = Topology()
     topo.add_site(Site("a"))
@@ -250,10 +334,39 @@ def test_deadline_heap_stays_bounded_under_churn():
         else:
             sched.cancel(flows.pop(0))
         sim.run(until=sim.now + 0.5)
-        live = sum(flow._armed for flow in sched.active_flows)
+        live = sum(flow._run is not None for flow in sched.active_flows)
         assert live == len(flows)
-        assert len(sched._deadlines) <= max(512, 2 * live)
+        assert retained_arms(sched) <= max(512, 2 * live)
     assert sched.stats["timers_armed"] >= 80 * 199
+
+
+def test_pinned_run_does_not_retain_its_siblings_stale_arms():
+    """A capped flow keeps its rate, so its first arm is never re-armed:
+    its run stays live, headed by the earliest deadline, while every
+    sibling arm in it and in each later run is superseded step after
+    step.  Compaction still bounds what the runs retain."""
+    sim = Simulator()
+    topo = Topology()
+    topo.add_site(Site("a"))
+    topo.add_site(Site("b"))
+    topo.connect("a", "b", bandwidth=1e6, latency=0.0)
+    sched = FlowScheduler(sim, topo)
+    pinned = sched.start_flow("a", "b", 1e6, rate_cap=1e3)
+    flows = [sched.start_flow("a", "b", 1e9) for _ in range(150)]
+    sim.run(until=0.5)
+    first = pinned._run
+    for step in range(120):
+        # Ever fewer siblings: each step makes every sibling arm stale
+        # and arms the new ones earlier than the old.
+        sched.cancel(flows.pop() if step % 3 else flows.pop(0))
+        if step % 3 == 0:
+            flows.append(sched.start_flow("a", "b", 1e9))
+        sim.run(until=sim.now + 0.5)
+        assert pinned._run is first and pinned.rate == 1e3
+        live = sum(flow._run is not None for flow in sched.active_flows)
+        assert live == len(flows) + 1
+        assert retained_arms(sched) <= max(512, 2 * live)
+    assert sched.stats["timers_skipped"] >= 120
 
 
 def test_disjoint_components_are_not_re_rated():

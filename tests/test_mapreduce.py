@@ -99,6 +99,42 @@ def test_blockstore_remove_node_drops_replicas():
     assert store.any_replica_node(job, 0) is vms[1]
 
 
+def others_list_placement(names, n_maps, replication, rng):
+    """Replica placement as first written: the list of every node but
+    the primary, built per split, indexed by the draw."""
+    n = len(names)
+    reps = min(replication, n)
+    placement = []
+    for split in range(n_maps):
+        primary = split % n
+        others = [i for i in range(n) if i != primary]
+        if others and reps > 1:
+            extra = rng.choice(len(others), size=reps - 1, replace=False)
+            chosen = [primary] + [others[i] for i in extra]
+        else:
+            chosen = [primary]
+        placement.append([names[i] for i in chosen])
+    return placement
+
+
+@pytest.mark.parametrize("n, replication, seed", [
+    (1, 1, 0), (1, 3, 1), (2, 2, 2), (5, 3, 3), (16, 2, 4), (7, 7, 5),
+    (9, 12, 6),
+])
+def test_blockstore_placement_matches_others_list(n, replication, seed):
+    sim = Simulator()
+    vms = [VirtualMachine(sim, f"n{i}", MemoryImage(8)) for i in range(n)]
+    store = BlockStore(replication=replication)
+    for vm in vms:
+        store.add_node(vm)
+    job = simple_job(n_maps=3 * n + 5)
+    store.load_input(job, np.random.default_rng(seed))
+    want = others_list_placement([vm.name for vm in vms], job.n_maps,
+                                 replication, np.random.default_rng(seed))
+    assert [store.locations(job, split) for split in range(job.n_maps)] \
+        == want
+
+
 def test_blockstore_validation():
     with pytest.raises(ValueError):
         BlockStore(replication=0)
