@@ -20,7 +20,8 @@ class UsageMeter:
 
     def __init__(self, pricing: InstancePricing):
         self.pricing = pricing
-        self._open: Dict[str, Tuple[float, float]] = {}  # vm -> (start, rate)
+        #: vm -> (segment start, rate, cost of the run's closed segments)
+        self._open: Dict[str, Tuple[float, float, float]] = {}
         self._closed: List[Tuple[str, float, float, float]] = []
 
     def start(self, vm_name: str, at: float, hourly_rate: float = None) -> None:
@@ -28,19 +29,20 @@ class UsageMeter:
             raise ValueError(f"{vm_name!r} is already metered")
         rate = (self.pricing.on_demand_hourly
                 if hourly_rate is None else hourly_rate)
-        self._open[vm_name] = (at, rate)
+        self._open[vm_name] = (at, rate, 0.0)
 
     def stop(self, vm_name: str, at: float) -> float:
-        """Close the meter; returns the cost of this instance's run."""
+        """Close the meter; returns the cost of this instance's run
+        since its latest :meth:`start`, every rate segment included."""
         try:
-            start, rate = self._open.pop(vm_name)
+            start, rate, run_cost = self._open.pop(vm_name)
         except KeyError:
             raise ValueError(f"{vm_name!r} is not metered") from None
         if at < start:
             raise ValueError("stop before start")
         cost = (at - start) / 3600.0 * rate
         self._closed.append((vm_name, start, at, cost))
-        return cost
+        return run_cost + cost
 
     def rebill(self, vm_name: str, at: float, hourly_rate: float) -> None:
         """Change a running instance's rate from ``at`` onward: the
@@ -48,7 +50,7 @@ class UsageMeter:
         opens at ``hourly_rate`` (spot-market re-pricing, billing
         hand-offs).  A no-op when the rate is unchanged."""
         try:
-            start, rate = self._open[vm_name]
+            start, rate, run_cost = self._open[vm_name]
         except KeyError:
             raise ValueError(f"{vm_name!r} is not metered") from None
         if at < start:
@@ -57,7 +59,7 @@ class UsageMeter:
             return
         cost = (at - start) / 3600.0 * rate
         self._closed.append((vm_name, start, at, cost))
-        self._open[vm_name] = (at, hourly_rate)
+        self._open[vm_name] = (at, hourly_rate, run_cost + cost)
 
     def current_rate(self, vm_name: str) -> float:
         """The hourly rate the instance is currently billed at."""
@@ -78,7 +80,7 @@ class UsageMeter:
         closed = sum(c for _, _, _, c in self._closed)
         running = sum(
             (now - start) / 3600.0 * rate
-            for start, rate in self._open.values()
+            for start, rate, _ in self._open.values()
         )
         return closed + running
 

@@ -157,12 +157,6 @@ class EventLog:
     def __iter__(self):
         return iter(self.events)
 
-    def events_for(self, kind: str,
-                   entity: Optional[Union[int, str]] = None
-                   ) -> List[StateEvent]:
-        return [e for e in self.events if e.kind == kind
-                and (entity is None or e.entity == entity)]
-
     def since(self, seq: int) -> List[StateEvent]:
         """Events strictly after ``seq`` (incremental catch-up)."""
         return [e for e in self.events if e.seq > seq]

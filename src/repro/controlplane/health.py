@@ -106,7 +106,7 @@ class HealthMonitor:
         # Scrub the corpses out of the cluster and their clouds first,
         # so their capacity is free for the replacement (or the requeue).
         for vm in dead:
-            self._scrub(lease, vm)
+            self.federation.terminate(vm, lease.cluster)
         if not lease.active:
             return
         if self.policy == "requeue" or master_lost or not lease.cluster.vms:
@@ -126,17 +126,6 @@ class HealthMonitor:
             return
         for vm in dead:
             self._record(lease, vm, "replaced")
-
-    def _scrub(self, lease: Lease, vm: VirtualMachine) -> None:
-        if vm in lease.cluster.vms:
-            lease.cluster.vms.remove(vm)
-        fed = self.federation
-        if vm.has_address and vm.address.host in fed.overlay.members:
-            fed.overlay.unregister(vm)
-        for cloud in fed.clouds.values():
-            if vm in cloud.instances:
-                cloud.terminate(vm)
-                break
 
     def _requeue(self, lease: Lease, dead: List[VirtualMachine],
                  detail: str) -> None:

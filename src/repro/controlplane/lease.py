@@ -190,13 +190,7 @@ class LeaseManager:
         node_seconds = 0.0
         for vm in list(lease.cluster.vms):
             node_seconds += self.sim.now - lease.granted_at
-            if vm.has_address and vm.address.host in fed.overlay.members:
-                fed.overlay.unregister(vm)
-            # A healed-away VM may no longer be tracked by any cloud.
-            for cloud in fed.clouds.values():
-                if vm in cloud.instances:
-                    lease.cost += cloud.terminate(vm)
-                    break
+            lease.cost += fed.terminate(vm)
         lease.cluster.vms.clear()
         if lease.cluster in fed.clusters:
             fed.clusters.remove(lease.cluster)

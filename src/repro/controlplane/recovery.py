@@ -562,10 +562,7 @@ class Reconciler:
                            if v.name == drift.entity), None)
                 if vm is None:
                     continue
-                overlay = plane.federation.overlay
-                if vm.has_address and vm.address.host in overlay.members:
-                    overlay.unregister(vm)
-                cloud.terminate(vm)
+                plane.federation.terminate(vm)
                 span.event("terminate-orphan", vm=drift.entity,
                            cloud=cloud.name)
                 break
@@ -590,13 +587,7 @@ class Reconciler:
         teardown neither double-terminates nor bills ghost capacity."""
         fed = self.plane.federation
         for vm in list(lease.cluster.vms):
-            lease.cluster.vms.remove(vm)
-            if vm.has_address and vm.address.host in fed.overlay.members:
-                fed.overlay.unregister(vm)
-            for cloud in fed.clouds.values():
-                if vm in cloud.instances:
-                    cloud.terminate(vm)
-                    break
+            fed.terminate(vm, lease.cluster)
 
     def __repr__(self):
         return (f"<Reconciler healed={len(self.healed)} "

@@ -37,6 +37,19 @@ from .lease import Lease, LeaseManager
 from .queue import JobQueue
 from .statemachine import transition
 
+#: Placement score = price + UTIL_WEIGHT * cloud utilization: among
+#: similarly priced clouds, the less loaded one wins.
+UTIL_WEIGHT = 0.05
+#: Pessimism added to a backfill candidate's estimated runtime (covers
+#: boot + image propagation) before comparing against the blocked
+#: head's shadow time.
+BACKFILL_SLACK = 30.0
+#: A victim tenant's share-per-weight must exceed the starving tenant's
+#: by this factor before its spot-backed leases are preempted; keeps
+#: epsilon fair-share differences from triggering preemption ping-pong
+#: under steady contention.
+PREEMPTION_IMBALANCE = 1.5
+
 
 @dataclass
 class SchedulerConfig:
@@ -48,21 +61,11 @@ class SchedulerConfig:
     lease_term: float = 900.0
     #: Instance shape for every grant.
     spec: InstanceSpec = field(default_factory=InstanceSpec)
-    #: Run the contextualization barrier on provisioned clusters.
-    contextualize: bool = False
-    #: Placement score = price + util_weight * cloud utilization.
-    util_weight: float = 0.05
     #: Give up on a job after this many (re)starts.
     max_attempts: int = 5
-    #: Enable grow/shrink of malleable jobs with queue pressure.
-    elastic: bool = True
     #: EASY backfill: when the most-underserved head job cannot start,
     #: run smaller queued jobs that will not delay its reservation.
     backfill: bool = True
-    #: Pessimism added to a backfill candidate's estimated runtime
-    #: (covers boot + image propagation) before comparing against the
-    #: blocked head's shadow time.
-    backfill_slack: float = 30.0
 
 
 #: One decision point's capacity snapshot: clouds in placement order
@@ -134,8 +137,8 @@ class FairShareScheduler:
     def _run(self):
         while self._running:
             self._dispatch_round()
-            if self.config.elastic:
-                self._adjust_elastic()
+            # Malleable jobs always grow and shrink with queue pressure.
+            self._adjust_elastic()
             if self.metrics is not None:
                 self.metrics.record("lease.utilization",
                                     self.leases.utilization())
@@ -179,7 +182,7 @@ class FairShareScheduler:
         cores = sum(h.cores for h in cloud.hosts)
         used = sum(h.used_cores for h in cloud.hosts)
         utilization = used / cores if cores else 1.0
-        return self._price(cloud) + self.config.util_weight * utilization
+        return self._price(cloud) + UTIL_WEIGHT * utilization
 
     def _ranked_clouds(self) -> List[Cloud]:
         """Member clouds, best placement score first."""
@@ -336,7 +339,7 @@ class FairShareScheduler:
                 if not self._within_tenant_quota(job, k):
                     continue
                 est_end = (self.sim.now + job.work_remaining / k
-                           + self.config.backfill_slack)
+                           + BACKFILL_SLACK)
                 if est_end > shadow and k > spare:
                     continue  # would delay the head's reservation
                 self._dispatch(job, allocation)
@@ -370,15 +373,14 @@ class FairShareScheduler:
         subsystem's requeue-with-progress path.  Preempts at most one
         round's worth; returns True if any lease was reclaimed.
 
-        A victim tenant must exceed the starved tenant's share by the
-        policy's ``preemption_imbalance`` factor: under steady
-        contention fair-share keeps shares within epsilon of each
-        other, and preempting over epsilon differences just trades
-        places every round."""
+        A victim tenant must exceed the starved tenant's share by
+        :data:`PREEMPTION_IMBALANCE`: under steady contention fair-share
+        keeps shares within epsilon of each other, and preempting over
+        epsilon differences just trades places every round."""
         starved_tenant = self.queue.tenants[head.tenant]
         starved_share = (self.effective_usage(starved_tenant)
                          / starved_tenant.weight)
-        floor = starved_share * self.spot.policy.preemption_imbalance
+        floor = starved_share * PREEMPTION_IMBALANCE
 
         def share_of(name: str) -> float:
             t = self.queue.tenants[name]
@@ -418,8 +420,9 @@ class FairShareScheduler:
         try:
             cluster = yield self.federation.create_virtual_cluster(
                 self.image_name, n, policy=_FixedAllocation(allocation),
-                spec=cfg.spec, contextualize=cfg.contextualize,
-                name=job.name,
+                # Leased clusters skip the contextualization barrier:
+                # control-plane jobs use no master/worker roles.
+                spec=cfg.spec, contextualize=False, name=job.name,
             )
         except (CloudError, PlacementError, FederationError):
             # Lost a provisioning race; back in the queue untouched.
@@ -583,7 +586,7 @@ class FairShareScheduler:
             finally:
                 self._committed[cloud.name] -= take
             if not lease.active:
-                self._dispose_orphans(lease, cloud.name, vms)
+                self._dispose_orphans(lease, vms)
                 return
             remaining -= take
             if remaining == 0:
@@ -606,18 +609,12 @@ class FairShareScheduler:
         if self.metrics is not None:
             self.metrics.record("elastic.grow", self.grows)
         if not lease.active:
-            self._dispose_orphans(lease, cloud_name, vms)
+            self._dispose_orphans(lease, vms)
 
-    def _dispose_orphans(self, lease: Lease, cloud_name: str,
-                         vms) -> None:
+    def _dispose_orphans(self, lease: Lease, vms) -> None:
         """Terminate VMs grown into a lease that ended mid-boot."""
-        cloud = self.federation.cloud(cloud_name)
         for vm in vms:
-            if vm in lease.cluster.vms:
-                lease.cluster.vms.remove(vm)
-            self.federation.overlay.unregister(vm)
-            if vm in cloud.instances:
-                cloud.terminate(vm)
+            self.federation.terminate(vm, lease.cluster)
 
     def __repr__(self):
         return (f"<FairShareScheduler queued={self.queue.depth()} "

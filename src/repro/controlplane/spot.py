@@ -67,9 +67,6 @@ class SpotPolicy:
     min_advantage: float = 0.9
     #: Attempt grace-window live migration on reclamation warnings.
     rescue: bool = True
-    #: Attempt the rescue only if its estimated duration is below
-    #: ``safety_factor *`` the market's grace window.
-    safety_factor: float = 0.8
     #: Cloud receiving periodic checkpoints of spot-backed VMs (None
     #: disables the checkpoint-restart response).
     refuge: Optional[str] = None
@@ -81,23 +78,14 @@ class SpotPolicy:
     #: Queue wait after which an undispatchable head job counts as
     #: starving (the preemption trigger).
     starvation_patience: float = 900.0
-    #: A victim tenant's share-per-weight must exceed the starving
-    #: tenant's by this factor before its leases are preempted; keeps
-    #: epsilon fair-share differences from triggering preemption
-    #: ping-pong under steady contention.
-    preemption_imbalance: float = 1.5
 
     def __post_init__(self):
         if not 0.0 < self.min_advantage <= 1.0:
             raise ValueError("min_advantage must be in (0, 1]")
-        if not 0.0 < self.safety_factor <= 1.0:
-            raise ValueError("safety_factor must be in (0, 1]")
         if self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive")
         if self.starvation_patience < 0:
             raise ValueError("starvation_patience must be >= 0")
-        if self.preemption_imbalance < 1.0:
-            raise ValueError("preemption_imbalance must be >= 1.0")
 
 
 @dataclass
@@ -160,8 +148,7 @@ class SpotCapacityManager:
         self.scheduler = scheduler
         self.policy = policy or SpotPolicy()
         self.metrics = metrics
-        self.rescuer = MigratableSpotManager(
-            federation, safety_factor=self.policy.safety_factor)
+        self.rescuer = MigratableSpotManager(federation)
         self.checkpoints: Optional[CheckpointingSpotManager] = None
         if self.policy.refuge is not None:
             self.checkpoints = CheckpointingSpotManager(
@@ -238,9 +225,6 @@ class SpotCapacityManager:
         """Live spot backings of one lease."""
         return [b for b in self._backings.values()
                 if b.lease is lease and b.inst.alive]
-
-    def backed_nodes(self, lease: Lease) -> int:
-        return len(self.backings_of(lease))
 
     # -- the grace-window decision ---------------------------------------
 
@@ -345,7 +329,9 @@ class SpotCapacityManager:
         # are possible).
         intent = backing.intent or "requeue"
         lease = backing.lease
-        self._scrub(lease, inst.vm)
+        # The market already terminated and unbilled the VM: this only
+        # drops it from its cluster and the overlay.
+        self.federation.terminate(inst.vm, lease.cluster)
         if (intent == "checkpoint" and self._can_restore(inst)
                 and lease.active and lease.job is not None
                 and lease.job.state is JobState.RUNNING):
@@ -360,15 +346,6 @@ class SpotCapacityManager:
         if lease.active and lease.job is not None \
                 and lease.job.state is JobState.RUNNING:
             self.scheduler.requeue(lease, reason="spot-reclaimed")
-
-    def _scrub(self, lease: Lease, vm) -> None:
-        """Drop a provider-killed VM from its cluster and the overlay
-        (the market already terminated and unbilled it)."""
-        if vm in lease.cluster.vms:
-            lease.cluster.vms.remove(vm)
-        fed = self.federation
-        if vm.has_address and vm.address.host in fed.overlay.members:
-            fed.overlay.unregister(vm)
 
     def _restore(self, backing: SpotBacking, inst: SpotInstance):
         """Checkpoint-restart: provision a replacement at the refuge
@@ -400,9 +377,7 @@ class SpotCapacityManager:
         if not lease.active:
             # The lease ended while the restore was in flight: the
             # replacement is an orphan — return it immediately.
-            refuge = self.checkpoints.refuge
-            if new_vm in refuge.instances:
-                refuge.terminate(new_vm)
+            self.federation.terminate(new_vm)
             rspan.end(status="orphaned")
             self._finalize(backing, "checkpointed")
             backing.span.end(status="checkpointed")

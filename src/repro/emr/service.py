@@ -116,9 +116,7 @@ class ElasticMapReduceService:
         cost += self.federation.shrink_cluster(emr.cluster, workers)
         master = emr.cluster.master
         if master is not None:
-            self.federation.overlay.unregister(master)
-            cost += self.federation.cloud_of(master).terminate(master)
-            emr.cluster.vms.remove(master)
+            cost += self.federation.terminate(master, emr.cluster)
         return cost
 
     # -- job execution ---------------------------------------------------

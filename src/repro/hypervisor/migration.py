@@ -128,15 +128,6 @@ class MigrationStats:
         """Total migration time."""
         return self.finished_at - self.started_at
 
-    @property
-    def dedup_ratio(self) -> float:
-        """Fraction of logical memory bytes *not* sent thanks to content
-        addressing.  Slightly negative for the raw baseline (per-page
-        headers make the wire marginally larger than the payload)."""
-        if self.payload_bytes == 0:
-            return 0.0
-        return 1.0 - self.wire_bytes / self.payload_bytes
-
 
 class LiveMigrator:
     """Runs pre-copy migrations of single VMs over the flow network."""

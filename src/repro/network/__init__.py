@@ -24,7 +24,6 @@ from .nat import (
     PlainIPResolver,
     Resolver,
     Route,
-    site_address_pools,
 )
 from .packets import record_packets, segments, wire_bytes
 from .tcp import Connection, ConnectionBroken, ConnectionState
@@ -88,6 +87,5 @@ __all__ = [
     "mbit_per_s",
     "record_packets",
     "segments",
-    "site_address_pools",
     "wire_bytes",
 ]

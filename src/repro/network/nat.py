@@ -119,8 +119,3 @@ class PlainIPResolver:
         if dst.address.network != dst.site or src.address.network != src.site:
             return None
         return Route(src.site, dst.site)
-
-
-def site_address_pools(topology: Topology) -> Dict[str, AddressPool]:
-    """One plain-IP address pool per site of ``topology``."""
-    return {name: AddressPool(name) for name in topology.sites}

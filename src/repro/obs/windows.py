@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 def _interpolated_percentile(data: List[float], q: float) -> float:
@@ -301,13 +301,3 @@ class P2Quantile:
 
     def __repr__(self):
         return f"<P2Quantile q={self.q} n={self._n}>"
-
-
-#: Exported for tests / offline tools that want windowed stats of a
-#: plain (t, v) sample list without building a window incrementally.
-def window_percentile(samples: List[Tuple[float, float]], horizon: float,
-                      q: float) -> float:
-    """Percentile of the sample values with ``t >= horizon`` (one-shot
-    convenience; streaming consumers should hold a :class:`TimeWindow`)."""
-    data = sorted(v for t, v in samples if t >= horizon)
-    return _interpolated_percentile(data, q)

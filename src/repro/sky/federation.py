@@ -87,10 +87,20 @@ class Federation:
 
     def cloud_of(self, vm: VirtualMachine) -> Cloud:
         """The cloud currently hosting (and billing) ``vm``."""
+        cloud = self._owner(vm)
+        if cloud is None:
+            raise FederationError(
+                f"{vm.name!r} is not an instance of this federation")
+        return cloud
+
+    def _owner(self, vm: VirtualMachine) -> Optional[Cloud]:
+        # Ownership is the billing record, not ``vm.site``: during a sky
+        # migration the site moves at switch-over but billing moves only
+        # once the overlay reconfiguration has completed.
         for cloud in self.clouds.values():
             if vm in cloud.instances:
                 return cloud
-        raise FederationError(f"{vm.name!r} is not an instance of this federation")
+        return None
 
     def total_capacity(self, spec: InstanceSpec = InstanceSpec()) -> int:
         return sum(c.capacity(spec) for c in self.clouds.values())
@@ -244,7 +254,20 @@ class Federation:
                 )
             if vm is cluster.master:
                 raise FederationError("refusing to remove the master node")
-            cluster.vms.remove(vm)
-            self.overlay.unregister(vm)
-            cost += self.cloud_of(vm).terminate(vm)
+            cost += self.terminate(vm, cluster)
         return cost
+
+    def terminate(self, vm: VirtualMachine,
+                  cluster: Optional[VirtualCluster] = None) -> float:
+        """End ``vm``'s life: drop it from ``cluster``, then from the
+        overlay, then terminate and unbill it at the cloud that tracks
+        it.  Returns that cloud's billed cost, or 0.0 when no cloud
+        tracks the VM any more (e.g. the spot market already killed
+        it).  The one retirement path for every control-plane, sky and
+        EMR teardown."""
+        if cluster is not None and vm in cluster.vms:
+            cluster.vms.remove(vm)
+        if vm.has_address and vm.address.host in self.overlay.members:
+            self.overlay.unregister(vm)
+        cloud = self._owner(vm)
+        return 0.0 if cloud is None else cloud.terminate(vm)

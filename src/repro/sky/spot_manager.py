@@ -28,6 +28,11 @@ from ..hypervisor.migration import MigrationConfig, MigrationError
 from .federation import Federation, FederationError
 from .migration_api import SkyMigrationService
 
+#: Attempt an escape only if the estimated migration time is below
+#: SAFETY_FACTOR * the market's grace window: the estimate is
+#: optimistic (one pass, no dirtying), so keep a margin.
+SAFETY_FACTOR = 0.8
+
 
 @dataclass
 class RescueRecord:
@@ -45,13 +50,9 @@ class MigratableSpotManager:
     """Escapes spot reclamations by live-migrating to another cloud."""
 
     def __init__(self, federation: Federation,
-                 migration_service: Optional[SkyMigrationService] = None,
-                 safety_factor: float = 0.8):
+                 migration_service: Optional[SkyMigrationService] = None):
         self.federation = federation
         self.service = migration_service or SkyMigrationService(federation)
-        #: Attempt the escape only if the estimated migration time is
-        #: below ``safety_factor * grace``.
-        self.safety_factor = safety_factor
         self.records: List[RescueRecord] = []
 
     def attach(self, market: SpotMarket) -> None:
@@ -78,7 +79,7 @@ class MigratableSpotManager:
         if dst is None:
             return False
         return (self._estimate_duration(inst, dst)
-                <= self.safety_factor * grace)
+                <= SAFETY_FACTOR * grace)
 
     # -- internals ---------------------------------------------------------
 
@@ -122,7 +123,7 @@ class MigratableSpotManager:
         if dst is None:
             return False
         estimate = self._estimate_duration(inst, dst)
-        if estimate > self.safety_factor * market.reclaim_grace:
+        if estimate > SAFETY_FACTOR * market.reclaim_grace:
             return False  # would be killed mid-migration; don't try
         record.attempted = True
         started = self.federation.sim.now

@@ -80,10 +80,6 @@ class MemoryProfile:
         """The shared pool that shared writes draw their content from."""
         return f"{self.os_pool}:dirty"
 
-    @property
-    def unique_fraction(self) -> float:
-        return 1.0 - self.zero_fraction - self.shared_fraction
-
     # -- initial contents ---------------------------------------------------
 
     def generate_memory(self, rng: np.random.Generator,

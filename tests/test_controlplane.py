@@ -15,8 +15,12 @@ from repro.controlplane import (
     LeaseManager,
     LeaseState,
     SchedulerConfig,
+    SpotPolicy,
 )
+from repro.controlplane.recovery import Reconciler
+from repro.emr import ElasticMapReduceService
 from repro.testbeds import SiteSpec, sky_testbed
+from tests.test_controlplane_spot import SPIKE, make_spot_plane, spot_testbed
 
 
 def small_testbed(n_clouds=3, n_hosts=2, cores=8, seed=7):
@@ -469,6 +473,164 @@ def test_metrics_to_dict_and_dump_csv(tmp_path):
     assert lines[0] == "series,time,value"
     assert len(lines) == rows + 1
     assert rows == sum(len(p["times"]) for p in exported.values())
+
+
+# -- VM retirement --------------------------------------------------------
+# Each trigger ends some VMs' lives and returns (federation, the cluster
+# they belonged to, [(vm, host it ran on)]), hosts captured while alive.
+
+
+def _placed(vms):
+    return [(vm, vm.host) for vm in vms]
+
+
+def _retire_on_release():
+    tb, plane = make_plane()
+    plane.register_tenant("alice")
+    job = plane.submit("alice", n_nodes=2, runtime=60.0)
+    tb.sim.run(until=30.0)
+    lease = plane.leases.active_leases()[0]
+    retired = _placed(lease.cluster.vms)
+    tb.sim.run(until=job.done)
+    assert lease.state is LeaseState.RELEASED
+    return tb.federation, lease.cluster, retired
+
+
+def _retire_on_heal(policy):
+    tb, plane = make_plane(config=SchedulerConfig(interval=5.0),
+                           heal_policy=policy, health_interval=10.0)
+    plane.register_tenant("alice")
+    plane.submit("alice", n_nodes=3, runtime=200.0)
+    tb.sim.run(until=40.0)
+    lease = plane.leases.active_leases()[0]
+    victim = next(vm for vm in lease.cluster.vms
+                  if vm is not lease.cluster.master)
+    retired = _placed([victim])
+    victim.stop()  # simulated hardware failure
+    tb.sim.run(until=55.0)
+    assert plane.health.failures_seen == 1
+    return tb.federation, lease.cluster, retired
+
+
+def _retire_on_spot_reclaim():
+    tb, market = spot_testbed(trace=SPIKE, rescue_cloud=False)
+    plane = make_spot_plane(tb, market, SpotPolicy(rescue=False))
+    plane.submit("alice", n_nodes=2, runtime=600.0)
+    tb.sim.run(until=300.0)
+    lease = plane.leases.active_leases()[0]
+    retired = _placed(lease.cluster.vms)
+    tb.sim.run(until=425.0)  # past the kill at t=420
+    assert plane.spot.outcomes["requeued"] == 1
+    return tb.federation, lease.cluster, retired
+
+
+def _retire_on_lease_lost():
+    tb, plane = make_plane(health_interval=1e6)
+    plane.register_tenant("alice")
+    plane.submit("alice", n_nodes=2, runtime=300.0)
+    tb.sim.run(until=60.0)
+    lease = plane.leases.active_leases()[0]
+    retired = _placed(lease.cluster.vms)
+    for vm, _ in retired:
+        vm.stop()
+    healed = Reconciler(tb.sim, plane).reconcile(force=True)
+    assert [d.kind for d in healed] == ["lease-lost"]
+    return tb.federation, lease.cluster, retired
+
+
+def _retire_orphan_vm():
+    tb, plane = make_plane()
+    cloud = next(iter(tb.clouds.values()))
+    vms = tb.sim.run(until=cloud.run_instances(tb.image_name, 1,
+                                               spec=plane.config.spec))
+    tb.federation.overlay.register(vms[0])
+    retired = _placed(vms)
+    healed = Reconciler(tb.sim, plane).reconcile(force=True)
+    assert [d.kind for d in healed] == ["orphan-vm"]
+    return tb.federation, None, retired
+
+
+def _retire_grown_into_ended_lease():
+    # A 20 s malleable job ends while its growth is still booting.
+    tb, plane = make_plane(config=SchedulerConfig(interval=5.0))
+    plane.register_tenant("alice")
+    leases, retired = [], []
+    dispose = plane.scheduler._dispose_orphans
+
+    def spy(lease, *args):
+        leases.append(lease)
+        retired.extend(_placed(args[-1]))
+        dispose(lease, *args)
+
+    plane.scheduler._dispose_orphans = spy
+    job = plane.submit("alice", n_nodes=2, runtime=20.0,
+                       min_nodes=2, max_nodes=16)
+    tb.sim.run(until=job.done)
+    tb.sim.run(until=tb.sim.now + 30.0)
+    return tb.federation, leases[0].cluster, retired
+
+
+def _retire_on_shrink():
+    tb = small_testbed()
+    fed = tb.federation
+    cluster = tb.sim.run(until=fed.create_virtual_cluster(tb.image_name, 3))
+    retired = _placed([vm for vm in cluster.vms if vm is not cluster.master])
+    fed.shrink_cluster(cluster, [vm for vm, _ in retired])
+    return fed, cluster, retired
+
+
+def _retire_on_emr_release():
+    tb = small_testbed()
+    service = ElasticMapReduceService(tb.federation, tb.image_name,
+                                      rng=np.random.default_rng(0))
+    emr = tb.sim.run(until=service.create_cluster(4))
+    retired = _placed(emr.cluster.vms)
+    service.release_cluster(emr)
+    return tb.federation, emr.cluster, retired
+
+
+@pytest.mark.parametrize("trigger", [
+    _retire_on_release,
+    lambda: _retire_on_heal("replace"),
+    lambda: _retire_on_heal("requeue"),
+    _retire_on_spot_reclaim,
+    _retire_on_lease_lost,
+    _retire_orphan_vm,
+    _retire_grown_into_ended_lease,
+    _retire_on_shrink,
+    _retire_on_emr_release,
+], ids=["lease-release", "heal-replace", "heal-requeue", "spot-reclaim",
+        "lease-lost", "orphan-vm", "grown-into-ended-lease", "shrink",
+        "emr-release"])
+def test_retired_vm_leaves_no_trace(trigger):
+    fed, cluster, retired = trigger()
+    assert retired
+    clusters = list(fed.clusters) + ([cluster] if cluster else [])
+    for vm, host in retired:
+        assert all(vm not in c.vms for c in clusters), vm
+        assert all(m is not vm for m in fed.overlay.members.values()), vm
+        for cloud in fed.clouds.values():
+            assert vm not in cloud.instances, vm
+            with pytest.raises(ValueError):
+                cloud.meter.current_rate(vm.name)  # no open segment
+        assert vm.host is None and vm not in host.vms, vm
+        assert host.used_cores == sum(v.vcpus for v in host.vms)
+        assert host.used_ram == sum(v.memory.size_bytes for v in host.vms)
+
+
+def test_terminate_after_the_market_killed_the_vm_only_unlinks_it():
+    tb = small_testbed()
+    fed = tb.federation
+    cluster = tb.sim.run(until=fed.create_virtual_cluster(tb.image_name, 3))
+    vm = cluster.vms[-1]
+    cloud = fed.cloud_of(vm)
+    cloud.terminate(vm)  # the provider's own kill
+    instances, billed = list(cloud.instances), cloud.compute_cost()
+    assert fed.terminate(vm, cluster) == 0.0
+    assert vm not in cluster.vms
+    assert all(m is not vm for m in fed.overlay.members.values())
+    assert cloud.instances == instances
+    assert cloud.compute_cost() == billed
 
 
 # -- job validation ------------------------------------------------------

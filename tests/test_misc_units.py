@@ -68,12 +68,19 @@ def test_record_packets_counts_acks():
 
 
 def test_usage_meter_lifecycle():
-    meter = UsageMeter(InstancePricing(on_demand_hourly=0.10))
-    meter.start("vm1", at=0.0)
-    assert meter.running_count == 1
-    cost = meter.stop("vm1", at=3600.0)
-    assert cost == pytest.approx(0.10)
-    assert meter.running_count == 0
+    # (rebills before the stop at t=3600, cost of the whole run): a
+    # spot re-pricing mid-run must not drop the earlier segment.
+    for rebills, expected in [((), 0.10), (((1800.0, 0.03),), 0.065)]:
+        meter = UsageMeter(InstancePricing(on_demand_hourly=0.10))
+        meter.start("vm1", at=0.0)
+        assert meter.running_count == 1
+        for at, rate in rebills:
+            meter.rebill("vm1", at=at, hourly_rate=rate)
+        cost = meter.stop("vm1", at=3600.0)
+        assert cost == pytest.approx(expected)
+        assert cost == pytest.approx(
+            sum(c for _, _, c in meter.segments("vm1")))
+        assert meter.running_count == 0
 
 
 def test_usage_meter_double_start_rejected():
