@@ -52,8 +52,8 @@ class HealthMonitor:
 
     def __init__(self, sim: Simulator, federation: Federation,
                  leases: LeaseManager, scheduler: FairShareScheduler,
-                 interval: float = 30.0, policy: str = "replace",
-                 metrics: Optional[MetricsRecorder] = None):
+                 metrics: MetricsRecorder, interval: float = 30.0,
+                 policy: str = "replace"):
         if policy not in ("replace", "requeue"):
             raise ValueError(f"unknown heal policy {policy!r}")
         if interval <= 0:
@@ -95,13 +95,11 @@ class HealthMonitor:
                 if dead:
                     yield self.sim.process(self._heal(lease, dead),
                                            name=f"heal-{lease.id}")
-            if self.metrics is not None:
-                self.metrics.record("health.heals", len(self.events))
+            self.metrics.record("health.heals", len(self.events))
 
     def _heal(self, lease: Lease, dead: List[VirtualMachine]):
         self.failures_seen += len(dead)
-        if self.metrics is not None:
-            self.metrics.record("health.failures", self.failures_seen)
+        self.metrics.record("health.failures", self.failures_seen)
         master_lost = lease.cluster.master in dead
         # Scrub the corpses out of the cluster and their clouds first,
         # so their capacity is free for the replacement (or the requeue).

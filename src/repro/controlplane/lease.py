@@ -78,7 +78,7 @@ class LeaseManager:
     """Grants, renews, and reclaims leases over a federation."""
 
     def __init__(self, sim: Simulator, federation: Federation,
-                 metrics: Optional[MetricsRecorder] = None,
+                 metrics: MetricsRecorder,
                  sweep_interval: float = 30.0):
         if sweep_interval <= 0:
             raise ValueError("sweep_interval must be positive")
@@ -126,15 +126,13 @@ class LeaseManager:
             for lease in [l for l in self._live if l.remaining <= 0]:
                 self._teardown(lease, LeaseState.EXPIRED)
                 self.expired_count += 1
-                if self.metrics is not None:
-                    self.metrics.record("lease.expired", self.expired_count)
-                    self.metrics.counter(
-                        "lease.expirations",
-                        labels={"tenant": lease.tenant}).inc()
+                self.metrics.record("lease.expired", self.expired_count)
+                self.metrics.counter(
+                    "lease.expirations",
+                    labels={"tenant": lease.tenant}).inc()
                 if self.on_expire is not None:
                     self.on_expire(lease)
-            if self.metrics is not None:
-                self.metrics.record("lease.active", len(self._live))
+            self.metrics.record("lease.active", len(self._live))
 
     # -- grants ----------------------------------------------------------
 
@@ -149,8 +147,7 @@ class LeaseManager:
             tenant=tenant, n=len(cluster.vms), term=term,
             job=job.id if job is not None else None,
             cluster=cluster.name, expires=lease.expires_at)
-        if self.metrics is not None:
-            self.metrics.record("lease.active", len(self._live))
+        self.metrics.record("lease.active", len(self._live))
         return lease
 
     def adopt(self, lease: Lease) -> None:

@@ -3,8 +3,9 @@
 :class:`ControlPlane` is the user-facing object the paper's "unified
 infrastructure" implies: register tenants, submit jobs, and the queue,
 lease manager, fair-share scheduler and health monitor do the rest over
-the federation.  All components share one
-:class:`~repro.metrics.MetricsRecorder`.
+the federation.  All components record into the simulation's one
+:class:`~repro.metrics.MetricsRecorder` and commit to its one
+:class:`~repro.controlplane.eventlog.EventLog`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class ControlPlane:
         The substrate and the image every job cluster boots from (must
         be registered at every member cloud).
     config:
-        Scheduler tuning (interval, lease term, elasticity, ...).
+        Scheduler tuning (interval, lease term, attempts, ...).
     heal_policy:
         ``"replace"`` (default) grows replacements for failed VMs in
         place; ``"requeue"`` restarts the whole job.
@@ -53,75 +54,70 @@ class ControlPlane:
         Optional :class:`~repro.obs.Tracer`; when given it is installed
         on the simulator, so every job gets an
         admission->queue->lease->completion trace.
-    eventlog:
-        Optional :class:`~repro.controlplane.eventlog.EventLog` to
-        commit state changes to; it is installed on the simulator.  By
-        default the plane reuses an already-installed log (crash
-        recovery keeps one sequence across restarts) or installs a
-        fresh in-memory one — event sourcing is always on.
     reconcile_interval:
         When set, a :class:`~repro.controlplane.recovery.Reconciler`
         sweeps desired-vs-observed state every that many seconds (and
         is exposed as ``plane.reconciler`` for forced rounds and
         partition declarations).
+
+    One recorder and one event log per simulation: the plane reuses the
+    :class:`~repro.metrics.MetricsRecorder` and the
+    :class:`~repro.controlplane.eventlog.EventLog` installed on ``sim``
+    and installs fresh in-memory ones only where none is, so
+    ``plane.metrics is recorder_of(sim)`` always holds and a plane
+    restarted after a crash continues the same series and the same
+    sequence.  To use a custom recorder or a write-through
+    ``EventLog(sim, path=...)``, install it before building the plane.
     """
 
     def __init__(self, sim: Simulator, federation: Federation,
                  image_name: str,
                  config: Optional[SchedulerConfig] = None,
-                 metrics: Optional[MetricsRecorder] = None,
                  spot_markets: Optional[Dict[str, object]] = None,
                  spot_policy: Optional[SpotPolicy] = None,
                  heal_policy: str = "replace",
                  health_interval: float = 30.0,
                  sweep_interval: float = 30.0,
                  tracer=None,
-                 eventlog: Optional[EventLog] = None,
                  reconcile_interval: Optional[float] = None):
         self.sim = sim
         self.federation = federation
         self.image_name = image_name
-        self.metrics = metrics if metrics is not None else MetricsRecorder(sim)
-        if recorder_of(sim) is None:
-            # Layers without a recorder reference (hypervisor
-            # migrations, transport) discover this one via recorder_of.
-            self.metrics.install()
+        # Layers without a recorder reference (hypervisor migrations,
+        # transport) find the same one via recorder_of.
+        recorder = recorder_of(sim)
+        self.metrics = (recorder if recorder is not None
+                        else MetricsRecorder(sim).install())
         if tracer is not None:
             tracer.install()
         self.tracer = tracer if tracer is not None else tracer_of(sim)
-        if eventlog is not None:
-            self.eventlog = eventlog.install()
-        else:
-            installed = getattr(sim, "_eventlog", None)
-            self.eventlog = (installed if installed is not None
-                             else EventLog(sim).install())
+        # An empty log is falsy (it has a length), so test for None.
+        log = getattr(sim, "_eventlog", None)
+        self.eventlog = log if log is not None else EventLog(sim).install()
         self.config = config or SchedulerConfig()
-        self.queue = JobQueue(sim, federation, spec=self.config.spec,
-                              metrics=self.metrics)
-        self.leases = LeaseManager(sim, federation, metrics=self.metrics,
+        self.queue = JobQueue(sim, federation, self.metrics,
+                              spec=self.config.spec)
+        self.leases = LeaseManager(sim, federation, self.metrics,
                                    sweep_interval=sweep_interval)
         self.leases.charge = lambda tenant, ns: (
             self.queue.tenants[tenant].charge(ns)
             if tenant in self.queue.tenants else None)
         self.scheduler = FairShareScheduler(
             sim, federation, self.queue, self.leases, image_name,
-            metrics=self.metrics, spot_markets=spot_markets,
-            config=self.config)
+            self.metrics, spot_markets=spot_markets, config=self.config)
         self.health = HealthMonitor(
-            sim, federation, self.leases, self.scheduler,
-            interval=health_interval, policy=heal_policy,
-            metrics=self.metrics)
+            sim, federation, self.leases, self.scheduler, self.metrics,
+            interval=health_interval, policy=heal_policy)
         self.spot: Optional[SpotCapacityManager] = None
         if spot_policy is not None and spot_markets:
             self.spot = SpotCapacityManager(
                 sim, federation, spot_markets, self.leases,
-                self.scheduler, policy=spot_policy, metrics=self.metrics)
+                self.scheduler, self.metrics, policy=spot_policy)
             self.scheduler.spot = self.spot
         self.reconciler: Optional[Reconciler] = None
         if reconcile_interval is not None:
             self.reconciler = Reconciler(sim, self,
-                                         interval=reconcile_interval,
-                                         metrics=self.metrics)
+                                         interval=reconcile_interval)
         self._started = False
 
     # -- lifecycle -------------------------------------------------------

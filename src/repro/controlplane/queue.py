@@ -32,8 +32,8 @@ class JobQueue:
     """Per-tenant queues with admission control against the federation."""
 
     def __init__(self, sim: Simulator, federation: Federation,
-                 spec: InstanceSpec = InstanceSpec(),
-                 metrics: Optional[MetricsRecorder] = None):
+                 metrics: MetricsRecorder,
+                 spec: InstanceSpec = InstanceSpec()):
         self.sim = sim
         self.federation = federation
         self.spec = spec
@@ -161,8 +161,7 @@ class JobQueue:
         # is monotonic, so requeued jobs resume their original rank).
         insort(self._queues[job.tenant], job,
                key=lambda j: (-j.priority, j.id))
-        if self.metrics is not None:
-            self.metrics.record("queue.depth", self.depth())
+        self.metrics.record("queue.depth", self.depth())
         self._signal_arrival()
 
     def _signal_arrival(self) -> None:
@@ -191,8 +190,7 @@ class JobQueue:
             raise LookupError(f"tenant {tenant!r} has no queued jobs")
         job = q.pop(0)
         job._queued_span.end()
-        if self.metrics is not None:
-            self.metrics.record("queue.depth", self.depth())
+        self.metrics.record("queue.depth", self.depth())
         return job
 
     def queued_jobs(self, tenant: str) -> List[Job]:
@@ -209,8 +207,7 @@ class JobQueue:
         except ValueError:
             raise LookupError(f"{job.name!r} is not queued") from None
         job._queued_span.end()
-        if self.metrics is not None:
-            self.metrics.record("queue.depth", self.depth())
+        self.metrics.record("queue.depth", self.depth())
         return job
 
     def backlog(self) -> Dict[str, int]:

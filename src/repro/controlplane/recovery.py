@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..hypervisor.vm import VMState
-from ..metrics import MetricsRecorder
 from ..obs.trace import tracer_of
 from ..simkernel import Process, Simulator
 from .eventlog import EventLog, StateEvent, eventlog_of
@@ -264,9 +263,11 @@ def recover(sim: Simulator, federation, image_name: str,
     whose state is the one the log implies.
 
     Same-simulation restart (crash recovery) keeps appending to the
-    installed log; cross-simulation restart (a new process loading a
-    JSONL snapshot) installs a log primed with the loaded history so
-    sequence numbers continue.
+    installed log and recording into the installed
+    :class:`~repro.metrics.MetricsRecorder`, so sequence numbers and
+    metric series both continue across the crash; cross-simulation
+    restart (a new process loading a JSONL snapshot) installs a log
+    primed with the loaded history so sequence numbers continue.
 
     Jobs left mid-flight (QUEUED / PROVISIONING / RUNNING) are
     recreated at their last durable progress; queued jobs re-enter the
@@ -431,16 +432,18 @@ class Reconciler:
     immediately.  Regions under a declared partition are skipped
     entirely — their state cannot be observed, so nothing about them
     may be healed (that is what makes split-brain safe here).
+
+    Drifts seen and heals made are counted in ``plane.metrics`` as
+    ``reconciler.drifts`` and ``reconciler.heals``, labelled by kind.
     """
 
-    def __init__(self, sim: Simulator, plane, interval: float = 60.0,
-                 metrics: Optional[MetricsRecorder] = None):
+    def __init__(self, sim: Simulator, plane, interval: float = 60.0):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
         self.plane = plane
         self.interval = interval
-        self.metrics = metrics
+        self.metrics = plane.metrics
         self.partitioned: set = set()
         self.healed: List[Drift] = []
         self._seen_last_round: set = set()
@@ -510,11 +513,10 @@ class Reconciler:
             if runner is None or not runner.is_alive:
                 drifts.append(Drift("stuck-job", job.id,
                                     job.state.value))
-        if self.metrics is not None:
-            for drift in drifts:
-                self.metrics.counter(
-                    "reconciler.drifts",
-                    labels={"kind": drift.kind}).inc()
+        for drift in drifts:
+            self.metrics.counter(
+                "reconciler.drifts",
+                labels={"kind": drift.kind}).inc()
         return drifts
 
     # -- heal ------------------------------------------------------------
@@ -539,10 +541,9 @@ class Reconciler:
         for drift in confirmed:
             self._heal(drift, span)
             self.healed.append(drift)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "reconciler.heals",
-                    labels={"kind": drift.kind}).inc()
+            self.metrics.counter(
+                "reconciler.heals",
+                labels={"kind": drift.kind}).inc()
         span.end()
         return confirmed
 

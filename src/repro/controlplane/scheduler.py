@@ -89,7 +89,7 @@ class FairShareScheduler:
 
     def __init__(self, sim: Simulator, federation: Federation,
                  queue: JobQueue, leases: LeaseManager, image_name: str,
-                 metrics: Optional[MetricsRecorder] = None,
+                 metrics: MetricsRecorder,
                  spot_markets: Optional[Dict[str, object]] = None,
                  config: Optional[SchedulerConfig] = None):
         self.sim = sim
@@ -139,9 +139,8 @@ class FairShareScheduler:
             self._dispatch_round()
             # Malleable jobs always grow and shrink with queue pressure.
             self._adjust_elastic()
-            if self.metrics is not None:
-                self.metrics.record("lease.utilization",
-                                    self.leases.utilization())
+            self.metrics.record("lease.utilization",
+                                self.leases.utilization())
             yield self.sim.any_of([self.sim.timeout(self.config.interval),
                                    self.queue.arrival])
 
@@ -345,8 +344,7 @@ class FairShareScheduler:
                 self._dispatch(job, allocation)
                 self.backfills += 1
                 job.span.event("backfilled", ahead_of=head.name)
-                if self.metrics is not None:
-                    self.metrics.record("jobs.backfilled", self.backfills)
+                self.metrics.record("jobs.backfilled", self.backfills)
                 return True
         return False
 
@@ -406,10 +404,9 @@ class FairShareScheduler:
                 break
             reclaimed += self.spot.preempt(lease, reason="fair-share")
             self.preemptions += 1
-            if self.metrics is not None:
-                self.metrics.record("jobs.preempted", self.preemptions)
-                self.metrics.counter(
-                    "preemptions", labels={"tenant": lease.tenant}).inc()
+            self.metrics.record("jobs.preempted", self.preemptions)
+            self.metrics.counter(
+                "preemptions", labels={"tenant": lease.tenant}).inc()
         return reclaimed > 0
 
     def _run_job(self, job: Job, allocation: Dict[str, int]):
@@ -448,11 +445,10 @@ class FairShareScheduler:
             self.spot.back_lease(lease, job, allocation)
         if job.started_at is None:
             job.started_at = self.sim.now
-            if self.metrics is not None:
-                self.metrics.record("queue.wait", job.wait_time)
-                self.metrics.histogram(
-                    "queue.wait",
-                    labels={"tenant": job.tenant}).observe(job.wait_time)
+            self.metrics.record("queue.wait", job.wait_time)
+            self.metrics.histogram(
+                "queue.wait",
+                labels={"tenant": job.tenant}).observe(job.wait_time)
 
         rspan = tracer.start("run", parent=job.span, attempt=job.attempts)
         try:
@@ -479,9 +475,8 @@ class FairShareScheduler:
         self.jobs_completed += 1
         if lease.active:
             self.leases.release(lease)
-        if self.metrics is not None:
-            self.metrics.record("jobs.completed", self.jobs_completed)
-            self.metrics.record("job.turnaround", job.turnaround)
+        self.metrics.record("jobs.completed", self.jobs_completed)
+        self.metrics.record("job.turnaround", job.turnaround)
         job.span.set(attempts=job.attempts,
                      turnaround=job.turnaround).end()
         job.done.succeed(job)
@@ -512,16 +507,14 @@ class FairShareScheduler:
             transition(job, JobState.FAILED, cause="max-attempts",
                        unreserve=unreserved)
             self.jobs_failed += 1
-            if self.metrics is not None:
-                self.metrics.record("jobs.failed", self.jobs_failed)
+            self.metrics.record("jobs.failed", self.jobs_failed)
             job.span.set(attempts=job.attempts).end(status="failed")
             job.done.succeed(job)
             return
         job.span.event("requeued", reason=reason,
                        progress=round(job.progress, 3))
         self.jobs_requeued += 1
-        if self.metrics is not None:
-            self.metrics.record("jobs.requeued", self.jobs_requeued)
+        self.metrics.record("jobs.requeued", self.jobs_requeued)
         self.queue.resubmit(job, cause=reason, unreserve=unreserved)
 
     def _lease_expired(self, lease: Lease) -> None:
@@ -548,8 +541,7 @@ class FairShareScheduler:
                     continue
                 self.federation.shrink_cluster(lease.cluster, victims)
                 self.shrinks += 1
-                if self.metrics is not None:
-                    self.metrics.record("elastic.shrink", self.shrinks)
+                self.metrics.record("elastic.shrink", self.shrinks)
                 return
         else:
             # Idle capacity: grow the oldest malleable job.
@@ -606,8 +598,7 @@ class FairShareScheduler:
         finally:
             self._committed[cloud_name] -= count
         self.grows += 1
-        if self.metrics is not None:
-            self.metrics.record("elastic.grow", self.grows)
+        self.metrics.record("elastic.grow", self.grows)
         if not lease.active:
             self._dispose_orphans(lease, vms)
 

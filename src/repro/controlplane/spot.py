@@ -138,9 +138,8 @@ class SpotCapacityManager:
 
     def __init__(self, sim: Simulator, federation: Federation,
                  markets: Dict[str, SpotMarket],
-                 leases: LeaseManager, scheduler,
-                 policy: Optional[SpotPolicy] = None,
-                 metrics: Optional[MetricsRecorder] = None):
+                 leases: LeaseManager, scheduler, metrics: MetricsRecorder,
+                 policy: Optional[SpotPolicy] = None):
         self.sim = sim
         self.federation = federation
         self.markets = dict(markets)
@@ -215,10 +214,9 @@ class SpotCapacityManager:
                 self.enrolled_count += nodes
                 job.span.event("spot-backed", cloud=cloud_name, bid=bid,
                                nodes=nodes)
-                if self.metrics is not None:
-                    self.metrics.counter("spot.enrolled").inc(nodes)
-                    self.metrics.counter(
-                        f"spot.enrolled.{lease.tenant}").inc(nodes)
+                self.metrics.counter("spot.enrolled").inc(nodes)
+                self.metrics.counter(
+                    f"spot.enrolled.{lease.tenant}").inc(nodes)
         return backed
 
     def backings_of(self, lease: Lease) -> List[SpotBacking]:
@@ -260,26 +258,23 @@ class SpotCapacityManager:
                 vm=inst.vm.name, cloud=market.cloud.name, bid=inst.bid,
                 price=market.current_price, tenant=backing.tenant)
             backing.span = span
-        if self.metrics is not None:
-            self.metrics.counter("spot.reclaim_warnings").inc()
-            if backing is not None:
-                self.metrics.counter(
-                    "spot.reclaims",
-                    labels={"tenant": backing.tenant,
-                            "cloud": market.cloud.name}).inc()
+        self.metrics.counter("spot.reclaim_warnings").inc()
+        if backing is not None:
+            self.metrics.counter(
+                "spot.reclaims",
+                labels={"tenant": backing.tenant,
+                        "cloud": market.cloud.name}).inc()
         if (self.policy.rescue
                 and self.rescuer.feasible(inst, market.reclaim_grace,
                                           exclude=exclude)):
             if backing is not None:
                 backing.intent = "rescue"
             span.event("decision", choice="rescue")
-            timer = (self.metrics.timer("spot.rescue_time").time(self.sim)
-                     if self.metrics is not None else None)
+            timer = self.metrics.timer("spot.rescue_time").time(self.sim)
             rescued = yield self.rescuer.rescue(market, inst,
                                                 exclude=exclude)
-            if timer is not None:
-                with self.metrics.exemplar_scope(span):
-                    timer.stop()
+            with self.metrics.exemplar_scope(span):
+                timer.stop()
             if rescued:
                 span.event("rescued", to=inst.vm.site)
                 return True
@@ -355,11 +350,12 @@ class SpotCapacityManager:
         rspan = tracer_of(self.sim).start("spot-restore",
                                           parent=backing.span,
                                           vm=inst.vm.name)
-        timer = (self.metrics.timer("spot.restore_time").time(self.sim)
-                 if self.metrics is not None else None)
         try:
-            new_vm, record = yield self.checkpoints.restore(
-                inst, lease.cluster.image_name)
+            # A failed restore leaves through the timer's __exit__, so
+            # its duration lands in spot.restore_time.failed.
+            with self.metrics.timer("spot.restore_time").time(self.sim):
+                new_vm, record = yield self.checkpoints.restore(
+                    inst, lease.cluster.image_name)
         except (CloudError, FederationError, MigrationError, CapacityError,
                 ValueError):
             rspan.end(status="error")
@@ -371,9 +367,6 @@ class SpotCapacityManager:
                     and lease.job.state is JobState.RUNNING:
                 self.scheduler.requeue(lease, reason="spot-restore-failed")
             return
-        finally:
-            if timer is not None:
-                timer.stop()
         if not lease.active:
             # The lease ended while the restore was in flight: the
             # replacement is an orphan — return it immediately.
@@ -421,9 +414,8 @@ class SpotCapacityManager:
             self._finalize(backing, "requeued")
             self._record(backing.inst, backing, "requeued", detail=reason)
         self.preemptions += 1
-        if self.metrics is not None:
-            self.metrics.counter("spot.preemptions").inc()
-            self.metrics.counter(f"spot.preempted.{lease.tenant}").inc()
+        self.metrics.counter("spot.preemptions").inc()
+        self.metrics.counter(f"spot.preempted.{lease.tenant}").inc()
         self.scheduler.requeue(lease, reason=reason)
         span.end()
         return freed
@@ -464,12 +456,11 @@ class SpotCapacityManager:
         record(self.sim, "spot", backing.inst.vm.name, to=outcome,
                frm="enrolled", cause="finalize", lease=backing.lease.id,
                tenant=tenant, savings=saved)
-        if self.metrics is not None:
-            self.metrics.gauge(f"spot.savings.{tenant}").inc(saved)
-            self.metrics.gauge("spot.savings").inc(saved)
-            if outcome in self.outcomes:
-                self.metrics.counter(f"spot.{outcome}").inc()
-                self.metrics.counter(f"spot.{outcome}.{tenant}").inc()
+        self.metrics.gauge(f"spot.savings.{tenant}").inc(saved)
+        self.metrics.gauge("spot.savings").inc(saved)
+        if outcome in self.outcomes:
+            self.metrics.counter(f"spot.{outcome}").inc()
+            self.metrics.counter(f"spot.{outcome}.{tenant}").inc()
 
     def _record(self, inst: SpotInstance, backing: Optional[SpotBacking],
                 outcome: str, detail: str = "") -> None:
@@ -481,8 +472,8 @@ class SpotCapacityManager:
         # Terminal reclamation outcomes feed the rescue-rate SLO: how
         # many episodes ended a backing, and how many of those were
         # saved in place ("survived"/"closed" are not reclamations).
-        if (self.metrics is not None and backing is not None
-                and outcome in ("rescued", "checkpointed", "requeued")):
+        if backing is not None and outcome in ("rescued", "checkpointed",
+                                               "requeued"):
             # Exemplar-scope the SLO counters: the rescue-rate panels
             # (and explain(alert)) can then jump from a breach straight
             # to the episode trace that moved the ratio.

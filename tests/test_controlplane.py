@@ -19,6 +19,7 @@ from repro.controlplane import (
 )
 from repro.controlplane.recovery import Reconciler
 from repro.emr import ElasticMapReduceService
+from repro.metrics import MetricsRecorder
 from repro.testbeds import SiteSpec, sky_testbed
 from tests.test_controlplane_spot import SPIKE, make_spot_plane, spot_testbed
 
@@ -153,7 +154,8 @@ def test_tenant_node_quota_limits_concurrency():
 def test_lease_expiry_reclaims_capacity():
     tb = small_testbed()
     sim = tb.sim
-    leases = LeaseManager(sim, tb.federation, sweep_interval=10.0)
+    leases = LeaseManager(sim, tb.federation, MetricsRecorder(sim),
+                          sweep_interval=10.0)
     leases.start()
     cluster = sim.run(until=tb.federation.create_virtual_cluster(
         tb.image_name, 4))
@@ -175,7 +177,8 @@ def test_lease_expiry_reclaims_capacity():
 def test_lease_renewal_prevents_expiry():
     tb = small_testbed()
     sim = tb.sim
-    leases = LeaseManager(sim, tb.federation, sweep_interval=10.0)
+    leases = LeaseManager(sim, tb.federation, MetricsRecorder(sim),
+                          sweep_interval=10.0)
     leases.start()
     cluster = sim.run(until=tb.federation.create_virtual_cluster(
         tb.image_name, 2))

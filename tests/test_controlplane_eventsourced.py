@@ -31,6 +31,7 @@ from repro.controlplane import (
     transition,
     validate_events,
 )
+from repro.metrics import recorder_of
 from repro.obs import Tracer
 from repro.simkernel import Simulator
 from repro.testbeds import SiteSpec, sky_testbed
@@ -306,6 +307,28 @@ def test_recovered_completed_jobs_stay_done_and_counted():
         {n: t.usage for n, t in plane.queue.tenants.items()}
 
 
+def test_recovered_plane_keeps_recording_into_the_installed_recorder():
+    tb, plane = make_plane()
+    assert plane.metrics is recorder_of(tb.sim)
+    plane.register_tenant("alice")
+    jobs = [plane.submit("alice", n_nodes=2, runtime=runtime)
+            for runtime in (30.0, 30.0, 300.0, 300.0)]
+    tb.sim.run(until=100.0)  # the short jobs done, the long ones running
+    crashed_at = tb.sim.now
+    log = plane.crash()
+    plane2 = recover(tb.sim, tb.federation, tb.image_name, log).start()
+    assert plane2.metrics is plane.metrics is recorder_of(tb.sim)
+    plane2.reconciler = None
+    from repro.controlplane.recovery import Reconciler
+    Reconciler(tb.sim, plane2).reconcile(force=True)
+    tb.sim.run(until=plane2.all_done(list(plane2.queue.jobs.values())))
+    # One series across the crash: the count picks up where it stopped.
+    samples = plane.metrics.series("jobs.completed").samples
+    assert [v for t, v in samples if t <= crashed_at] == [1, 2]
+    assert [v for t, v in samples if t > crashed_at] == [3, 4]
+    assert plane2.scheduler.jobs_completed == len(jobs)
+
+
 def _live_index_holds(leases):
     """The live-lease index is exactly the active leases, in grant
     order — what a scan of every lease ever granted would return."""
@@ -403,6 +426,18 @@ def test_reconciler_debounces_first_sighting():
     # in-flight grant looks exactly like this for one round.
     assert rec.reconcile() == []
     assert len(cloud.instances) == 1
+
+
+def test_reconciler_counts_drifts_into_the_planes_recorder():
+    tb, plane = make_plane()
+    cloud = next(iter(tb.clouds.values()))
+    tb.sim.run(until=cloud.run_instances(tb.image_name, 1,
+                                         spec=plane.config.spec))
+    from repro.controlplane.recovery import Reconciler
+    rec = Reconciler(tb.sim, plane)
+    assert [d.kind for d in rec.diff()] == ["orphan-vm"]
+    drifts = plane.metrics.get("reconciler.drifts{kind=orphan-vm}")
+    assert drifts is not None and drifts.values() == [1]
 
 
 def test_reconciler_heals_orphan_vms():

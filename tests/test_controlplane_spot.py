@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cloud import Cloud, SpotMarket, SpotState, make_image
+from repro.cloud import Cloud, CloudError, SpotMarket, SpotState, make_image
 from repro.controlplane import (
     ControlPlane,
     JobState,
@@ -150,6 +150,29 @@ def test_spike_with_refuge_checkpoint_restores_into_lease():
     assert all(r.new_vm.startswith("restored-")
                for r in plane.spot.checkpoints.restores)
     assert plane.metrics.series("spot.checkpointed.alice").last() == 2
+    assert plane.leases.leaked() == []
+
+
+def test_failed_checkpoint_restore_is_timed_as_a_failure():
+    tb, market = spot_testbed(trace=SPIKE)
+    policy = SpotPolicy(rescue=False, refuge="b", checkpoint_interval=60.0)
+    plane = make_spot_plane(tb, market, policy)
+
+    def failing_restore(inst, image_name):
+        def attempt():
+            yield tb.sim.timeout(5.0)
+            raise CloudError("refuge out of capacity")
+        return tb.sim.process(attempt())
+
+    plane.spot.checkpoints.restore = failing_restore
+    job = plane.submit("alice", n_nodes=1, runtime=600.0)
+    tb.sim.run(until=job.done)
+    assert job.state is JobState.COMPLETED
+    assert plane.spot.outcomes["requeued"] == 1
+    # The duration of the failed restore is a failure latency, never a
+    # successful restore time.
+    assert plane.metrics.get("spot.restore_time") is None
+    assert plane.metrics.series("spot.restore_time.failed").values() == [5.0]
     assert plane.leases.leaked() == []
 
 
