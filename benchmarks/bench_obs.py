@@ -8,7 +8,8 @@ Two questions, answered with numbers in ``BENCH_obs.json``:
    tracer vs. the zero-cost ``NULL_TRACER``.
 2. Is the windowed percentile really O(log n) per observation?  An
    operation-count harness feeds comparison-instrumented floats
-   through :class:`~repro.obs.windows.SlidingWindow` and proves the
+   through a :class:`~repro.obs.windows.TimeWindow` trimmed to the
+   last ``WINDOW`` time units (one sample per unit) and proves the
    answers are *identical* to naive full-sort percentiles while the
    per-observation comparison count stays logarithmic in the window,
    not linear in the history.
@@ -18,14 +19,8 @@ import math
 import time
 
 from repro.metrics import MetricsRecorder
-from repro.obs import (
-    MemorySpanSink,
-    NULL_TRACER,
-    NullSpanSink,
-    TraceSampler,
-    Tracer,
-)
-from repro.obs.windows import SlidingWindow, _interpolated_percentile
+from repro.obs import NULL_TRACER, Tracer
+from repro.obs.windows import TimeWindow, _interpolated_percentile
 from repro.simkernel import Simulator
 
 from _meta import merge_payload
@@ -127,105 +122,6 @@ def test_instrument_overhead(benchmark):
     })
 
 
-# -- streaming sink / tail sampler overhead ------------------------------
-
-
-def _stream_traces(tracer, sim, n_traces):
-    """n_traces two-span traces with deterministic duration spread."""
-    for i in range(n_traces):
-        sim._now = float(i)
-        root = tracer.start("job")
-        child = tracer.start("work", parent=root)
-        sim._now = float(i) + 0.1 + (i * 2654435761 % 1000) / 2000.0
-        child.end()
-        root.end()
-
-
-def measure_sink_overhead():
-    n_traces = N_OPS // 2  # two spans per trace -> N_OPS spans
-    results = {}
-
-    def run(make_tracer):
-        sim = Simulator()
-        tracer = make_tracer(sim)
-        start = time.perf_counter()
-        _stream_traces(tracer, sim, n_traces)
-        ns = (time.perf_counter() - start) / N_OPS * 1e9
-        return ns, tracer
-
-    def null_spans(n):
-        for _ in range(n):
-            NULL_TRACER.start("op").end()
-
-    results["null_ns"] = _ns_per_op(null_spans, N_OPS)
-    results["classic_ns"], _ = run(lambda sim: Tracer(sim))
-    results["stream_full_ns"], full = run(
-        lambda sim: Tracer(sim, sink=NullSpanSink(), max_resident=1024))
-    results["stream_sampled_ns"], sampled = run(
-        lambda sim: Tracer(sim, sink=NullSpanSink(),
-                           sampler=TraceSampler(keep_fraction=0.01,
-                                                seed=9),
-                           max_resident=1024))
-    results["full_resident_peak"] = full.stats()["resident_peak"]
-    results["sampled_resident_peak"] = sampled.stats()["resident_peak"]
-    results["sampled_kept_traces"] = sum(sampled.sampler.kept.values())
-    results["sampled_dropped_traces"] = sampled.sampler.dropped
-
-    # Determinism: two same-seed sampled runs, byte-identical archives.
-    def archive():
-        sim = Simulator()
-        sink = MemorySpanSink()
-        tracer = Tracer(sim, sink=sink,
-                        sampler=TraceSampler(keep_fraction=0.02, seed=5),
-                        max_resident=64)
-        _stream_traces(tracer, sim, 2000)
-        tracer.flush()
-        return sink.to_jsonl()
-
-    results["sampled_log_mismatch"] = int(archive() != archive())
-    return results
-
-
-def test_sink_sampler_overhead(benchmark):
-    r = benchmark.pedantic(measure_sink_overhead, rounds=3, iterations=1)
-    stream_over_classic = r["stream_full_ns"] / r["classic_ns"]
-    sampled_over_classic = r["stream_sampled_ns"] / r["classic_ns"]
-
-    print_table(
-        f"STREAMING SINK OVERHEAD ({N_OPS} spans each)",
-        ["pipeline", "ns/span"],
-        [("NULL_TRACER", fmt(r["null_ns"], 0)),
-         ("classic (all in memory)", fmt(r["classic_ns"], 0)),
-         ("streaming, full keep", fmt(r["stream_full_ns"], 0)),
-         ("streaming, 1% tail-sampled", fmt(r["stream_sampled_ns"], 0))],
-    )
-    print(f"stream/classic = {stream_over_classic:.2f}x, "
-          f"sampled/classic = {sampled_over_classic:.2f}x, "
-          f"resident peak full={r['full_resident_peak']} "
-          f"sampled={r['sampled_resident_peak']}")
-
-    # The bound the memory win must not cost: streaming stays within
-    # an order of magnitude of the classic append (generous for CI).
-    assert stream_over_classic < 10.0
-    assert r["sampled_log_mismatch"] == 0
-    assert r["full_resident_peak"] <= 1024
-    assert r["sampled_resident_peak"] <= 1024
-    _merge_payload("sink", {
-        "span_null_ns": r["null_ns"],
-        "span_classic_ns": r["classic_ns"],
-        "span_stream_full_ns": r["stream_full_ns"],
-        "span_stream_sampled_ns": r["stream_sampled_ns"],
-        "stream_over_classic": stream_over_classic,
-        "sampled_over_classic": sampled_over_classic,
-        "full_resident_peak": r["full_resident_peak"],
-        "sampled_resident_peak": r["sampled_resident_peak"],
-        "sampled_kept_traces": r["sampled_kept_traces"],
-        "sampled_dropped_traces": r["sampled_dropped_traces"],
-        "sampled_log_mismatch": r["sampled_log_mismatch"],
-        "n_spans": N_OPS,
-    })
-
-
 # -- windowed percentile: exactness + O(log n) work ----------------------
 
 
@@ -260,14 +156,17 @@ def run_opcount_harness():
         seed = (seed * 6364136223846793005 + 1442695040888963407) % 2**64
         values.append(CountingFloat((seed >> 11) / 2**53))
 
-    win = SlidingWindow(maxlen=WINDOW)
+    win = TimeWindow()
     per_observe = []
     mismatches = 0
     naive_comparisons = 0
     queries = 0
     for i, v in enumerate(values):
+        # Sample i arrives at time i; the trim keeps the last WINDOW
+        # samples.  Both calls together are one observation's work.
         before = CountingFloat.comparisons
-        win.observe(v)
+        win.observe(float(i), v)
+        win.trim(float(i + 1 - WINDOW))
         per_observe.append(CountingFloat.comparisons - before)
         if i % 64 == 63:
             # Windowed answer vs. the naive full-sort of the same tail.

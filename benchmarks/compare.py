@@ -95,24 +95,9 @@ METRICS = {
     "obs": [
         ("overhead.traced_over_null", "lower", 0.50, 1.00),
         ("overhead.labeled_over_flat", "lower", 0.50, 1.00),
-        ("sink.stream_over_classic", "lower", 0.50, 1.00),
-        ("sink.sampled_over_classic", "lower", 0.50, 1.00),
-        ("sink.full_resident_peak", "exact", 0, 0),
-        ("sink.sampled_resident_peak", "exact", 0, 0),
-        ("sink.sampled_kept_traces", "exact", 0, 0),
-        ("sink.sampled_log_mismatch", "exact", 0, 0),
         ("windowed_percentile.mismatches", "exact", 0, 0),
         ("windowed_percentile.comparisons_per_observe_worst",
          "lower", 0.10, 0.25),
-    ],
-    "obs_scale": [
-        ("stream.spans_per_sec", "higher", 0.30, 0.60),
-        ("stream.resident_peak", "exact", 0, 0),
-        ("stream.archived", "exact", 0, 0),
-        ("stream.dropped_traces", "exact", 0, 0),
-        ("determinism.log_bytes", "exact", 0, 0),
-        ("determinism.log_mismatch", "exact", 0, 0),
-        ("determinism.kept_traces", "exact", 0, 0),
     ],
 }
 

@@ -26,6 +26,7 @@ Run:  python examples/crash_recovery.py [output-dir]
 
 import sys
 from collections import Counter
+from pathlib import Path
 
 from repro.controlplane import (
     ControlPlane,
@@ -42,6 +43,7 @@ CRASH_AT = 150.0
 
 def main():
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "."
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     tb = sky_testbed(
         sites=[SiteSpec(f"c{i}", n_hosts=1, cores_per_host=8,
                         on_demand_hourly=0.10 + 0.02 * i)

@@ -16,6 +16,7 @@ Run:  python examples/trace_critical_path.py [output-dir]
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +43,7 @@ LOOKUP_RTT = 0.02  # WAN round-trip per batched dedup digest query
 
 def main():
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "."
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     tb = two_cloud_testbed(wan_bandwidth=500 * Mbit,
                            transatlantic_bandwidth=500 * Mbit,
                            memory_pages=PAGES)

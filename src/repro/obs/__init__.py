@@ -58,14 +58,6 @@ from .instruments import (
 )
 from .query import ExplainReport, alert_window, explain, explain_all
 from .rollup import SeriesStats, health_rollups, rollup, series_stats
-from .sink import (
-    JsonlSpanSink,
-    MemorySpanSink,
-    NullSpanSink,
-    SpanRecord,
-    SpanSink,
-    TraceSampler,
-)
 from .slo import Alert, AlertState, BurnRatePolicy, Objective, SLOEngine
 from .trace import (
     NULL_SPAN,
@@ -76,7 +68,7 @@ from .trace import (
     Tracer,
     tracer_of,
 )
-from .windows import CounterWindow, P2Quantile, SlidingWindow, TimeWindow
+from .windows import CounterWindow, TimeWindow
 
 __all__ = [
     "Alert",
@@ -89,28 +81,20 @@ __all__ = [
     "ExplainReport",
     "Gauge",
     "Histogram",
-    "JsonlSpanSink",
     "KernelStats",
-    "MemorySpanSink",
-    "NullSpanSink",
     "NULL_PROFILER",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",
     "Objective",
-    "P2Quantile",
     "ProfileSnapshot",
     "Segment",
     "SiteStat",
     "SeriesStats",
     "SLOEngine",
-    "SlidingWindow",
     "Span",
     "SpanContext",
-    "SpanRecord",
-    "SpanSink",
     "TimeWindow",
-    "TraceSampler",
     "Timer",
     "Tracer",
     "alert_window",

@@ -164,10 +164,7 @@ def critical_path(trace, root=None) -> CriticalPathReport:
     """Critical path of ``trace`` (a :class:`~repro.obs.Tracer` or any
     iterable of spans), rooted at ``root`` — by default the finished
     parentless span with the longest duration."""
-    if hasattr(trace, "iter_spans"):  # a Tracer: stream, don't copy
-        spans = list(trace.iter_spans())
-    else:
-        spans = list(getattr(trace, "spans", trace))
+    spans = list(getattr(trace, "spans", trace))
     by_id = {s.span_id: s for s in spans}
     children: Dict[int, List] = {}
     for span in spans:

@@ -53,7 +53,7 @@ def to_chrome_trace(spans, process_name: str = "repro-sim") -> dict:
     """Spans -> a Chrome trace-event dict (``json.dump`` and load in
     Perfetto).  Track-to-tid assignment follows span creation order, so
     the output is deterministic."""
-    spans = list(spans)  # two passes; accept any iterable (sink reads)
+    spans = list(spans)  # two passes; accept any iterable
     events: List[dict] = [{
         "ph": "M", "name": "process_name", "pid": _PID, "tid": 0,
         "ts": 0, "args": {"name": process_name},

@@ -18,9 +18,8 @@ wall-clock input:
    their **exemplars** (trace-linked observations captured by
    :meth:`~repro.metrics.MetricsRecorder.exemplar_scope`) inside the
    window.
-3. Each exemplar's **trace** is pulled from the tracer (archive +
-   resident — one streaming pass, so the join respects the sink's
-   memory bound) and its finished root gets a
+3. Each exemplar's **trace** is pulled from the tracer's span list
+   (one pass) and its finished root gets a
    :func:`~repro.obs.critical_path.critical_path` breakdown.
 4. The **eventlog transitions** inside the window are attached, both
    as a (kind, to) census and as the raw head of the window.
@@ -186,8 +185,8 @@ def explain(alert, metrics, tracer=None, eventlog=None,
     ``metrics`` is the :class:`~repro.metrics.MetricsRecorder` the SLO
     engine evaluated (its simulator anchors discovery); ``tracer`` and
     ``eventlog`` default to whatever is installed on that simulator.
-    Works with classic and streaming tracers alike — span collection is
-    one :meth:`~repro.obs.trace.Tracer.iter_spans` pass.
+    Span collection is one pass over
+    :attr:`~repro.obs.trace.Tracer.spans`.
     """
     from .profile import kernel_stats
 
@@ -223,7 +222,7 @@ def explain(alert, metrics, tracer=None, eventlog=None,
             break
     by_trace: Dict[int, List] = {tid: [] for tid in wanted}
     if wanted:
-        for span in getattr(tracer, "iter_spans", tracer.finished_spans)():
+        for span in tracer.spans:
             bucket = by_trace.get(span.trace_id)
             if bucket is not None:
                 bucket.append(span)

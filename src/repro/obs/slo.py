@@ -374,7 +374,6 @@ class SLOEngine:
             span.event(AlertState.PENDING, value=state.value)
             state.alert = alert
             self.alerts.append(alert)
-            self._pin_exemplars(obj)
             self._announce(alert)
             return alert
 
@@ -395,7 +394,6 @@ class SLOEngine:
                 alert.span.event(AlertState.FIRING, value=state.value,
                                  burn_short=state.burn_short,
                                  burn_long=state.burn_long)
-                self._pin_exemplars(obj)
                 self._announce(alert)
                 return alert
             return None
@@ -412,21 +410,6 @@ class SLOEngine:
             self._announce(alert)
             return alert
         return None
-
-    def _pin_exemplars(self, objective: Objective) -> None:
-        """Guarantee retention of the traces behind the alerting
-        series' exemplars: a sampling tracer would otherwise be free to
-        drop exactly the traces :func:`repro.obs.query.explain` needs.
-        No-op without a sampler or without exemplar support."""
-        sampler = getattr(self.tracer, "sampler", None)
-        exemplars = getattr(self.metrics, "exemplars", None)
-        if sampler is None or exemplars is None:
-            return
-        for series in (objective.series, objective.good_series):
-            if series is None:
-                continue
-            for exemplar in exemplars(series):
-                sampler.pin(exemplar.trace_id)
 
     def _announce(self, alert: Alert) -> None:
         name = alert.objective.name

@@ -26,7 +26,6 @@ Design constraints, both load-bearing:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 
@@ -46,7 +45,7 @@ class Span:
     body raises) or via an explicit, idempotent :meth:`end`.
     """
 
-    __slots__ = ("_sim", "_tracer", "trace_id", "span_id", "parent_id",
+    __slots__ = ("_sim", "trace_id", "span_id", "parent_id",
                  "name", "track", "start", "end_time", "status",
                  "attributes", "events", "links")
 
@@ -54,9 +53,6 @@ class Span:
                  parent_id: Optional[int], name: str, track: str,
                  attributes: Dict[str, Any]):
         self._sim = sim
-        #: Set by a *streaming* tracer so end() can hand the finished
-        #: span to the sink pipeline; None on the classic path.
-        self._tracer = None
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -116,8 +112,6 @@ class Span:
             self.end_time = self._sim._now
             if status is not None:
                 self.status = status
-            if self._tracer is not None:
-                self._tracer._on_span_end(self)
         return self
 
     def end_on(self, event, status: str = "ok",
@@ -200,71 +194,22 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _TraceBuffer:
-    """Per-trace working set of a streaming tracer: spans still open,
-    spans finished but awaiting the root's keep/drop decision, and the
-    decision itself once made."""
-
-    __slots__ = ("open_spans", "finished", "decision")
-
-    def __init__(self):
-        self.open_spans: List[Span] = []
-        self.finished: List[Span] = []
-        self.decision: Optional[bool] = None
-
-
 class Tracer:
     """Factory and registry of spans for one simulation.
 
-    Two modes:
-
-    * **Classic** (default): every span lives in :attr:`spans` for the
-      whole run — simple, random-access, O(run) memory.
-    * **Streaming** (any of ``sink`` / ``sampler`` given): spans are
-      buffered per trace until their root finishes, the ``sampler``
-      (if any) then keeps or drops the *whole trace* — deterministic,
-      so links inside a trace never dangle — and kept spans enter a
-      resident ring of at most ``max_resident`` finished spans whose
-      overflow is archived to the ``sink``.  Peak memory is
-      O(max_resident + open spans), not O(run).  Consumers iterate
-      :meth:`iter_spans` (archive + resident + pending + open);
-      :attr:`spans` still works but materializes the archive.
+    Every span ever started lives in :attr:`spans`, in creation order,
+    for the whole run: exporters, :func:`~repro.obs.critical_path` and
+    :func:`~repro.obs.query.explain` read it in full.
     """
 
     #: Real tracers record; instrumentation may branch on this to skip
     #: building expensive attributes.
     enabled = True
 
-    #: Resident-ring size used when a sink is given without an explicit
-    #: ``max_resident``.
-    DEFAULT_MAX_RESIDENT = 4096
-
-    def __init__(self, sim, seed: int = 1, sink=None, sampler=None,
-                 max_resident: Optional[int] = None):
+    def __init__(self, sim, seed: int = 1):
         self.sim = sim
         self._ids = itertools.count(seed)
-        #: Every retained span (classic mode: every span ever started,
-        #: in creation order; streaming mode: unused — see _resident).
         self._spans: List[Span] = []
-        self.sink = sink
-        self.sampler = sampler
-        if max_resident is not None:
-            if max_resident < 1:
-                raise ValueError("max_resident must be >= 1")
-            if sink is None:
-                raise ValueError(
-                    "max_resident needs a sink to overflow into")
-        elif sink is not None:
-            max_resident = self.DEFAULT_MAX_RESIDENT
-        self.max_resident = max_resident
-        self._streaming = sink is not None or sampler is not None
-        #: Finished, retained spans not yet archived (newest last).
-        self._resident: deque = deque()
-        self._by_trace: Dict[int, _TraceBuffer] = {}
-        self.started = 0
-        self.dropped_spans = 0
-        self.dropped_traces = 0
-        self.resident_peak = 0
 
     def install(self) -> "Tracer":
         """Make this the simulator's tracer (what :func:`tracer_of`
@@ -295,153 +240,51 @@ class Tracer:
                     dict(attributes))
         for other in links:
             span.link(other)
-        self.started += 1
-        if not self._streaming:
-            self._spans.append(span)
-            return span
-        span._tracer = self
-        buf = self._by_trace.get(trace_id)
-        if buf is None:
-            buf = self._by_trace[trace_id] = _TraceBuffer()
-        buf.open_spans.append(span)
+        self._spans.append(span)
         return span
 
     #: Alias so ``with tracer.span("phase"):`` reads well.
     span = start
 
-    # -- streaming pipeline --------------------------------------------
-
-    def _on_span_end(self, span: Span) -> None:
-        """A streaming span just finished: move it along the
-        buffer → decision → resident ring → sink pipeline."""
-        buf = self._by_trace.get(span.trace_id)
-        if buf is None:  # trace already fully closed; re-buffer
-            buf = self._by_trace[span.trace_id] = _TraceBuffer()
-        else:
-            try:
-                buf.open_spans.remove(span)
-            except ValueError:
-                pass
-        if buf.decision is None:
-            buf.finished.append(span)
-            if span.span_id == span.trace_id:  # the root: decide now
-                keep = (self.sampler is None
-                        or self.sampler.decide(span, buf.finished))
-                buf.decision = keep
-                if keep:
-                    for finished in buf.finished:
-                        self._retain(finished)
-                else:
-                    self.dropped_spans += len(buf.finished)
-                    self.dropped_traces += 1
-                buf.finished.clear()
-        elif buf.decision:
-            self._retain(span)
-        else:
-            self.dropped_spans += 1
-        if buf.decision is not None and not buf.open_spans:
-            del self._by_trace[span.trace_id]
-
-    def _retain(self, span: Span) -> None:
-        span._tracer = None  # frozen: no further notifications
-        self._resident.append(span)
-        if self.max_resident is not None:
-            while len(self._resident) > self.max_resident:
-                self.sink.write(self._resident.popleft())
-        if len(self._resident) > self.resident_peak:
-            self.resident_peak = len(self._resident)
-
-    def flush(self) -> None:
-        """Archive every resident finished span to the sink (e.g. at
-        scenario end, before reading the archive as one file).  No-op
-        without a sink; pending/open spans stay put."""
-        if self.sink is None:
-            return
-        while self._resident:
-            self.sink.write(self._resident.popleft())
-        self.sink.flush()
-
     # -- views ---------------------------------------------------------
 
     @property
     def spans(self) -> List[Span]:
-        """Classic mode: the live span list.  Streaming mode: a
-        *materialized* snapshot of :meth:`iter_spans` — fine for tests
-        and small runs, defeats the memory bound on big ones."""
-        if not self._streaming:
-            return self._spans
-        return list(self.iter_spans())
-
-    def iter_spans(self):
-        """Every retained span, cheapest-first: the sink archive
-        (streamed, oldest traces first), the resident ring, spans of
-        still-undecided traces, then spans still open.  This is the
-        O(buffer) read path exporters and the critical-path analyzer
-        use."""
-        if not self._streaming:
-            yield from self._spans
-            return
-        if self.sink is not None:
-            yield from self.sink.read_back()
-        yield from self._resident
-        for buf in self._by_trace.values():
-            yield from buf.finished
-        for buf in self._by_trace.values():
-            yield from buf.open_spans
-
-    def resident_count(self) -> int:
-        """Finished + pending + open spans currently held in memory
-        (streaming mode; classic mode counts the whole list)."""
-        if not self._streaming:
-            return len(self._spans)
-        return len(self._resident) + sum(
-            len(b.finished) + len(b.open_spans)
-            for b in self._by_trace.values())
+        """Every span started so far, in creation order."""
+        return self._spans
 
     def finished_spans(self) -> List[Span]:
-        return [s for s in self.iter_spans() if s.end_time is not None]
+        return [s for s in self._spans if s.end_time is not None]
 
     def stats(self) -> dict:
-        """Retention accounting (streaming fields are zero in classic
-        mode)."""
-        return {
-            "started": self.started,
-            "resident": self.resident_count(),
-            "resident_peak": (self.resident_peak if self._streaming
-                              else len(self._spans)),
-            "archived": self.sink.count if self.sink is not None else 0,
-            "dropped_spans": self.dropped_spans,
-            "dropped_traces": self.dropped_traces,
-            "sampler": (self.sampler.stats()
-                        if self.sampler is not None else None),
-        }
+        """Span accounting: spans started, and the most held in memory
+        at once — the same number, as no span is ever released."""
+        n = len(self._spans)
+        return {"started": n, "resident_peak": n}
 
     # -- export / analysis (delegation keeps call sites short) ---------
 
     def to_chrome_trace(self) -> dict:
         from .export import to_chrome_trace
-        return to_chrome_trace(list(self.iter_spans()))
+        return to_chrome_trace(self._spans)
 
     def to_jsonl(self) -> str:
         from .export import spans_to_jsonl
-        return spans_to_jsonl(self.iter_spans())
+        return spans_to_jsonl(self._spans)
 
     def dump_chrome_trace(self, path) -> None:
         from .export import dump_chrome_trace
-        dump_chrome_trace(list(self.iter_spans()), path)
+        dump_chrome_trace(self._spans, path)
 
     def dump_jsonl(self, path) -> None:
         from .export import dump_jsonl
-        dump_jsonl(self.iter_spans(), path)
+        dump_jsonl(self._spans, path)
 
     def critical_path(self, root=None):
         from .critical_path import critical_path
-        return critical_path(self.iter_spans(), root=root)
+        return critical_path(self._spans, root=root)
 
     def __repr__(self):
-        if self._streaming:
-            return (f"<Tracer streaming started={self.started} "
-                    f"resident={self.resident_count()}>")
         return f"<Tracer spans={len(self._spans)}>"
 
 

@@ -131,6 +131,55 @@ def test_deterministic_span_ids_and_jsonl():
     assert run() == run()  # byte-identical across same-seed runs
 
 
+def _traced_flow_run(backend):
+    """Rounds of two concurrent flows over a shared three-site topology,
+    traced; returns the tracer after the run."""
+    from repro.network.flows import FlowScheduler
+    from repro.network.topology import Site, Topology
+    from repro.network.transport import Transport
+
+    sim = Simulator(queue=backend)
+    tracer = Tracer(sim, seed=1).install()
+    topo = Topology()
+    for site in ("a", "b", "c"):
+        topo.add_site(Site(site))
+    topo.connect("a", "b", bandwidth=1e6, latency=0.01)
+    topo.connect("b", "c", bandwidth=5e5, latency=0.02)
+    transport = Transport.of(FlowScheduler(sim, topo))
+
+    def driver():
+        for round_no in range(20):
+            root = tracer.start("round", no=round_no)
+            f1 = transport.data("a", "b", 2e5 + round_no * 1e3, span=root)
+            f2 = transport.data("a", "c", 3e5, span=root)
+            yield f1.done & f2.done
+            root.end()
+            yield sim.timeout(0.05)
+
+    sim.process(driver())
+    sim.run()
+    return tracer
+
+
+def test_span_log_byte_identical_across_queue_backends():
+    heap = _traced_flow_run("heap").to_jsonl()
+    calendar = _traced_flow_run("calendar").to_jsonl()
+    assert heap == calendar
+    assert len(heap.splitlines()) >= 20
+
+
+def test_stats_count_every_started_span():
+    tracer = _traced_flow_run("heap")
+    n = len(tracer.spans)
+    assert n > 20
+    assert tracer.stats() == {"started": n, "resident_peak": n}
+
+
+def test_tracer_takes_no_streaming_options():
+    with pytest.raises(TypeError):
+        Tracer(Simulator(), sink=object())
+
+
 # -- chrome trace export -------------------------------------------------
 
 def _demo_tracer():

@@ -6,63 +6,67 @@ import pytest
 
 from repro.obs.windows import (
     CounterWindow,
-    P2Quantile,
-    SlidingWindow,
     TimeWindow,
     _interpolated_percentile,
 )
 
 
-class TestSlidingWindow:
+class TestTimeWindow:
 
     def test_unbounded_percentiles_match_full_sort(self):
         rng = random.Random(11)
-        win = SlidingWindow()
+        win = TimeWindow()
         data = []
-        for _ in range(500):
+        for i in range(500):
             v = rng.expovariate(1.0)
-            win.observe(v)
+            win.observe(float(i), v)
             data.append(v)
         for q in (0.0, 25.0, 50.0, 90.0, 99.0, 100.0):
             assert win.percentile(q) == \
                 _interpolated_percentile(sorted(data), q)
 
     def test_bounded_window_matches_tail_full_sort(self):
+        # Trimming to the last 64 time units keeps the last 64 samples.
         rng = random.Random(13)
-        win = SlidingWindow(maxlen=64)
+        win = TimeWindow()
         data = []
         for i in range(1000):
             v = rng.gauss(0.0, 3.0)
-            win.observe(v)
+            win.observe(float(i), v)
+            win.trim(float(i + 1 - 64))
             data.append(v)
             if i % 100 == 99:
                 tail = sorted(data[-64:])
                 assert win.percentile(99.0) == \
                     _interpolated_percentile(tail, 99.0)
-                assert win.minimum() == tail[0]
+                assert win.percentile(0.0) == tail[0]
                 assert win.maximum() == tail[-1]
         assert win.count == 64
-        assert win.values() == data[-64:]
+        assert win.last() == data[-1]
         assert win.sum == pytest.approx(sum(data[-64:]))
 
     def test_duplicate_values_evict_correctly(self):
-        win = SlidingWindow(maxlen=3)
-        for v in (5.0, 5.0, 5.0, 1.0):
-            win.observe(v)
-        assert win.values() == [5.0, 5.0, 1.0]
+        win = TimeWindow()
+        for t, v in enumerate((5.0, 5.0, 5.0, 1.0)):
+            win.observe(float(t), v)
+        win.trim(1.0)
+        assert win.count == 3
+        assert win.sum == 11.0
         assert win.percentile(0.0) == 1.0
+        assert win.maximum() == 5.0
 
-    def test_empty_and_invalid(self):
-        win = SlidingWindow()
+    def test_empty_window_raises(self):
+        win = TimeWindow()
         with pytest.raises(ValueError):
             win.mean()
         with pytest.raises(ValueError):
-            win.percentile(50.0)
+            win.maximum()
         with pytest.raises(ValueError):
-            SlidingWindow(maxlen=0)
-
-
-class TestTimeWindow:
+            win.percentile(50.0)
+        assert win.last() is None
+        win.observe(0.0, 1.0)
+        with pytest.raises(ValueError):
+            win.percentile(101.0)
 
     def test_trim_slides_the_window(self):
         win = TimeWindow()
@@ -109,38 +113,3 @@ class TestCounterWindow:
 
     def test_empty_delta_is_zero(self):
         assert CounterWindow().delta(horizon=0.0) == 0.0
-
-
-class TestP2Quantile:
-
-    def test_small_sample_is_exact(self):
-        sketch = P2Quantile(50.0)
-        for v in (5.0, 1.0, 3.0):
-            sketch.observe(v)
-        assert sketch.value == 3.0
-
-    def test_estimate_tracks_true_quantile(self):
-        rng = random.Random(29)
-        sketch = P2Quantile(90.0)
-        data = []
-        for _ in range(20000):
-            v = rng.gauss(10.0, 2.0)
-            sketch.observe(v)
-            data.append(v)
-        exact = _interpolated_percentile(sorted(data), 90.0)
-        assert sketch.value == pytest.approx(exact, abs=0.1)
-        assert sketch.count == 20000
-
-    def test_constant_memory(self):
-        sketch = P2Quantile(99.0)
-        for i in range(10000):
-            sketch.observe(float(i % 17))
-        assert len(sketch._heights) == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(100.0)
-        with pytest.raises(ValueError):
-            P2Quantile(50.0).value
