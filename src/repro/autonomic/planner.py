@@ -8,23 +8,32 @@ billed.  The planner turns a detected
 that minimizes cross-cloud volume, under per-cloud capacity limits.
 
 Algorithm: weighted graph partitioning — Kernighan–Lin bisection
-(:mod:`networkx`) for two clouds, applied recursively for more — plus a
-refinement pass that greedily moves VMs while it reduces the cut and
-respects capacity.  Baselines (`random_assignment`,
-`round_robin_assignment`) quantify the benefit.
+(Kernighan & Lin, BSTJ 1970) for two clouds, applied recursively for
+more — plus a refinement pass that greedily moves VMs while it reduces
+the cut and respects capacity.  Baselines (`random_assignment`,
+`round_robin_assignment`) quantify the benefit.  Everything walks plain
+dicts in insertion order, so a plan never depends on string hashing.
 """
 
 from __future__ import annotations
 
+import random
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..patterns.matrix import TrafficMatrix
 
 #: VM name -> cloud name.
 Assignment = Dict[str, str]
+
+#: Weighted undirected graph: node -> neighbour -> weight, both ways.
+Adjacency = Dict[str, Dict[str, float]]
+
+#: Most Kernighan–Lin sweeps per bisection.
+KL_SWEEPS = 10
 
 
 class PlanningError(Exception):
@@ -74,6 +83,78 @@ def round_robin_assignment(vms: Sequence[str],
     return out
 
 
+def _kl_sweep(adj: Adjacency, side: Dict[str, int]):
+    """One Kernighan–Lin pass in its single-move form.
+
+    A node's cost is the change in cut weight if it alone switched
+    sides.  The pass moves the cheapest unmoved node of side 0, then of
+    side 1, and so on, and yields ``(running cost, pairs moved, pair)``
+    after each pair; ``side`` itself is left as it was.  Each side keeps
+    a lazy min-heap of ``(cost, counter, node)``: a changed cost is
+    pushed anew and the stale entry is skipped on pop.
+    """
+    tick = count()
+    heaps = ([], [])
+    live = ({}, {})  # side -> unmoved node -> current cost
+
+    def push(s, node, cost):
+        live[s][node] = cost
+        heappush(heaps[s], (cost, next(tick), node))
+
+    def pop(s):
+        while True:
+            cost, _, node = heappop(heaps[s])
+            if live[s].get(node) == cost:
+                del live[s][node]
+                return node, cost
+
+    def moved(node):
+        for nbr, wt in adj[node].items():
+            s = side[nbr]
+            if nbr in live[s]:
+                new = live[s][nbr] + 2 * (-wt if s == side[node] else wt)
+                if new != live[s][nbr]:
+                    push(s, nbr, new)
+
+    for u, nbrs in adj.items():
+        cost = sum(wt if side[v] else -wt for v, wt in nbrs.items())
+        if side[u]:
+            push(1, u, cost)
+        else:
+            push(0, u, -cost)
+    total, i = 0, 0
+    while live[0] and live[1]:
+        u, cost_u = pop(0)
+        moved(u)
+        v, cost_v = pop(1)
+        moved(v)
+        total += cost_u + cost_v
+        i += 1
+        yield total, i, (u, v)
+
+
+def kernighan_lin_bisection(adj: Adjacency, seed: int = 0):
+    """Split the nodes of ``adj`` into two halves with a small cut.
+
+    Starts from a ``random.Random(seed)`` shuffle cut at the middle,
+    then applies up to :data:`KL_SWEEPS` sweeps, each keeping the
+    prefix of moves with the lowest cost, until no prefix lowers the cut.
+    Returns the two sides as lists in ``adj`` order.
+    """
+    nodes = list(adj)
+    random.Random(seed).shuffle(nodes)
+    side = {node: int(k < len(nodes) // 2) for k, node in enumerate(nodes)}
+    for _ in range(KL_SWEEPS):
+        costs = list(_kl_sweep(adj, side))
+        min_cost, min_i, _ = min(costs)
+        if min_cost >= 0:
+            break
+        for _, _, (u, v) in costs[:min_i]:
+            side[u] = 1
+            side[v] = 0
+    return ([u for u in adj if not side[u]], [u for u in adj if side[u]])
+
+
 class CommunicationAwarePlanner:
     """Minimize cross-cloud traffic via recursive graph bisection."""
 
@@ -107,15 +188,14 @@ class CommunicationAwarePlanner:
     # -- internals ------------------------------------------------------
 
     @staticmethod
-    def _build_graph(vms: Sequence[str], matrix: TrafficMatrix) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(vms)
+    def _build_graph(vms: Sequence[str], matrix: TrafficMatrix) -> Adjacency:
+        adj: Adjacency = {vm: {} for vm in vms}
         for (src, dst), volume in matrix.symmetrized().pairs().items():
-            if src in g and dst in g:
-                g.add_edge(src, dst, weight=volume)
-        return g
+            if src in adj and dst in adj:
+                adj[src][dst] = adj[dst][src] = volume
+        return adj
 
-    def _partition(self, graph: nx.Graph, vms: List[str],
+    def _partition(self, graph: Adjacency, vms: List[str],
                    clouds: Dict[str, int]) -> Assignment:
         """Recursive capacity-aware bisection."""
         names = sorted(clouds, key=clouds.get, reverse=True)
@@ -131,42 +211,42 @@ class CommunicationAwarePlanner:
             else:
                 right_names.append(name)
                 right_cap += clouds[name]
-        sub = graph.subgraph(vms)
-        left_set, right_set = self._bisect(sub, vms, left_cap, right_cap)
+        # The induced subgraph, in the graph's own node order.
+        keep = set(vms)
+        sub = {v: {u: w for u, w in nbrs.items() if u in keep}
+               for v, nbrs in graph.items() if v in keep}
+        left, right = self._bisect(sub, vms, left_cap, right_cap)
         out: Assignment = {}
-        out.update(self._partition(graph, sorted(left_set),
+        out.update(self._partition(graph, sorted(left),
                                    {n: clouds[n] for n in left_names}))
-        out.update(self._partition(graph, sorted(right_set),
+        out.update(self._partition(graph, sorted(right),
                                    {n: clouds[n] for n in right_names}))
         return out
 
-    def _bisect(self, graph: nx.Graph, vms: List[str], left_cap: int,
+    def _bisect(self, graph: Adjacency, vms: List[str], left_cap: int,
                 right_cap: int):
         """KL bisection, then enforce the capacity split sizes."""
         n = len(vms)
         target_left = min(left_cap, max(0, n - right_cap),
                           max(n // 2, n - right_cap))
         target_left = min(max(target_left, n - right_cap), left_cap, n)
-        if n <= 1 or graph.number_of_edges() == 0:
-            return set(vms[:target_left]), set(vms[target_left:])
-        left, right = nx.algorithms.community.kernighan_lin_bisection(
-            graph, seed=self.seed, weight="weight"
-        )
-        left, right = set(left), set(right)
+        if n <= 1 or not any(graph.values()):
+            return vms[:target_left], vms[target_left:]
+        halves = kernighan_lin_bisection(graph, seed=self.seed)
+        # Ordered sets: ties below go to the earliest node.
+        left, right = (dict.fromkeys(half) for half in halves)
+
         # Rebalance to capacities: move the least-attached nodes.
         def attachment(node, group):
-            return sum(
-                graph.edges[node, nb]["weight"]
-                for nb in graph.neighbors(node) if nb in group
-            )
+            return sum(w for nb, w in graph[node].items() if nb in group)
         while len(left) > left_cap:
             mover = min(left, key=lambda v: attachment(v, left))
-            left.discard(mover)
-            right.add(mover)
+            del left[mover]
+            right[mover] = None
         while len(right) > right_cap:
             mover = min(right, key=lambda v: attachment(v, right))
-            right.discard(mover)
-            left.add(mover)
+            del right[mover]
+            left[mover] = None
         return left, right
 
     def _refine(self, assignment: Assignment, matrix: TrafficMatrix,

@@ -7,16 +7,16 @@ exactly the obstacles the paper's ViNe overlay exists to overcome.
 
 Sites are connected by full-duplex :class:`Link` objects (one
 :class:`DirectedLink` per direction) arranged in a
-:class:`Topology` (a thin layer over a :mod:`networkx` DiGraph).  Paths
-are shortest-latency and cached until the topology changes.
+:class:`Topology`, a dict-of-dicts digraph.  Paths are shortest-latency
+(bidirectional Dijkstra) and cached until the topology changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from .units import Gbit, Mbit
 
@@ -107,7 +107,9 @@ class Topology:
     """
 
     def __init__(self):
-        self._graph = nx.DiGraph()
+        #: site -> neighbour -> link, neighbours in link insertion order
+        #: (re-adding a link keeps its slot; removing it gives it up).
+        self._succ: Dict[str, Dict[str, DirectedLink]] = {}
         self._sites: Dict[str, Site] = {}
         self._lan_links: Dict[str, DirectedLink] = {}
         self._path_cache: Dict[Tuple[str, str], List[DirectedLink]] = {}
@@ -133,7 +135,7 @@ class Topology:
         if site.name in self._sites:
             raise ValueError(f"site {site.name!r} already exists")
         self._sites[site.name] = site
-        self._graph.add_node(site.name)
+        self._succ[site.name] = {}
         # The LAN is modeled as a single shared pipe within the site.
         self._lan_links[site.name] = DirectedLink(
             src=site.name, dst=site.name,
@@ -152,14 +154,16 @@ class Topology:
             raise ValueError("cannot connect a site to itself (LAN is implicit)")
         fwd = DirectedLink(a, b, bandwidth, latency)
         rev = DirectedLink(b, a, bandwidth_reverse or bandwidth, latency)
-        self._graph.add_edge(a, b, link=fwd, weight=latency)
-        self._graph.add_edge(b, a, link=rev, weight=latency)
+        self._succ[a][b] = fwd
+        self._succ[b][a] = rev
         self._path_cache.clear()
 
     def disconnect(self, a: str, b: str) -> None:
         """Remove the link between ``a`` and ``b`` (both directions)."""
-        self._graph.remove_edge(a, b)
-        self._graph.remove_edge(b, a)
+        if b not in self._succ.get(a, ()):
+            raise KeyError(f"no link between {a!r} and {b!r}")
+        del self._succ[a][b]
+        del self._succ[b][a]
         self._path_cache.clear()
 
     def set_bandwidth(self, a: str, b: str, bandwidth: float,
@@ -170,8 +174,8 @@ class Topology:
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         try:
-            fwd = self._graph.edges[a, b]["link"]
-            rev = self._graph.edges[b, a]["link"] if both_directions else None
+            fwd = self._succ[a][b]
+            rev = self._succ[b][a] if both_directions else None
         except KeyError:
             raise KeyError(f"no link between {a!r} and {b!r}") from None
         fwd.bandwidth = bandwidth
@@ -213,16 +217,59 @@ class Topology:
         if src == dst:
             path = [self._lan_links[src]]
         else:
-            try:
-                nodes = nx.shortest_path(self._graph, src, dst, weight="weight")
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                raise NoRoute(f"no route from {src!r} to {dst!r}") from None
-            path = [
-                self._graph.edges[u, v]["link"]
-                for u, v in zip(nodes[:-1], nodes[1:])
-            ]
+            nodes = self._shortest(src, dst)
+            path = [self._succ[u][v] for u, v in zip(nodes, nodes[1:])]
         self._path_cache[key] = path
         return path
+
+    def _shortest(self, src: str, dst: str) -> List[str]:
+        """Sites on a least-latency route: bidirectional Dijkstra.
+
+        Ties are broken as ``tests/golden/topology_paths.json`` pins
+        them: the two searches take turns, each popping a heap of
+        ``(dist, counter, site)``; relaxation is strict, neighbours are
+        visited in link insertion order, and the first cheapest meeting
+        site wins.  Links come in pairs of equal latency, so the
+        backward search walks ``_succ`` too.
+        """
+        succ = self._succ
+        if src not in succ or dst not in succ:
+            raise NoRoute(f"no route from {src!r} to {dst!r}")
+        done: List[set] = [set(), set()]
+        seen: List[Dict[str, float]] = [{src: 0}, {dst: 0}]
+        pred: List[Dict[str, Optional[str]]] = [{src: None}, {dst: None}]
+        tick = count()
+
+        def chain(node, way):
+            out = []
+            while node is not None:
+                out.append(node)
+                node = pred[way][node]
+            return out
+
+        fringe = [[(0, next(tick), src)], [(0, next(tick), dst)]]
+        best = meet = None
+        side = 1
+        while fringe[0] and fringe[1]:
+            side = 1 - side
+            dist, _, v = heappop(fringe[side])
+            if v in done[side]:
+                continue
+            done[side].add(v)
+            if v in done[1 - side]:
+                return chain(meet, 0)[::-1] + chain(pred[1][meet], 1)
+            for w, link in succ[v].items():
+                d = dist + link.latency
+                if w in done[side] or (w in seen[side] and d >= seen[side][w]):
+                    continue
+                seen[side][w] = d
+                heappush(fringe[side], (d, next(tick), w))
+                pred[side][w] = v
+                if w in seen[1 - side]:
+                    total = d + seen[1 - side][w]
+                    if best is None or best > total:
+                        best, meet = total, w
+        raise NoRoute(f"no route from {src!r} to {dst!r}")
 
     def path_latency(self, src: str, dst: str) -> float:
         """One-way latency along the chosen path."""
@@ -246,4 +293,4 @@ class Topology:
 
     def __repr__(self):
         return (f"<Topology sites={len(self._sites)} "
-                f"links={self._graph.number_of_edges() // 2}>")
+                f"links={sum(map(len, self._succ.values())) // 2}>")

@@ -117,3 +117,42 @@ def test_site_lookup_error():
 def test_site_validation():
     with pytest.raises(ValueError):
         Site("bad", lan_bandwidth=0)
+
+
+def test_disconnect_unknown_pair_raises_keyerror():
+    topo = make_triangle()
+    topo.add_site(Site("island"))
+    with pytest.raises(KeyError):
+        topo.disconnect("a", "island")
+    with pytest.raises(KeyError):
+        topo.disconnect("a", "ghost")
+    topo.disconnect("a", "b")
+    with pytest.raises(KeyError):
+        topo.disconnect("b", "a")
+    # A failed disconnect leaves the remaining links alone.
+    assert [l.dst for l in topo.path("a", "b")] == ["c", "b"]
+
+
+def test_path_after_last_link_removed_raises_noroute():
+    topo = Topology()
+    topo.add_site(Site("a"))
+    topo.add_site(Site("b"))
+    topo.connect("a", "b", bandwidth=100 * Mbit, latency=0.01)
+    assert topo.path("a", "b")
+    topo.disconnect("a", "b")
+    with pytest.raises(NoRoute):
+        topo.path("a", "b")
+    with pytest.raises(NoRoute):
+        topo.path("b", "a")
+
+
+def test_connect_twice_replaces_link_and_clears_cache():
+    topo = make_triangle()
+    old = topo.path("a", "c")
+    assert [l.dst for l in old] == ["b", "c"]
+    topo.connect("a", "c", bandwidth=10 * Mbit, latency=0.001)
+    new = topo.path("a", "c")
+    assert len(new) == 1 and new[0] is not old[0]
+    assert (new[0].bandwidth, new[0].latency) == (10 * Mbit, 0.001)
+    assert topo.path("c", "a")[0].latency == 0.001
+    assert repr(topo) == "<Topology sites=3 links=3>"

@@ -124,7 +124,7 @@ def _plans_under_hash_seed(cases, hash_seed):
                    [str(ROOT / "src"), str(ROOT)]))
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           input=json.dumps(cases), capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, timeout=300)
     return json.loads(done.stdout)
 
 
