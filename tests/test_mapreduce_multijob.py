@@ -6,7 +6,7 @@ import pytest
 from repro.hypervisor import MemoryImage, PhysicalHost, VirtualMachine
 from repro.mapreduce import JobTracker, MapReduceJob
 from repro.network import FlowScheduler, Site, Topology, gbit_per_s
-from repro.simkernel import Simulator
+from repro.simkernel import Interrupt, Simulator
 from repro.vine import ViNeOverlay
 
 
@@ -108,3 +108,19 @@ def test_overlay_registered_cluster_runs_jobs():
                                          n_reduces=2)))
     assert result.map_attempts == 8
     assert result.reduce_attempts == 2
+
+
+def test_interrupted_queued_job_leaves_fifo_order_intact():
+    """A job withdrawn while queued gives its turn to the next in line."""
+    sim, jt, vms, host = build()
+    procs = [jt.submit(job(f"j{i}")) for i in range(3)]
+    # Defuse j1's failure once it happens (a failing process resets it).
+    procs[1].callbacks.append(lambda ev: setattr(ev, "defused", True))
+    sim.run(until=1.0)
+    procs[1].interrupt("withdrawn")
+    sim.run(until=procs[2])
+    r0, r2 = procs[0].value, procs[2].value
+    assert (r0.started_at, r0.finished_at) == (0.0, 10.0)
+    assert (r2.started_at, r2.finished_at) == (10.0, 20.0)
+    assert procs[1].ok is False
+    assert isinstance(procs[1].value, Interrupt)
