@@ -33,7 +33,7 @@ from ..hypervisor.vm import VirtualMachine
 from ..network.flows import FlowScheduler
 from ..network.transport import Transport
 from ..obs.trace import NULL_SPAN, tracer_of
-from ..simkernel import Event, Interrupt, Process, Resource, Simulator
+from ..simkernel import Event, Interrupt, Process, Simulator
 from .hdfs import BlockStore
 from .job import JobResult, MapReduceJob, Task, TaskKind, TaskState
 
@@ -295,7 +295,9 @@ class JobTracker:
         self.traffic_recorder = traffic_recorder
         self.current: Optional[_JobRun] = None
         self._waiters: List[Tuple[TaskTracker, Event]] = []
-        self._job_lock = Resource(sim, capacity=1)
+        #: One turn event per submitted job, in submission order; the
+        #: head's job runs and the rest wait (FIFO, one job at a time).
+        self._turns: List[Event] = []
         self._draining: Dict[TaskTracker, Event] = {}
 
     # -- membership ----------------------------------------------------------
@@ -551,8 +553,13 @@ class JobTracker:
         return self.sim.process(self._submit(job), name=f"job-{job.name}")
 
     def _submit(self, job: MapReduceJob):
-        with self._job_lock.request() as req:
-            yield req
+        turns = self._turns
+        turn = Event(self.sim)
+        turns.append(turn)
+        if len(turns) == 1:
+            turn.succeed()
+        try:
+            yield turn
             self.hdfs.load_input(job, self.rng)
             run = _JobRun(self.sim, job, self.hdfs)
             run.span = tracer_of(self.sim).start(
@@ -564,6 +571,13 @@ class JobTracker:
             self._dispatch()
             result = yield run.completed
             return result
+        finally:
+            # Leave the line (also when withdrawn while waiting); the
+            # head hands its turn to the next job.
+            was_head = turns[0] is turn
+            turns.remove(turn)
+            if was_head and turns:
+                turns[0].succeed()
 
     @property
     def total_slots(self) -> int:

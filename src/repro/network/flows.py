@@ -274,10 +274,6 @@ class FlowScheduler:
         self._mark_dirty(flows=(flow,))
         return flow
 
-    def transfer(self, src: str, dst: str, size: float, **kwargs) -> Event:
-        """Convenience: start a flow and return its completion event."""
-        return self.start_flow(src, dst, size, **kwargs).done
-
     def links_changed(self, links: Iterable[object]) -> None:
         """Topology notification: the capacity of ``links`` changed."""
         affected = [l for l in links if l in self._link_flows]

@@ -153,7 +153,9 @@ class Topology:
         if a == b:
             raise ValueError("cannot connect a site to itself (LAN is implicit)")
         fwd = DirectedLink(a, b, bandwidth, latency)
-        rev = DirectedLink(b, a, bandwidth_reverse or bandwidth, latency)
+        if bandwidth_reverse is None:
+            bandwidth_reverse = bandwidth
+        rev = DirectedLink(b, a, bandwidth_reverse, latency)
         self._succ[a][b] = fwd
         self._succ[b][a] = rev
         self._path_cache.clear()

@@ -55,22 +55,6 @@ class TransferClass(enum.Enum):
         return self.value
 
 
-#: Legacy flow tags -> transfer class, so flows started through the raw
-#: scheduler API (old call sites, tests) still classify correctly.
-TAG_CLASSES: Dict[str, TransferClass] = {
-    "migration": TransferClass.MIGRATION,
-    "checkpoint": TransferClass.MIGRATION,
-    "restore": TransferClass.MIGRATION,
-    "mr-input": TransferClass.SHUFFLE,
-    "mr-shuffle": TransferClass.SHUFFLE,
-    "image-unicast": TransferClass.PROPAGATION,
-    "image-chain": TransferClass.PROPAGATION,
-    "image-replication": TransferClass.PROPAGATION,
-    "context": TransferClass.CONTROL,
-    "auth": TransferClass.CONTROL,
-}
-
-
 @dataclass
 class ClassPolicy:
     """Per-class transfer knobs.  All defaults are no-ops.
@@ -261,11 +245,12 @@ class Transport:
 
     @staticmethod
     def classify(record: FlowRecord) -> TransferClass:
-        """Transfer class of a (possibly legacy) flow record."""
+        """Transfer class of a flow record (``DATA`` for a raw flow
+        started outside :meth:`start`)."""
         cls = record.meta.get("transfer_class")
         if isinstance(cls, TransferClass):
             return cls
-        return TAG_CLASSES.get(record.tag, TransferClass.DATA)
+        return TransferClass.DATA
 
     def _observe(self, record: FlowRecord) -> None:
         cls = self.classify(record)

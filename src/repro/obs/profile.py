@@ -28,11 +28,10 @@ infrastructure; this one watches the simulator itself.  Three pieces:
 
 :class:`KernelStats` / :func:`kernel_stats`
     A point-in-time kernel-health snapshot — queue depth, dead-entry
-    ratio, compaction count, calendar bucket occupancy,
+    ratio, compaction count, calendar bucket shape,
     dispatch/batch/preemption counters — and
     :func:`install_kernel_gauges` to stream the same signals into
-    watchtower as labeled series.  This is the input signal for the
-    roadmap's adaptive bucket-width follow-up.
+    watchtower as labeled series.
 
 Flame export
     :meth:`ProfileSnapshot.to_collapsed` and :func:`spans_to_collapsed`
@@ -457,8 +456,6 @@ class KernelStats:
     buckets: Optional[int] = None
     max_bucket: Optional[int] = None
     mean_bucket: Optional[float] = None
-    #: Raw per-day occupancy (``kernel_stats(..., occupancy=True)``).
-    bucket_occupancy: Optional[Dict[int, int]] = None
 
     def to_dict(self) -> dict:
         doc = {
@@ -478,28 +475,16 @@ class KernelStats:
             doc["buckets"] = self.buckets
             doc["max_bucket"] = self.max_bucket
             doc["mean_bucket"] = self.mean_bucket
-        if self.bucket_occupancy is not None:
-            doc["bucket_occupancy"] = {
-                str(day): n for day, n in sorted(self.bucket_occupancy.items())
-            }
         return doc
 
 
-def kernel_stats(sim, occupancy: bool = False) -> KernelStats:
+def kernel_stats(sim) -> KernelStats:
     """Snapshot the kernel's health: queue shape, dead entries,
-    compactions and dispatch counters.
-
-    ``occupancy=True`` additionally includes the calendar backend's raw
-    per-day bucket histogram (the head-density signal the adaptive
-    bucket-width follow-up consumes); it is opt-in because the dict can
-    hold one entry per live day."""
+    compactions and dispatch counters."""
     queue = sim.queue_backend
     depth = len(queue)
     dead = getattr(queue, "dead", 0)
     stats = queue.stats() if hasattr(queue, "stats") else {}
-    raw = None
-    if occupancy and hasattr(queue, "bucket_occupancy"):
-        raw = queue.bucket_occupancy()
     return KernelStats(
         now=sim.now,
         backend=getattr(queue, "name", type(queue).__name__),
@@ -515,7 +500,6 @@ def kernel_stats(sim, occupancy: bool = False) -> KernelStats:
         buckets=stats.get("buckets"),
         max_bucket=stats.get("max_bucket"),
         mean_bucket=stats.get("mean_bucket"),
-        bucket_occupancy=raw,
     )
 
 

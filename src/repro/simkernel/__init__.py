@@ -1,10 +1,10 @@
 """Discrete-event simulation kernel underlying the whole reproduction.
 
 This package provides a self-contained, generator-based discrete-event
-simulator (events, processes, interrupts, conditions, and shared-resource
-primitives).  Every higher-level subsystem — the network substrate, the
-hypervisor model, clouds, MapReduce — is built as processes on this
-kernel.
+simulator (events, processes, interrupts and conditions) with two
+interchangeable event-queue backends.  Every higher-level subsystem —
+the network substrate, the hypervisor model, clouds, MapReduce — is
+built as processes on this kernel.
 """
 
 from .core import Infinity, NULL_PROFILER, Simulator
@@ -21,16 +21,6 @@ from .events import (
 )
 from .process import Process
 from .queues import BACKENDS, CalendarQueue, HeapQueue, make_queue
-from .resources import (
-    Container,
-    FilterStore,
-    PriorityRequest,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
 
 __all__ = [
     "AllOf",
@@ -39,24 +29,16 @@ __all__ = [
     "CalendarQueue",
     "Condition",
     "ConditionValue",
-    "Container",
     "EmptySchedule",
     "Event",
-    "FilterStore",
     "HeapQueue",
     "Infinity",
     "Interrupt",
     "NORMAL",
     "NULL_PROFILER",
-    "PriorityRequest",
-    "PriorityResource",
     "Process",
-    "Release",
-    "Request",
-    "Resource",
     "SimulationError",
     "Simulator",
-    "Store",
     "StopSimulation",
     "Timeout",
     "URGENT",

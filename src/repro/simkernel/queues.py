@@ -197,18 +197,6 @@ class CalendarQueue:
         see the module docstring; compaction recounts exactly)."""
         return self._dead
 
-    @property
-    def bucket_width(self) -> float:
-        """Simulated seconds per day bucket (the adaptive-width tuning
-        follow-up reads head density against this)."""
-        return self._width
-
-    def bucket_occupancy(self) -> Dict[int, int]:
-        """Entries per live day bucket, keyed by day index — the raw
-        head-density signal for adaptive bucket-width tuning."""
-        return {day: len(bucket)
-                for day, bucket in self._buckets.items() if bucket}
-
     def stats(self) -> dict:
         """Health snapshot: depth, dead estimate, bucket shape."""
         occupancy = [len(b) for b in self._buckets.values() if b]

@@ -61,12 +61,17 @@ def test_different_seeds_differ():
 
 
 def test_module_doctests():
-    """Run embedded doctests (e.g. the Simulator usage example)."""
+    """Run the embedded doctests of every module in the package."""
     import doctest
+    import importlib
+    import pkgutil
 
-    import repro.network.topology
-    import repro.simkernel.core
+    import repro
 
-    for mod in (repro.simkernel.core, repro.network.topology):
+    failed = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        mod = importlib.import_module(info.name)
         failures, _tested = doctest.testmod(mod)
-        assert failures == 0
+        if failures:
+            failed[info.name] = failures
+    assert failed == {}

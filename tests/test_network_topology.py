@@ -93,6 +93,15 @@ def test_asymmetric_bandwidth():
     assert rev.bandwidth == 2e6
 
 
+def test_zero_reverse_bandwidth_rejected():
+    topo = Topology()
+    topo.add_site(Site("up"))
+    topo.add_site(Site("down"))
+    with pytest.raises(ValueError):
+        topo.connect("up", "down", bandwidth=10e6, latency=0.01,
+                     bandwidth_reverse=0)
+
+
 def test_reachability_respects_nat_and_firewall():
     topo = Topology()
     topo.add_site(Site("pub"))

@@ -325,21 +325,19 @@ def test_kernel_stats_heap_counters():
     assert "bucket_width" not in doc
 
 
-def test_kernel_stats_calendar_shape_and_occupancy():
+def test_kernel_stats_calendar_shape():
     sim = Simulator(queue="calendar")
     events = [sim.call_in(float(t), _tick) for t in range(1, 51)]
     for ev in events[:10]:
         ev.deschedule()
-    ks = kernel_stats(sim, occupancy=True)
+    ks = kernel_stats(sim)
     assert ks.backend == "calendar"
     assert ks.bucket_width is not None and ks.buckets >= 1
     assert ks.dead_entries == 10
     assert 0.0 < ks.dead_ratio < 1.0
-    assert ks.bucket_occupancy and sum(ks.bucket_occupancy.values()) >= 40
     doc = ks.to_dict()
-    assert all(isinstance(k, str) for k in doc["bucket_occupancy"])
-    # occupancy is opt-in
-    assert kernel_stats(sim).bucket_occupancy is None
+    assert doc["bucket_width"] == ks.bucket_width
+    assert doc["buckets"] == ks.buckets
 
 
 def test_install_kernel_gauges_streams_labeled_series():

@@ -1,9 +1,8 @@
 """Property-based tests for simulation-kernel invariants."""
 
 from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.simkernel import Container, Simulator, Store
+from repro.simkernel import Simulator
 
 
 @given(
@@ -67,67 +66,3 @@ def test_simulation_is_deterministic(seeds, n_procs):
         return log
 
     assert trace() == trace()
-
-
-@given(
-    amounts=st.lists(st.floats(min_value=0.1, max_value=100), min_size=1,
-                     max_size=20),
-)
-@settings(max_examples=40, deadline=None)
-def test_container_conserves_quantity(amounts):
-    sim = Simulator()
-    tank = Container(sim, capacity=float("inf"))
-    for a in amounts:
-        tank.put(a)
-    sim.run()
-    assert tank.level == sum(amounts)
-    total = tank.level
-    got = []
-
-    def taker(sim):
-        for a in amounts:
-            yield tank.get(a)
-            got.append(a)
-
-    sim.process(taker(sim))
-    sim.run()
-    assert abs(tank.level - (total - sum(got))) < 1e-9
-
-
-class StoreMachine(RuleBasedStateMachine):
-    """Stateful: Store behaves like a FIFO queue model."""
-
-    def __init__(self):
-        super().__init__()
-        self.sim = Simulator()
-        self.store = Store(self.sim)
-        self.model = []
-        self.counter = 0
-
-    @rule()
-    def put(self):
-        self.store.put(self.counter)
-        self.model.append(self.counter)
-        self.counter += 1
-        self.sim.run()
-
-    @rule()
-    def get(self):
-        if not self.model:
-            return
-        expected = self.model.pop(0)
-        got = []
-
-        def take(sim):
-            got.append((yield self.store.get()))
-
-        self.sim.process(take(self.sim))
-        self.sim.run()
-        assert got == [expected]
-
-    @invariant()
-    def contents_match(self):
-        assert self.store.items == self.model
-
-
-TestStoreStateful = StoreMachine.TestCase

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import AnyOf, PriorityResource, Simulator
+from repro.simkernel import AnyOf, Simulator
 
 
 def test_fail_requires_exception_instance():
@@ -61,18 +61,6 @@ def test_anyof_fails_fast_on_failing_child():
     sim.process(proc(sim))
     sim.run()
     assert caught == [1]
-
-
-def test_priority_request_ordering_key():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    blocker = res.request(priority=0)
-    lo = res.request(priority=9)
-    hi = res.request(priority=1)
-    assert hi < lo
-    assert res.queue == (hi, lo)
-    res.release(blocker)
-    assert hi.triggered and not lo.triggered
 
 
 def test_event_defused_flag_suppresses_crash():

@@ -128,25 +128,6 @@ def test_priority_weights_the_maxmin_share():
     sim.run(until=sim.all_of([heavy.done, light.done]))
 
 
-def test_legacy_tags_classify_raw_scheduler_flows():
-    sim, sched = two_site()
-    transport = Transport.of(sched)
-    records = []
-    transport.taps.append(records.append)
-    # Old-style call sites bypass the Transport entirely.
-    flows = [sched.start_flow("a", "b", 1e5, tag=tag)
-             for tag in ("mr-shuffle", "image-chain", "auth", "anything")]
-    sim.run(until=sim.all_of([f.done for f in flows]))
-
-    classes = {r.tag: r.transfer_class for r in records}
-    assert classes == {
-        "mr-shuffle": TransferClass.SHUFFLE,
-        "image-chain": TransferClass.PROPAGATION,
-        "auth": TransferClass.CONTROL,
-        "anything": TransferClass.DATA,  # unknown tags default to DATA
-    }
-
-
 def test_bind_metrics_streams_per_class_series():
     sim, sched = two_site()
     transport = Transport.of(sched)
