@@ -153,6 +153,27 @@ def test_sampled_capture_still_recovers_pattern():
     assert np.median(errors) < 0.25
 
 
+def test_sampled_capture_is_pinned():
+    # The seeded binomial draws, taken in completion order, fix every
+    # figure of a sampled capture; any change to how records reach the
+    # sniffer (order, count, sizes) moves these numbers.
+    _truth, sniffer = run_world(master_worker, sampling_rate=0.05)
+    assert sniffer.flows_seen == 30
+    assert sniffer.packets_seen == 7659
+    assert sniffer.matrix.pairs() == {
+        ("vm0", "vm1"): 5703163.0170316305,
+        ("vm0", "vm2"): 6228710.462287105,
+        ("vm0", "vm3"): 6267639.902676399,
+        ("vm0", "vm4"): 6111922.141119221,
+        ("vm0", "vm5"): 5858880.778588807,
+        ("vm1", "vm0"): 23961070.559610706,
+        ("vm2", "vm0"): 24116788.321167883,
+        ("vm3", "vm0"): 23591240.87591241,
+        ("vm4", "vm0"): 23201946.472019464,
+        ("vm5", "vm0"): 24038929.440389294,
+    }
+
+
 def test_sniffer_monitored_subset():
     sim = Simulator()
     topo = Topology()
