@@ -30,8 +30,6 @@ from collections import deque
 from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .network.flows import FlowScheduler
-from .network.topology import DirectedLink
 from .obs.instruments import (
     Counter,
     Gauge,
@@ -492,22 +490,3 @@ class MetricsRecorder:
                     rows += 1
         return rows
 
-
-# -- ready-made samplers -------------------------------------------------
-
-
-def link_utilization_sampler(scheduler: FlowScheduler,
-                             link: DirectedLink) -> Callable[[], float]:
-    """Sampler returning a link's current utilization in [0, 1]."""
-
-    def sample() -> float:
-        rate = sum(f.rate for f in scheduler.active_flows
-                   if link in f.path)
-        return min(1.0, rate / link.bandwidth)
-
-    return sample
-
-
-def active_flow_sampler(scheduler: FlowScheduler) -> Callable[[], int]:
-    """Sampler returning the number of in-flight flows."""
-    return lambda: len(scheduler.active_flows)

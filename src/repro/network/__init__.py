@@ -15,7 +15,6 @@ from .flows import (
     FlowCancelled,
     FlowRecord,
     FlowScheduler,
-    SharedCap,
 )
 from .nat import (
     Address,
@@ -28,12 +27,7 @@ from .nat import (
 from .packets import record_packets, segments, wire_bytes
 from .tcp import Connection, ConnectionBroken, ConnectionState
 from .topology import DirectedLink, NetworkError, NoRoute, Site, Topology
-from .transport import (
-    ClassPolicy,
-    Transport,
-    TransferClass,
-    TransferRecord,
-)
+from .transport import Transport, TransferClass
 from .units import (
     GB,
     GB_DECIMAL,
@@ -52,7 +46,6 @@ __all__ = [
     "Address",
     "AddressPool",
     "BillingMeter",
-    "ClassPolicy",
     "Connection",
     "ConnectionBroken",
     "ConnectionState",
@@ -77,12 +70,10 @@ __all__ = [
     "PlainIPResolver",
     "Resolver",
     "Route",
-    "SharedCap",
     "Site",
     "Topology",
     "Transport",
     "TransferClass",
-    "TransferRecord",
     "gbit_per_s",
     "mbit_per_s",
     "record_packets",

@@ -39,10 +39,9 @@ float operations, so its rates are bit-identical.
 
 Per-flow rate caps (e.g. a VM NIC, or a deliberately throttled
 migration) are modeled as virtual single-flow links, which integrates
-them exactly into the water-filling computation.  Aggregate per-class
-ceilings (:class:`SharedCap`) are virtual *shared* links crossing every
-flow of a class.  Flows may carry a ``weight`` (default 1.0); rates are
-assigned proportionally to weight at each fill level (weighted max-min).
+them exactly into the water-filling computation.  Flows may carry a
+``weight`` (default 1.0); rates are assigned proportionally to weight at
+each fill level (weighted max-min).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from ..simkernel import Event, Simulator, URGENT
 from ..simkernel.queues import COMPACT_FRACTION, COMPACT_MIN
@@ -63,28 +62,6 @@ EPSILON = 1e-9
 
 class FlowCancelled(NetworkError):
     """Raised into waiters when a flow is cancelled mid-transfer."""
-
-
-class SharedCap:
-    """A virtual shared link capping the *aggregate* rate of every flow
-    attached to it (e.g. all transfers of one Transport class).
-
-    Participates in progressive filling exactly like a physical link, so
-    class-level ceilings compose correctly with real bottlenecks.  Note
-    that flows sharing a :class:`SharedCap` form one bottleneck-connected
-    component even when their paths are disjoint.
-    """
-
-    __slots__ = ("name", "bandwidth")
-
-    def __init__(self, name: str, bandwidth: float):
-        if not bandwidth > 0:  # also rejects NaN
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        self.name = name
-        self.bandwidth = float(bandwidth)
-
-    def __repr__(self):
-        return f"<SharedCap {self.name} {self.bandwidth:.3g} B/s>"
 
 
 class Flow:
@@ -103,9 +80,9 @@ class Flow:
         Relative share at contended links (weighted max-min); 1.0 for
         plain fair sharing.
     links:
-        The shared allocation constraints: the path links plus any
-        aggregate class caps (per-flow rate caps never connect flows
-        and are handled inside the water-filling pass).
+        The shared allocation constraints: the path links (per-flow
+        rate caps never connect flows and are handled inside the
+        water-filling pass).
     """
 
     _ids = itertools.count()
@@ -113,14 +90,13 @@ class Flow:
     __slots__ = (
         "id", "src", "dst", "size", "remaining", "rate", "path", "done",
         "started_at", "finished_at", "rate_cap", "tag", "meta", "weight",
-        "shared_caps", "links", "_last_settled", "_run", "_armed_rate",
+        "links", "_last_settled", "_run", "_armed_rate",
         "_wake",
     )
 
     def __init__(self, sim: Simulator, src: str, dst: str, size: float,
                  path: List[DirectedLink], rate_cap: Optional[float],
-                 tag: str, meta: dict, weight: float = 1.0,
-                 shared_caps: Sequence[SharedCap] = ()):
+                 tag: str, meta: dict, weight: float = 1.0):
         self.id = next(Flow._ids)
         self.src = src
         self.dst = dst
@@ -135,8 +111,7 @@ class Flow:
         self.tag = tag
         self.meta = meta
         self.weight = weight
-        self.shared_caps = tuple(shared_caps)
-        self.links = tuple(path) + self.shared_caps
+        self.links = tuple(path)
         self._last_settled = sim.now
         self._run: Optional[_Run] = None  # the run holding the live arm
         self._armed_rate = -1.0  # rate the live arm was armed with
@@ -246,9 +221,7 @@ class FlowScheduler:
 
     def start_flow(self, src: str, dst: str, size: float,
                    rate_cap: Optional[float] = None, tag: str = "data",
-                   weight: float = 1.0,
-                   shared_caps: Sequence[SharedCap] = (),
-                   **meta) -> Flow:
+                   weight: float = 1.0, **meta) -> Flow:
         """Begin transferring ``size`` bytes from site ``src`` to ``dst``.
 
         Returns the :class:`Flow`; wait on ``flow.done`` for completion.
@@ -264,7 +237,7 @@ class FlowScheduler:
                 f"rate cap must be finite and positive, got {rate_cap}")
         path = self.topology.path(src, dst)
         flow = Flow(self.sim, src, dst, size, path, rate_cap, tag, meta,
-                    weight, shared_caps)
+                    weight)
         latency = sum(l.latency for l in path)
         if size == 0:
             self._finish_after_latency(flow, latency)
@@ -384,8 +357,7 @@ class FlowScheduler:
         All unfrozen flows' rates rise proportionally to their weights;
         when a link saturates, the flows crossing it freeze at the
         current fill level.  A per-flow rate cap is a virtual link
-        carrying only that flow; a :class:`SharedCap` is a virtual link
-        carrying every flow attached to it.
+        carrying only that flow.
 
         A component whose flows all cross the same single link and carry
         no rate cap is filled in its one round directly (see
@@ -395,7 +367,7 @@ class FlowScheduler:
             return
         if self._one_round(order):
             return
-        # Map each (shared or virtual) link to the flows crossing it.
+        # Map each (physical or virtual) link to the flows crossing it.
         link_flows: Dict[object, Set[Flow]] = {}
         residual: Dict[object, float] = {}
         wsum: Dict[object, float] = {}

@@ -4,12 +4,12 @@
     hypervisor level in order to infer communication patterns in a
     virtual cluster."
 
-The :class:`HypervisorSniffer` taps the flow scheduler — the simulation
-equivalent of running libpcap on each host's virtual NICs.  It is
-*transparent*: it needs no guest cooperation, sees only what crosses the
-(virtual) wire, and attributes bytes to VM pairs from packet headers
-(flow metadata here).  What it measures differs from application truth
-exactly the way a real capture does:
+The :class:`HypervisorSniffer` taps the flow scheduler's completion
+records — the simulation equivalent of running libpcap on each host's
+virtual NICs.  It is *transparent*: it needs no guest cooperation, sees
+only what crosses the (virtual) wire, and attributes bytes to VM pairs
+from packet headers (flow metadata here).  What it measures differs
+from application truth exactly the way a real capture does:
 
 * it sees **wire volume** (payload + protocol framing), not app bytes;
 * optional **packet sampling** (capture 1 packet in N, scale up) adds
@@ -19,32 +19,29 @@ exactly the way a real capture does:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Set
+from typing import Iterable, Optional, Set
 
 import numpy as np
 
+from ..network.flows import FlowRecord, FlowScheduler
 from ..network.packets import record_packets
-from ..network.transport import Transport, TransferRecord
 from .matrix import TrafficMatrix
 
 
 class HypervisorSniffer:
-    """Passive per-VM traffic observer built on transport taps.
+    """Passive per-VM traffic observer built on scheduler taps.
 
-    Accepts a :class:`Transport` or a raw
-    :class:`~repro.network.flows.FlowScheduler` (normalized through
-    :meth:`Transport.of`), so it sees every transfer regardless of which
-    layer started it."""
+    It taps the :class:`~repro.network.flows.FlowScheduler` itself, so it
+    sees every transfer regardless of which layer started it."""
 
-    def __init__(self, scheduler,
+    def __init__(self, scheduler: FlowScheduler,
                  monitored_vms: Optional[Iterable[str]] = None,
                  sampling_rate: float = 1.0,
                  rng: Optional[np.random.Generator] = None,
                  tags: Optional[Set[str]] = None):
         if not 0 < sampling_rate <= 1:
             raise ValueError("sampling_rate must be in (0, 1]")
-        self.transport = Transport.of(scheduler)
-        self.scheduler = self.transport.scheduler
+        self.scheduler = scheduler
         #: VM names to observe (None = every VM-attributed flow).
         self.monitored: Optional[Set[str]] = (
             set(monitored_vms) if monitored_vms is not None else None
@@ -56,17 +53,16 @@ class HypervisorSniffer:
         self.matrix = TrafficMatrix()
         self.packets_seen = 0
         self.flows_seen = 0
-        self._tap: Callable[[TransferRecord], None] = self._observe
-        self.transport.taps.append(self._tap)
+        self.scheduler.taps.append(self._observe)
 
     def detach(self) -> None:
         """Stop capturing."""
         try:
-            self.transport.taps.remove(self._tap)
+            self.scheduler.taps.remove(self._observe)
         except ValueError:
             pass
 
-    def _observe(self, record: TransferRecord) -> None:
+    def _observe(self, record: FlowRecord) -> None:
         src = record.meta.get("src_vm")
         dst = record.meta.get("dst_vm")
         if src is None or dst is None:

@@ -84,7 +84,6 @@ class Process(Event):
                 self._ok = False
                 self._exc = error
                 self._value = None
-                self._defused = False
                 self.sim.schedule(self, priority=URGENT)
                 break
 

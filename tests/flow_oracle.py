@@ -3,9 +3,9 @@
 Everything here is rational arithmetic over :class:`fractions.Fraction`
 (every float converts exactly), so it has no rounding and no EPSILON:
 
-* :func:`maxmin` — weighted progressive filling.  Links, ``SharedCap``s
-  and per-flow rate caps are all constraints; a constraint saturates
-  when its residual is exactly zero.
+* :func:`maxmin` — weighted progressive filling.  Links and per-flow
+  rate caps are both constraints; a constraint saturates when its
+  residual is exactly zero.
 * :func:`replay` — the fluid model driven by a :class:`FlowLog` of one
   run's starts, cancellations and capacity changes, each at the
   ``sim.now`` it happened.  It returns every completed flow's finish

@@ -3,8 +3,8 @@ oracle.
 
 Re-rating only the bottleneck-connected component of each change has to
 be *exact*: across arbitrary topologies, flow mixes, weights, rate caps,
-shared class caps, cancellations and runtime capacity changes, the live
-rates must equal the exact rational max-min allocation
+cancellations and runtime capacity changes, the live rates must equal
+the exact rational max-min allocation
 (:func:`tests.flow_oracle.maxmin`) of the flows in flight, and every
 completion time must equal the exact fluid replay of the run
 (:func:`tests.flow_oracle.replay`), both to a relative 1e-12.  A
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import FlowScheduler, SharedCap, Site, Topology
+from repro.network import FlowScheduler, Site, Topology
 from repro.simkernel import Simulator
 
 from tests.flow_oracle import FlowLog, maxmin, rel_err, replay
@@ -40,9 +40,8 @@ def build_topology(n_sites, bandwidths):
     return topo, pairs
 
 
-def run_scenario(n_sites, bandwidths, events, shared_bandwidths=()):
-    """Replay ``events``; a start joins the :class:`SharedCap`s (one per
-    entry of ``shared_bandwidths``) whose indices it lists in ``shared``.
+def run_scenario(n_sites, bandwidths, events):
+    """Replay ``events``.
 
     Returns (flow log, post-event snapshots); flows are identified by
     their scenario index (flow ids are a global counter and differ
@@ -52,8 +51,6 @@ def run_scenario(n_sites, bandwidths, events, shared_bandwidths=()):
     topo, pairs = build_topology(n_sites, bandwidths)
     sched = FlowScheduler(sim, topo)
     log = FlowLog(sched)
-    caps = [SharedCap(f"class:{i}", bw)
-            for i, bw in enumerate(shared_bandwidths)]
     flows = []
     snapshots = []
 
@@ -65,9 +62,7 @@ def run_scenario(n_sites, bandwidths, events, shared_bandwidths=()):
                 dst = f"s{ev['dst'] % n_sites}"
                 flows.append(sched.start_flow(
                     src, dst, ev["size"], rate_cap=ev["cap"],
-                    weight=ev["weight"],
-                    shared_caps=[caps[i] for i in ev.get("shared", ())],
-                    idx=len(flows),
+                    weight=ev["weight"], idx=len(flows),
                 ))
             elif ev["kind"] == "cancel":
                 if flows:
@@ -109,7 +104,6 @@ _start = st.fixed_dictionaries({
                      st.floats(5e4, 5e6, allow_nan=False,
                                allow_infinity=False)),
     "weight": st.sampled_from([0.5, 1.0, 1.0, 2.0]),
-    "shared": st.sampled_from([(), (), (0,), (1,), (0, 1)]),
 })
 _cancel = st.fixed_dictionaries({
     "kind": st.just("cancel"),
@@ -129,14 +123,11 @@ _bw = st.floats(1e5, 1e7, allow_nan=False, allow_infinity=False)
 @given(
     n_sites=st.integers(2, 4),
     bandwidths=st.lists(_bw, min_size=1, max_size=6),
-    shared_bandwidths=st.tuples(_bw, _bw),
     events=st.lists(st.one_of(_start, _cancel, _bandwidth),
                     min_size=1, max_size=14),
 )
-def test_incremental_matches_exact_oracle(n_sites, bandwidths,
-                                          shared_bandwidths, events):
-    log, snapshots = run_scenario(n_sites, bandwidths, events,
-                                  shared_bandwidths)
+def test_incremental_matches_exact_oracle(n_sites, bandwidths, events):
+    log, snapshots = run_scenario(n_sites, bandwidths, events)
 
     # The exact max-min rates after every scenario event.
     for snap in snapshots:
@@ -194,9 +185,8 @@ def test_same_seed_identical_flow_records():
 def run_single_link(bandwidths, events, cap_factor):
     """Replay ``events`` on one a<->b link, every flow on one of its two
     directions: two weighted processor-sharing components.  With a
-    ``cap_factor`` every flow also joins its direction's
-    :class:`SharedCap`, that many times the largest link capacity of the
-    run, which never binds.
+    ``cap_factor`` every flow also gets a rate cap of that many times
+    the largest link capacity of the run, which never binds.
 
     Returns the rates after each event and the completions, by flow
     index.
@@ -207,10 +197,7 @@ def run_single_link(bandwidths, events, cap_factor):
     topo.add_site(Site("b"))
     topo.connect("a", "b", bandwidth=bandwidths[0], latency=0.0)
     sched = FlowScheduler(sim, topo)
-    caps = {forward: ([SharedCap(f"loose:{forward}",
-                                 cap_factor * max(bandwidths))]
-                      if cap_factor else [])
-            for forward in (True, False)}
+    cap = cap_factor * max(bandwidths) if cap_factor else None
     flows, rates, done = [], [], {}
     sched.taps.append(lambda r: done.__setitem__(r.meta["idx"],
                                                  r.finished_at))
@@ -221,8 +208,8 @@ def run_single_link(bandwidths, events, cap_factor):
             if ev["kind"] == "start":
                 src, dst = ("a", "b") if ev["forward"] else ("b", "a")
                 flows.append(sched.start_flow(
-                    src, dst, ev["size"], weight=ev["weight"],
-                    shared_caps=caps[ev["forward"]], idx=len(flows)))
+                    src, dst, ev["size"], rate_cap=cap,
+                    weight=ev["weight"], idx=len(flows)))
             elif ev["kind"] == "cancel":
                 if flows:
                     sched.cancel(flows[ev["pick"] % len(flows)])
@@ -263,9 +250,9 @@ _ps_other = st.fixed_dictionaries({
 def test_single_link_rates_equal_general_fill(bandwidths, events,
                                               cap_factor):
     """A one-link, uncapped component takes the one-round fill; a
-    non-binding shared cap sends the same flows through the general
-    progressive-filling loop.  Rates and completion times must be
-    equal, not merely close."""
+    non-binding per-flow rate cap sends the same flows through the
+    general progressive-filling loop.  Rates and completion times must
+    be equal, not merely close."""
     assert run_single_link(bandwidths, events, 0.0) \
         == run_single_link(bandwidths, events, cap_factor)
 
@@ -406,25 +393,3 @@ def test_weighted_flows_share_proportionally():
 
     sim.process(probe())
     sim.run(until=light.done)
-
-
-def test_shared_cap_limits_aggregate_rate_across_disjoint_paths():
-    sim = Simulator()
-    topo = Topology()
-    for name in ("a", "b", "c", "d"):
-        topo.add_site(Site(name))
-    topo.connect("a", "b", bandwidth=1e7, latency=0.0)
-    topo.connect("c", "d", bandwidth=1e7, latency=0.0)
-    sched = FlowScheduler(sim, topo)
-    cap = SharedCap("class:test", 1e6)
-    f1 = sched.start_flow("a", "b", 1e6, shared_caps=(cap,))
-    f2 = sched.start_flow("c", "d", 1e6, shared_caps=(cap,))
-
-    def probe():
-        yield sim.timeout(0.1)
-        assert f1.rate + f2.rate == pytest.approx(1e6)
-
-    sim.process(probe())
-    sim.run(until=sim.all_of([f1.done, f2.done]))
-    assert sim.now == pytest.approx(2.0)
-

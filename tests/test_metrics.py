@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.metrics import (
-    MetricsRecorder,
-    TimeSeries,
-    active_flow_sampler,
-    link_utilization_sampler,
-)
+from repro.metrics import MetricsRecorder, TimeSeries
 from repro.network import FlowScheduler, Site, Topology
 from repro.simkernel import Simulator
 
@@ -191,9 +186,10 @@ def test_link_utilization_probe_tracks_flows():
     sched = FlowScheduler(sim, topo)
     link = topo.path("a", "b")[0]
     metrics = MetricsRecorder(sim)
-    metrics.probe("util", link_utilization_sampler(sched, link),
+    metrics.probe("util", lambda: sum(f.rate for f in sched.active_flows
+                                      if link in f.path) / link.bandwidth,
                   interval=0.5)
-    metrics.probe("flows", active_flow_sampler(sched), interval=0.5)
+    metrics.probe("flows", lambda: len(sched.active_flows), interval=0.5)
     sched.start_flow("a", "b", 2e6)  # saturates for 2 s
     sim.run(until=4)
     util = metrics.series("util").values()

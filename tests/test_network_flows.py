@@ -6,7 +6,6 @@ from repro.network import (
     BillingMeter,
     FlowCancelled,
     FlowScheduler,
-    SharedCap,
     Site,
     Topology,
 )
@@ -60,7 +59,6 @@ NAN, INF = float("nan"), float("inf")
     ("weight", NAN), ("weight", INF), ("weight", 0.0), ("weight", -1.0),
     ("rate_cap", NAN), ("rate_cap", INF), ("rate_cap", 0.0),
     ("rate_cap", -5.0),
-    ("shared_cap", NAN),
 ])
 def test_bad_flow_inputs_rejected_at_call_site(field, value):
     """Values that would leave a flow at a zero, negative or NaN rate
@@ -69,10 +67,7 @@ def test_bad_flow_inputs_rejected_at_call_site(field, value):
     sim = Simulator()
     sched = FlowScheduler(sim, two_sites())
     with pytest.raises(ValueError):
-        if field == "shared_cap":
-            SharedCap("class:x", value)
-        else:
-            sched.start_flow("a", "b", **{"size": 1e6, field: value})
+        sched.start_flow("a", "b", **{"size": 1e6, field: value})
     assert not sched.active_flows
 
 

@@ -72,6 +72,20 @@ def test_event_defused_flag_suppresses_crash():
     assert ev.ok is False
 
 
+def test_process_defused_before_it_fails_does_not_crash():
+    sim = Simulator()
+
+    def proc(sim):
+        yield sim.timeout(1)
+        raise RuntimeError("handled elsewhere")
+
+    p = sim.process(proc(sim))
+    p.defused = True  # set up front, before the generator raises
+    sim.run()  # must not raise
+    assert p.ok is False
+    assert isinstance(p.value, RuntimeError)
+
+
 def test_condition_operators_combine_mixed():
     sim = Simulator()
     out = {}

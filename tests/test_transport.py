@@ -4,13 +4,11 @@ import pytest
 
 from repro.metrics import MetricsRecorder
 from repro.network import (
-    ClassPolicy,
     FlowScheduler,
     Site,
     Topology,
     Transport,
     TransferClass,
-    TransferRecord,
 )
 from repro.simkernel import Simulator
 
@@ -28,7 +26,7 @@ def test_typed_methods_produce_classified_records():
     sim, sched = two_site()
     transport = Transport.of(sched)
     records = []
-    transport.taps.append(records.append)
+    sched.taps.append(records.append)
     starters = {
         TransferClass.MIGRATION: transport.migration,
         TransferClass.SHUFFLE: transport.shuffle,
@@ -40,14 +38,14 @@ def test_typed_methods_produce_classified_records():
     sim.run(until=sim.all_of([f.done for f in flows]))
 
     assert len(records) == len(starters)
-    assert {r.transfer_class for r in records} == set(starters)
+    assert {Transport.classify(r) for r in records} == set(starters)
     for r in records:
-        assert isinstance(r, TransferRecord)
+        cls = Transport.classify(r)
         assert (r.src, r.dst, r.size) == ("a", "b", 1e5)
-        assert r.tag == r.transfer_class.value  # default tag is the class
+        assert r.tag == cls.value  # default tag is the class
         assert r.duration == r.finished_at - r.started_at
-        assert transport.transfers_by_class[r.transfer_class] == 1
-        assert transport.bytes_by_class[r.transfer_class] == 1e5
+        assert transport.transfers_by_class[cls] == 1
+        assert transport.bytes_by_class[cls] == 1e5
     assert transport.summary()["shuffle"] == {"bytes": 1e5, "transfers": 1}
 
 
@@ -59,86 +57,38 @@ def test_transport_of_is_cached_and_idempotent():
     assert transport.scheduler is sched
 
 
-def test_policy_rate_cap_combines_with_call_cap():
+def test_call_rate_cap_binds():
     sim, sched = two_site()
-    transport = Transport(
-        sched, policies={TransferClass.MIGRATION: ClassPolicy(rate_cap=2e5)})
-    policy_capped = transport.migration("a", "b", 2e5)
-    call_capped = transport.migration("a", "b", 1e5, rate_cap=1e5)
+    transport = Transport.of(sched)
+    capped = transport.migration("a", "b", 1e5, rate_cap=1e5)
 
     def probe():
         yield sim.timeout(0.1)
-        assert policy_capped.rate == pytest.approx(2e5)  # policy cap binds
-        assert call_capped.rate == pytest.approx(1e5)  # tighter call cap wins
+        assert capped.rate == pytest.approx(1e5)  # not the 1 MB/s link
 
     sim.process(probe())
-    sim.run(until=sim.all_of([policy_capped.done, call_capped.done]))
+    sim.run(until=capped.done)
     assert sim.now == pytest.approx(1.0)
 
 
-def test_aggregate_cap_limits_class_total_rate():
-    sim, sched = two_site(bandwidth=1e7)
-    transport = Transport(
-        sched,
-        policies={TransferClass.PROPAGATION: ClassPolicy(aggregate_cap=1e6)})
-    f1 = transport.propagation("a", "b", 1e6)
-    f2 = transport.propagation("a", "b", 1e6)
-    bystander = transport.data("a", "b", 1e6)
-
-    def probe():
-        yield sim.timeout(0.1)
-        assert f1.rate + f2.rate == pytest.approx(1e6)
-        # The cap constrains only its class; other traffic takes the rest.
-        assert bystander.rate == pytest.approx(1e7 - 1e6)
-
-    sim.process(probe())
-    sim.run(until=sim.all_of([f1.done, f2.done, bystander.done]))
-
-
-def test_set_policy_updates_live_aggregate_cap():
-    sim, sched = two_site(bandwidth=1e7)
-    transport = Transport(
-        sched,
-        policies={TransferClass.MIGRATION: ClassPolicy(aggregate_cap=1e6)})
-    flow = transport.migration("a", "b", 2e6)
-
-    def relax():
-        yield sim.timeout(1.0)  # 1e6 B sent at the 1 MB/s class ceiling
-        transport.set_policy(TransferClass.MIGRATION,
-                             ClassPolicy(aggregate_cap=2e6))
-
-    sim.process(relax())
-    sim.run(until=flow.done)
-    assert sim.now == pytest.approx(1.5)  # remaining 1e6 B at 2 MB/s
-
-
-def test_priority_weights_the_maxmin_share():
-    sim, sched = two_site()
-    transport = Transport(
-        sched, policies={TransferClass.MIGRATION: ClassPolicy(priority=3.0)})
-    heavy = transport.migration("a", "b", 1e6)
-    light = transport.data("a", "b", 1e6)
-
-    def probe():
-        yield sim.timeout(0.1)
-        assert heavy.rate == pytest.approx(3e6 / 4)
-        assert light.rate == pytest.approx(1e6 / 4)
-
-    sim.process(probe())
-    sim.run(until=sim.all_of([heavy.done, light.done]))
-
-
-def test_bind_metrics_streams_per_class_series():
+def test_raw_flow_counts_as_data():
     sim, sched = two_site()
     transport = Transport.of(sched)
-    metrics = MetricsRecorder(sim)
-    transport.bind_metrics(metrics)
-    flows = [transport.shuffle("a", "b", 1e5) for _ in range(3)]
-    sim.run(until=sim.all_of([f.done for f in flows]))
+    flow = sched.start_flow("a", "b", 1e5)
+    sim.run(until=flow.done)
+    assert transport.summary()["data"] == {"bytes": 1e5, "transfers": 1}
+    assert sum(transport.transfers_by_class.values()) == 1
 
-    assert metrics.series("transport.shuffle.transfers").last() == 3
-    assert metrics.series("transport.shuffle.bytes").last() == 3e5
-    assert len(metrics.series("transport.migration.bytes")) == 0
+
+def test_installed_recorder_gets_per_class_throughput():
+    sim, sched = two_site()
+    transport = Transport.of(sched)
+    metrics = MetricsRecorder(sim).install()
+    flow = transport.shuffle("a", "b", 1e5)
+    sim.run(until=flow.done)
+    series = metrics.get("transport.throughput{class=shuffle}")
+    assert series.values() == [pytest.approx(1e6)]  # 1e5 B in 0.1 s
+    assert metrics.get("transport.throughput{class=data}") is None
 
 
 def test_transfer_span_propagates_parent_context():
