@@ -16,6 +16,8 @@ from repro.controlplane import (
     SchedulerConfig,
     SpotPolicy,
     UtilityScaled,
+    eventlog_of,
+    recover,
 )
 from repro.hypervisor import PhysicalHost
 from repro.network import FlowScheduler, Site, Topology, gbit_per_s
@@ -578,3 +580,52 @@ def test_spot_backed_run_is_deterministic():
                 plane.spot.savings_total)
 
     assert run() == run()
+
+
+# -- crash recovery ---------------------------------------------------------
+
+
+def test_recovery_retires_stranded_enrollments_once():
+    """A crash kills the manager that owned the backings; ``recover``
+    hands each still-live enrollment back to on-demand terms exactly
+    once and commits it as closed."""
+    # The price dips after the crash: an instance still on spot terms
+    # would be re-rated to 0.01.
+    trace = (np.array([0.0, 600.0]), np.array([0.02, 0.01]))
+    tb, market = spot_testbed(trace=trace)
+    plane = make_spot_plane(tb, market, SpotPolicy())
+    plane.submit("alice", n_nodes=2, runtime=2000.0)
+    plane.submit("alice", n_nodes=1, runtime=2000.0)
+    tb.sim.run(until=100.0)
+    stranded = [i for i in market.instances if i.alive]
+    assert len(stranded) == 3
+    log = plane.crash()
+
+    retired = []
+    retire = market.retire
+
+    def counting_retire(inst):
+        retired.append(inst)
+        retire(inst)
+
+    market.retire = counting_retire
+    crashed_at = tb.sim.now
+    recover(tb.sim, tb.federation, tb.image_name, log,
+            spot_markets={"a": market}, spot_policy=SpotPolicy())
+    assert sorted(id(i) for i in retired) == sorted(id(i) for i in stranded)
+    assert not any(i.alive for i in market.instances)
+
+    meter = tb.clouds["a"].meter
+    od = tb.clouds["a"].pricing.on_demand_hourly
+    tb.sim.run(until=900.0)  # past the dip
+    for inst in stranded:
+        assert inst.state is SpotState.CLOSED
+        assert meter.current_rate(inst.vm.name) == od
+        # The spot segment closed at the crash; nothing billed since.
+        assert meter.segments(inst.vm.name)[-1][1] == crashed_at
+
+    closed = [e for e in eventlog_of(tb.sim)
+              if e.kind == "spot" and e.cause == "recovery"]
+    assert sorted(e.entity for e in closed) == sorted(
+        i.vm.name for i in stranded)
+    assert all(e.frm == "enrolled" and e.to == "closed" for e in closed)
