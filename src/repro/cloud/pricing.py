@@ -23,6 +23,9 @@ class UsageMeter:
         #: vm -> (segment start, rate, cost of the run's closed segments)
         self._open: Dict[str, Tuple[float, float, float]] = {}
         self._closed: List[Tuple[str, float, float, float]] = []
+        #: vm -> its closed segments: the very tuples of ``_closed``,
+        #: in the same order, so :meth:`segments` never scans history.
+        self._by_vm: Dict[str, List[Tuple[str, float, float, float]]] = {}
 
     def start(self, vm_name: str, at: float, hourly_rate: float = None) -> None:
         if vm_name in self._open:
@@ -40,9 +43,7 @@ class UsageMeter:
             raise ValueError(f"{vm_name!r} is not metered") from None
         if at < start:
             raise ValueError("stop before start")
-        cost = (at - start) / 3600.0 * rate
-        self._closed.append((vm_name, start, at, cost))
-        return run_cost + cost
+        return run_cost + self._close(vm_name, start, at, rate)
 
     def rebill(self, vm_name: str, at: float, hourly_rate: float) -> None:
         """Change a running instance's rate from ``at`` onward: the
@@ -57,9 +58,18 @@ class UsageMeter:
             raise ValueError("rebill before segment start")
         if hourly_rate == rate:
             return
-        cost = (at - start) / 3600.0 * rate
-        self._closed.append((vm_name, start, at, cost))
+        cost = self._close(vm_name, start, at, rate)
         self._open[vm_name] = (at, hourly_rate, run_cost + cost)
+
+    def _close(self, vm_name: str, start: float, at: float,
+               rate: float) -> float:
+        """Record the segment ``[start, at)`` billed at ``rate``;
+        returns its cost."""
+        cost = (at - start) / 3600.0 * rate
+        segment = (vm_name, start, at, cost)
+        self._closed.append(segment)
+        self._by_vm.setdefault(vm_name, []).append(segment)
+        return cost
 
     def current_rate(self, vm_name: str) -> float:
         """The hourly rate the instance is currently billed at."""
@@ -72,11 +82,12 @@ class UsageMeter:
         """Closed billing segments for ``vm_name`` as ``(start, stop,
         cost)`` tuples, in billing order."""
         return [(start, stop, cost)
-                for name, start, stop, cost in self._closed
-                if name == vm_name]
+                for _, start, stop, cost in self._by_vm.get(vm_name, ())]
 
     def cost(self, now: float) -> float:
         """Total cost including still-running instances up to ``now``."""
+        # Summed afresh in closing order: a running total would not
+        # match, since ``sum()`` compensates rounding on Python 3.12+.
         closed = sum(c for _, _, _, c in self._closed)
         running = sum(
             (now - start) / 3600.0 * rate

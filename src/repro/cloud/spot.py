@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..hypervisor.vm import VirtualMachine
 from ..simkernel import Event, Simulator
@@ -88,7 +88,14 @@ class SpotMarket:
         #: (EC2 gives two minutes) — the window a migratable spot
         #: instance uses to escape.
         self.reclaim_grace = reclaim_grace
+        #: Every instance ever launched or enrolled, in arrival order.
         self.instances: List[SpotInstance] = []
+        #: The ``RUNNING`` subset of ``instances``, by VM, in the same
+        #: order: entered at launch/enrol, dropped where the state
+        #: leaves ``RUNNING``.
+        self._live: Dict[VirtualMachine, SpotInstance] = {}
+        #: How many ``instances`` have ``reclaiming`` set.
+        self._reclaiming = 0
         #: ``handler(instance) -> process`` returning True if the VM was
         #: moved to safety during the grace window.
         self.reclaim_handler: Optional[Callable] = None
@@ -101,6 +108,10 @@ class SpotMarket:
     @property
     def current_price(self) -> float:
         return self.prices.current_price
+
+    def live_instances(self) -> List[SpotInstance]:
+        """The instances still on spot terms, in arrival order."""
+        return list(self._live.values())
 
     # -- billing ---------------------------------------------------------
 
@@ -141,6 +152,7 @@ class SpotMarket:
                             launched_at=self.sim.now,
                             reclaim_event=self.sim.event())
         self.instances.append(inst)
+        self._live[inst.vm] = inst
         self._rerate(inst)
         return inst
 
@@ -163,12 +175,13 @@ class SpotMarket:
             raise CloudError(
                 f"{vm.name!r} is not an instance of {self.cloud.name!r}"
             )
-        if any(i.vm is vm and i.alive for i in self.instances):
+        if vm in self._live:
             raise ValueError(f"{vm.name!r} is already on the spot market")
         inst = SpotInstance(vm=vm, bid=bid, cloud=self.cloud,
                             launched_at=self.sim.now,
                             reclaim_event=self.sim.event())
         self.instances.append(inst)
+        self._live[vm] = inst
         self._rerate(inst)
         return inst
 
@@ -179,6 +192,7 @@ class SpotMarket:
         if inst.state is not SpotState.RUNNING:
             return
         inst.state = SpotState.CLOSED
+        del self._live[inst.vm]
         inst.ended_at = self.sim.now
         if inst.vm in self.cloud.instances:
             self.cloud.meter.rebill(inst.vm.name, self.sim.now,
@@ -188,24 +202,26 @@ class SpotMarket:
         """Customer-initiated termination."""
         if inst.state is SpotState.RUNNING:
             inst.state = SpotState.CLOSED
+            del self._live[inst.vm]
             inst.ended_at = self.sim.now
             self.cloud.terminate(inst.vm)
 
     # -- reclamation -----------------------------------------------------
 
     def _on_price_change(self, price: float) -> None:
-        for inst in list(self.instances):
-            if not inst.alive:
-                continue
+        for inst in list(self._live.values()):
             self._rerate(inst)
             if price > inst.bid and not inst.reclaiming:
                 inst.reclaiming = True
+                self._reclaiming += 1
                 self.sim.process(self._reclaim(inst),
                                  name=f"reclaim-{inst.vm.name}")
 
     def _resolve(self, inst: SpotInstance, outcome: str) -> None:
         """Close one reclamation episode with exactly one outcome."""
-        inst.reclaiming = False
+        if inst.reclaiming:
+            inst.reclaiming = False
+            self._reclaiming -= 1
         if (outcome in ("rescued", "reclaimed")
                 and inst.reclaim_event is not None
                 and not inst.reclaim_event.triggered):
@@ -234,6 +250,7 @@ class SpotMarket:
         inst.ended_at = self.sim.now
         if rescued:
             inst.state = SpotState.RESCUED
+            del self._live[inst.vm]
             # The VM left this cloud alive: stop billing it here if the
             # migration's billing hand-off has not already — from now on
             # it is metered at the destination cloud's price.
@@ -242,5 +259,6 @@ class SpotMarket:
             self._resolve(inst, "rescued")
         else:
             inst.state = SpotState.RECLAIMED
+            del self._live[inst.vm]
             self.cloud.terminate(inst.vm)
             self._resolve(inst, "reclaimed")

@@ -380,8 +380,8 @@ def recover(sim: Simulator, federation, image_name: str,
     stranded = {vm for vm, rec in state.spot.items()
                 if rec.outcome is None}
     for market in markets.values():
-        for inst in list(market.instances):
-            if inst.alive and inst.vm.name in stranded:
+        for inst in market.live_instances():
+            if inst.vm.name in stranded:
                 market.retire(inst)
                 log_out.append("spot", inst.vm.name, to="closed",
                                frm="enrolled", cause="recovery")

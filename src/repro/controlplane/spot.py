@@ -155,6 +155,9 @@ class SpotCapacityManager:
                 interval=self.policy.checkpoint_interval)
         #: vm name -> its (latest) backing.
         self._backings: Dict[str, SpotBacking] = {}
+        #: lease id -> {vm name: backing}: ``_backings`` restricted to
+        #: one lease, in the same order; dropped at the lease's teardown.
+        self._by_lease: Dict[int, Dict[str, SpotBacking]] = {}
         self.events: List[ReclaimEvent] = []
         self.enrolled_count = 0
         #: Resolved reclamation outcomes (aggregate).
@@ -197,10 +200,10 @@ class SpotCapacityManager:
                         self._backings[vm.name].inst.alive:
                     continue
                 inst = market.enroll(vm, bid)
-                self._backings[vm.name] = SpotBacking(
+                self._add_backing(SpotBacking(
                     inst=inst, market=market, lease=lease,
                     tenant=lease.tenant, od_rate=od,
-                    enrolled_at=self.sim.now)
+                    enrolled_at=self.sim.now))
                 record(self.sim, "spot", vm.name, to="enrolled",
                        cause="back-lease", cloud=cloud_name, bid=bid,
                        lease=lease.id, tenant=lease.tenant)
@@ -219,9 +222,25 @@ class SpotCapacityManager:
                     f"spot.enrolled.{lease.tenant}").inc(nodes)
         return backed
 
+    def _add_backing(self, backing: SpotBacking) -> None:
+        name, lease_id = backing.inst.vm.name, backing.lease.id
+        old = self._backings.get(name)
+        self._backings[name] = backing
+        if old is not None and old.lease.id != lease_id:
+            # Re-enrolled under another lease, the VM keeps its first
+            # slot in ``_backings``: rebuild the new lease's entry in
+            # that order.
+            self._by_lease.get(old.lease.id, {}).pop(name, None)
+            self._by_lease[lease_id] = {
+                n: b for n, b in self._backings.items()
+                if b.lease.id == lease_id}
+        else:
+            # A new key appends; a re-enrolled one keeps its slot.
+            self._by_lease.setdefault(lease_id, {})[name] = backing
+
     def backings_of(self, lease: Lease) -> List[SpotBacking]:
         """Live spot backings of one lease."""
-        return [b for b in self._backings.values()
+        return [b for b in self._by_lease.get(lease.id, {}).values()
                 if b.lease is lease and b.inst.alive]
 
     # -- the grace-window decision ---------------------------------------
@@ -229,8 +248,7 @@ class SpotCapacityManager:
     def _reclaiming_clouds(self) -> set:
         """Clouds with a reclamation episode in flight — ruled out as
         rescue destinations (their capacity is about to be contested)."""
-        return {name for name, m in self.markets.items()
-                if any(i.reclaiming for i in m.instances)}
+        return {name for name, m in self.markets.items() if m._reclaiming}
 
     def _make_handler(self, market: SpotMarket):
         return lambda inst: self.sim.process(
@@ -392,11 +410,13 @@ class SpotCapacityManager:
     def preemptible_leases(self) -> List[Lease]:
         """Active leases with at least one live spot backing — the only
         capacity fair-share preemption may reclaim."""
-        seen: Dict[int, Lease] = {}
-        for b in self._backings.values():
-            if b.inst.alive and b.lease.active:
-                seen[b.lease.id] = b.lease
-        return [seen[k] for k in sorted(seen)]
+        leases = []
+        for lease_id in sorted(self._by_lease):
+            for b in self._by_lease[lease_id].values():
+                if b.inst.alive and b.lease.active:
+                    leases.append(b.lease)
+                    break
+        return leases
 
     def preempt(self, lease: Lease, reason: str = "preemption") -> int:
         """Reclaim a spot-backed lease for fair share: every backing is
@@ -430,6 +450,7 @@ class SpotCapacityManager:
             if self.checkpoints is not None:
                 self.checkpoints.unprotect(backing.inst.vm.name)
             self._finalize(backing, "closed")
+        self._by_lease.pop(lease.id, None)
 
     # -- accounting --------------------------------------------------------
 
