@@ -88,6 +88,21 @@ def pool_fingerprints(pool: str, indices: np.ndarray) -> np.ndarray:
     return fps
 
 
+@lru_cache(maxsize=None)
+def pool_table(pool: str, size: int) -> np.ndarray:
+    """``pool_fingerprints(pool, arange(size))``, computed once per
+    ``(pool, size)`` and read-only.
+
+    Indexing it gives exactly what :func:`pool_fingerprints` computes
+    for those indices, since that function works element by element;
+    hot paths drawing from a small pool look fingerprints up here
+    instead of re-hashing them on every call.
+    """
+    table = pool_fingerprints(pool, np.arange(size, dtype=np.uint64))
+    table.flags.writeable = False
+    return table
+
+
 class UniqueContentFactory:
     """Mints fingerprints guaranteed distinct from all others ever minted.
 

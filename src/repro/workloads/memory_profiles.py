@@ -31,6 +31,7 @@ from ..hypervisor.memory import (
     UniqueContentFactory,
     ZERO_PAGE,
     pool_fingerprints,
+    pool_table,
     sorted_unique,
 )
 
@@ -138,13 +139,12 @@ class MemoryProfile:
         rest is fresh unique content.
         """
         shared_mask = rng.random(n) < self.dirty_shared_fraction
-        n_shared = int(shared_mask.sum())
+        n_shared = int(np.count_nonzero(shared_mask))
         values = self._unique.take(n)
         if n_shared:
             pool_idx = rng.integers(0, self.dirty_pool_size, n_shared)
-            values[shared_mask] = pool_fingerprints(
-                self.dirty_pool, pool_idx.astype(np.uint64)
-            )
+            values[shared_mask] = pool_table(
+                self.dirty_pool, self.dirty_pool_size)[pool_idx]
         return values
 
 
