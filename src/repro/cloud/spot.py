@@ -199,12 +199,17 @@ class SpotMarket:
                                     self.cloud.pricing.on_demand_hourly)
 
     def close(self, inst: SpotInstance) -> None:
-        """Customer-initiated termination."""
+        """Customer-initiated termination.
+
+        A VM rescued inside the grace window already runs (and is
+        billed) at another cloud: only its spot terms end here.
+        """
         if inst.state is SpotState.RUNNING:
             inst.state = SpotState.CLOSED
             del self._live[inst.vm]
             inst.ended_at = self.sim.now
-            self.cloud.terminate(inst.vm)
+            if inst.vm in self.cloud.instances:
+                self.cloud.terminate(inst.vm)
 
     # -- reclamation -----------------------------------------------------
 
@@ -234,7 +239,9 @@ class SpotMarket:
         # migratable spot instance escapes during it.
         deadline = self.sim.now + self.reclaim_grace
         rescued = False
-        if self.reclaim_handler is not None:
+        # An instance closed or retired in the instant between the price
+        # crossing and this start has no VM left to save.
+        if self.reclaim_handler is not None and inst.alive:
             rescued = yield self.reclaim_handler(inst)
         remaining = deadline - self.sim.now
         if remaining > 0:

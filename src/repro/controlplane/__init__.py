@@ -33,8 +33,7 @@ Example
 3
 """
 
-from .bidding import (BiddingStrategy, OnDemandClip, PercentileOfTrace,
-                      UtilityScaled)
+from .bidding import BiddingStrategy, OnDemandClip
 from .eventlog import (EventLog, EventLogError, NULL_LOG, StateEvent,
                        eventlog_of, validate_events)
 from .health import FailureInjector, HealEvent, HealthMonitor
@@ -72,7 +71,6 @@ __all__ = [
     "LeaseState",
     "NULL_LOG",
     "OnDemandClip",
-    "PercentileOfTrace",
     "RecoveredState",
     "Reconciler",
     "SchedulerConfig",
@@ -83,7 +81,6 @@ __all__ = [
     "StateMachine",
     "Tenant",
     "TransitionError",
-    "UtilityScaled",
     "eventlog_of",
     "machine_for",
     "rebuild",

@@ -12,18 +12,19 @@ from repro.controlplane import (
     ControlPlane,
     JobState,
     OnDemandClip,
-    PercentileOfTrace,
     SchedulerConfig,
     SpotPolicy,
-    UtilityScaled,
     eventlog_of,
     recover,
 )
-from repro.hypervisor import PhysicalHost
+from repro.hypervisor import PhysicalHost, VMState
 from repro.network import FlowScheduler, Site, Topology, gbit_per_s
 from repro.simkernel import Simulator
+from repro.sky import MigratableSpotManager
 from repro.testbeds import SiteSpec, sky_testbed
 from repro.workloads.traces import SpotPriceProcess
+
+from tests.test_properties_spot import ManualPrices
 
 
 def spot_testbed(trace=None, grace=120.0, on_demand=0.10,
@@ -358,11 +359,9 @@ def test_job_progress_accessors():
 
 
 class _FakeMarket:
-    def __init__(self, sim, price, history=()):
+    def __init__(self, sim, price):
         self.sim = sim
         self.current_price = price
-        self.prices = type("P", (), {"history": [
-            type("Pt", (), {"price": p})() for p in history]})()
 
 
 class _FakeCloud:
@@ -380,33 +379,6 @@ def test_on_demand_clip_bids_fraction_of_on_demand():
     assert OnDemandClip(0.95).bid(market, _FakeCloud(0.10), None) is None
     with pytest.raises(ValueError):
         OnDemandClip(0.0)
-
-
-def test_percentile_of_trace_follows_history():
-    sim = Simulator()
-    market = _FakeMarket(sim, 0.02, history=[0.01, 0.02, 0.03, 0.04])
-    bid = PercentileOfTrace(q=50.0).bid(market, _FakeCloud(0.10), None)
-    assert bid == pytest.approx(0.025)
-    # Clamped at on-demand for high percentiles of spiky history.
-    market = _FakeMarket(sim, 0.02, history=[0.01, 5.0])
-    bid = PercentileOfTrace(q=100.0).bid(market, _FakeCloud(0.10), None)
-    assert bid == pytest.approx(0.10)
-
-
-def test_utility_scaled_bids_more_for_urgent_jobs():
-    from repro.controlplane import Job
-    sim = Simulator()
-    market = _FakeMarket(sim, 0.01)
-    cloud = _FakeCloud(0.10)
-    strategy = UtilityScaled(floor=0.5, ceiling=1.0, priority_span=5.0,
-                             patience=600.0)
-    fresh = Job(sim, "t", 1, 10.0, priority=0)
-    fresh.submitted_at = 0.0
-    urgent = Job(sim, "t", 1, 10.0, priority=5)
-    urgent.submitted_at = 0.0
-    assert strategy.bid(market, cloud, fresh) == pytest.approx(0.05)
-    assert strategy.bid(market, cloud, urgent) == pytest.approx(0.10)
-    assert strategy.urgency(fresh, 300.0) == pytest.approx(0.5)
 
 
 def test_plane_uses_configured_strategy():
@@ -527,6 +499,73 @@ def test_rescued_instance_bills_at_destination_cloud():
             src.meter.current_rate(inst.vm.name)
     tb.sim.run(until=job.done)
     assert job.state is JobState.COMPLETED
+
+
+def test_preemption_in_the_instant_of_a_spike_skips_the_rescue():
+    """Regression: a lease preempted in the same instant as the price
+    crossing retires its enrolments before their episodes start.  The
+    market must not hand those dead instances to the rescuer (with
+    ``rescue=True`` it read the terminated VM's site and raised
+    ``RuntimeError: ... not placed on any host``); the episodes still
+    run out their grace window and resolve as closed."""
+    tb, market = spot_testbed()
+    prices = ManualPrices(0.02)
+    market = SpotMarket(tb.sim, tb.clouds["a"], prices, reclaim_grace=120.0)
+    plane = make_spot_plane(tb, market, SpotPolicy(rescue=True))
+    job = plane.submit("alice", n_nodes=2, runtime=600.0)
+    tb.sim.run(until=60.0)
+    (lease,) = plane.spot.preemptible_leases()
+    insts = market.live_instances()
+    assert len(insts) == 2
+    prices.set(0.5)  # opens two episodes; neither has started yet
+    plane.spot.preempt(lease)
+    tb.sim.run(until=300.0)
+    assert all(i.state is SpotState.CLOSED for i in insts)
+    assert market._reclaiming == 0
+    closed = [e for e in plane.spot.events if e.outcome == "closed"]
+    assert sorted(e.vm_name for e in closed) == sorted(
+        i.vm.name for i in insts)
+    assert all(e.time == 60.0 + 120.0 for e in closed)
+    assert plane.spot.outcomes == {"rescued": 0, "checkpointed": 0,
+                                   "requeued": 2}
+    assert plane.metrics.counter("spot.reclaim_warnings").value == 0
+    tb.sim.run(until=job.done)
+    assert job.state is JobState.COMPLETED
+    assert plane.leases.leaked() == []
+
+
+def test_close_of_an_instance_rescued_inside_the_grace_window():
+    """Regression: a VM rescued to another cloud keeps its instance
+    ``RUNNING`` until the grace window ends.  Closing it then used to
+    terminate the VM at the source cloud, which no longer tracks it,
+    and raise ``CloudError``; now it ends the spot terms and leaves the
+    VM running at the destination."""
+    tb, market = spot_testbed(trace=(np.array([0.0, 300.0]),
+                                     np.array([0.02, 0.50])),
+                              grace=200.0)
+    MigratableSpotManager(tb.federation).attach(market)
+    outcomes = []
+    market.on_resolution = lambda inst, o: outcomes.append(o)
+    inst = tb.sim.run(until=market.request_spot(tb.image_name, bid=0.05))
+    src, dst = tb.clouds["a"], tb.clouds["b"]
+    tb.sim.run(until=480.0)  # rescued; the grace runs until 500
+    assert inst.alive and inst.reclaiming
+    assert inst.vm not in src.instances and inst.vm in dst.instances
+    market.close(inst)
+    assert inst.state is SpotState.CLOSED
+    assert inst.ended_at == 480.0
+    assert market.live_instances() == []
+    assert inst.vm.state is VMState.RUNNING
+    assert inst.vm in dst.instances
+    tb.sim.run(until=600.0)
+    assert outcomes == ["closed"]
+    assert not inst.reclaim_event.triggered
+    # Billing left the source at the hand-off and runs on at the
+    # destination's on-demand price.
+    with pytest.raises(ValueError):
+        src.meter.current_rate(inst.vm.name)
+    assert dst.meter.current_rate(inst.vm.name) == pytest.approx(
+        dst.pricing.on_demand_hourly)
 
 
 # -- the spend property ---------------------------------------------------
