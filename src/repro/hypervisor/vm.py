@@ -128,8 +128,9 @@ class Dirtier:
       shared-pool content that other cluster VMs also produce.
 
     Deterministic under a seeded generator.  Dirtiers created one after
-    another ride one kernel process (see :class:`_Cohort`);
-    :attr:`process` is that process, alive while any member's VM is.
+    another share one kernel process (see :class:`_Cohort`);
+    :attr:`process` is that process, which ends once every VM in it has
+    stopped.
     """
 
     def __init__(self, sim: Simulator, vm: VirtualMachine, profile,
@@ -210,7 +211,9 @@ class _Cohort:
     __slots__ = ("sim", "tick", "born", "seq", "members", "process",
                  "__weakref__")
 
-    #: simulator -> weak reference to its newest cohort.
+    #: simulator -> weak reference to its newest cohort.  Both sides
+    #: are weak: a cohort refers to its simulator, so a strong value
+    #: would keep every simulator ever built alive.
     _newest: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     def __init__(self, sim: Simulator, tick: float):

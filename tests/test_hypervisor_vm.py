@@ -1,5 +1,8 @@
 """Tests for VM lifecycle, hosts, placement and the dirtier process."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,56 @@ def test_dirtier_pauses_with_vm():
     sim.run(until=2.0)
     vm.stop()
     assert dirtier.pages_written > written_at_pause
+
+
+def _dirtied(sim, host, rng, name, tick=0.1):
+    profile = web_server()
+    vm = VirtualMachine(sim, name, profile.generate_memory(rng, 256))
+    host.place(vm)
+    vm.boot()
+    return Dirtier(sim, vm, profile, rng, tick=tick)
+
+
+def test_dirtiers_created_together_share_one_process():
+    """A dirtier joins the newest cohort only with the same tick, at the
+    same instant and with no event scheduled since the previous member;
+    the cohort's process ends with its last running member."""
+    sim = Simulator()
+    host = PhysicalHost("h1", "s", cores=16)
+    rng = np.random.default_rng(7)
+    a, b = _dirtied(sim, host, rng, "a"), _dirtied(sim, host, rng, "b")
+    c = _dirtied(sim, host, rng, "c", tick=0.2)
+    sim.timeout(5.0)
+    d = _dirtied(sim, host, rng, "d", tick=0.2)
+    assert a.process is b.process
+    assert len({id(a.process), id(c.process), id(d.process)}) == 3
+    sim.run(until=0.5)
+    e = _dirtied(sim, host, rng, "e")
+    assert e.process is not a.process
+    a.vm.stop()
+    sim.run(until=0.75)
+    assert a.process.is_alive
+    written = a.pages_written
+    b.vm.stop()
+    sim.run(until=0.95)
+    assert not a.process.is_alive
+    assert a.pages_written == written
+    assert c.process.is_alive and e.process.is_alive
+
+
+def test_dirtier_cohort_does_not_keep_its_simulator_alive():
+    def world():
+        sim = Simulator()
+        host = PhysicalHost("h1", "s", cores=16)
+        rng = np.random.default_rng(7)
+        for name in ("a", "b"):
+            _dirtied(sim, host, rng, name)
+        sim.run(until=0.35)
+        return weakref.ref(sim)
+
+    ref = world()
+    gc.collect()
+    assert ref() is None
 
 
 def test_dirtier_single_attachment():
