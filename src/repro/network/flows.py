@@ -588,12 +588,19 @@ class FlowScheduler:
 
     def _on_wake(self, wake: Event) -> None:
         """Kernel callback of a wake: its flow's live arm is due.  Finish
-        the flow, or re-arm it on numerical drift."""
+        the flow, or re-arm it on numerical drift.
+
+        Drift whose re-arm would land on this very instant (the leftover
+        drains in less than the clock's resolution here) finishes the
+        flow instead: re-arming it would fire again with nothing moved,
+        forever."""
         flow = wake._value
         flow._wake = None  # fired: nothing left to withdraw
         self._settle((flow,))
         self._disarm(flow)  # this arm has fired; never skip-reuse it
-        if flow.remaining > EPSILON * max(1.0, flow.size):
+        now = self.sim.now
+        if (flow.remaining > EPSILON * max(1.0, flow.size)
+                and now + flow.remaining / flow.rate != now):
             # Numerical drift: rearm.
             self._schedule_completions((flow,))
         else:

@@ -303,3 +303,39 @@ def test_batched_recompute_settles_and_bills_in_flow_id_order():
         at_t = [ids[src] for now, src in billed if now == t]
         assert len(at_t) == 36 + t
         assert at_t == sorted(at_t)
+
+
+def finish_within(sim, done, max_steps):
+    """Step ``sim`` until ``done`` triggers; the number of steps taken,
+    or ``None`` once ``max_steps`` pass without it."""
+    for steps in range(max_steps):
+        if done.triggered:
+            return steps
+        sim.step()
+    return None
+
+
+def test_drift_below_the_clock_resolution_finishes_the_flow():
+    """At t=3600 the clock's resolution is ~4.5e-13 s: a 65,536-byte
+    flow on a 1.25e9 B/s link wakes with ~2.6e-4 B left, whose drain
+    time is below the resolution.  Re-arming it would wake again at the
+    same instant with nothing moved, forever; it finishes instead."""
+    sim = Simulator()
+    sim.run(until=3600.0)
+    sched = FlowScheduler(sim, two_sites(bw=1.25e9))
+    flow = sched.start_flow("a", "b", size=65536.0)
+    assert finish_within(sim, flow.done, 50) is not None
+    assert flow.finished_at == pytest.approx(3600.0 + 65536.0 / 1.25e9)
+    assert flow.remaining == 0.0 and not sched.active_flows
+
+
+def test_cluster_contextualized_an_hour_in_completes():
+    """The same drift, end to end: contextualizing a one-VM cluster on
+    the paper testbed an hour into the run."""
+    from repro.testbeds import sky_testbed
+
+    tb = sky_testbed(seed=0)
+    tb.sim.run(until=3600.0)
+    cluster = tb.federation.create_virtual_cluster(tb.image_name, 1)
+    assert finish_within(tb.sim, cluster, 1000) is not None
+    assert len(cluster.value) == 1
