@@ -49,6 +49,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from ..simkernel import Event, Simulator, URGENT
@@ -113,7 +115,7 @@ class Flow:
         self.weight = weight
         self.links = tuple(path)
         self._last_settled = sim.now
-        self._run: Optional[_Run] = None  # the run holding the live arm
+        self._run = None  # the run (or lane) holding the live arm
         self._armed_rate = -1.0  # rate the live arm was armed with
         self._wake: Optional[Event] = None  # the live arm's kernel entry
 
@@ -150,8 +152,9 @@ class FlowRecord:
         return f"<FlowRecord {self.src}->{self.dst} {self.size:.3g}B {self.tag}>"
 
 
-def _flow_id(flow: Flow) -> int:
-    return flow.id
+_ID = attrgetter("id")
+_REMAINING = attrgetter("remaining")
+_REM_ID = attrgetter("remaining", "id")
 
 
 class _Run:
@@ -165,6 +168,86 @@ class _Run:
     def __init__(self):
         self.arms: list = []
         self.live = 0
+
+
+class _Lane:
+    """The lazily armed flows of one processor-sharing link.
+
+    Every flow on the link crosses only that link, has no rate cap and
+    weight 1.0, so all of them run at one rate, the fill, and were
+    settled at the same instant when they were last armed.  A flow is
+    in the lane while its ``_run`` is the lane.
+
+    ``ids`` holds the flows of the current arming (``run``) in flow-id
+    order, the order their seqs were drawn in, so a flow's seq is
+    ``run.seq + 1 + its index``; flows that left since are listed in
+    ``gone`` and drop out of ``ids`` only at the next arming.  ``byrem``
+    holds the flows still in the lane ordered by ``(remaining, id)``:
+    for one fill the arm time ``instant + remaining / fill`` is monotone
+    in the remainder, so the earliest arms lead it.  ``woken`` is the
+    flow holding the lane's wake, if any.
+    """
+
+    __slots__ = ("link", "ids", "byrem", "gone", "live", "run", "woken")
+
+    def __init__(self, link):
+        self.link = link
+        self.ids: List[Flow] = []
+        self.byrem: List[Flow] = []
+        self.gone: List[Flow] = []
+        self.live = 0
+        self.run: Optional[_LazyRun] = None
+        self.woken: Optional[Flow] = None
+
+    def head(self):
+        """``(time, seq, flow)`` of the earliest live arm.
+
+        The flows whose arm time equals the first one's form a prefix of
+        ``byrem``; the arm with the lowest seq among them belongs to the
+        lowest id.  Within one remainder ``byrem`` is in id order, so
+        only the first flow of each remainder in the prefix competes
+        (remainders a fraction of an ulp of time apart tie)."""
+        run = self.run
+        instant, fill = run.instant, run.fill
+        byrem = self.byrem
+        first = byrem[0]
+        rem = first.remaining
+        time = instant + rem / fill
+        i = bisect_right(byrem, rem, key=_REMAINING)
+        while i < len(byrem):
+            flow = byrem[i]
+            rem = flow.remaining
+            if instant + rem / fill != time:
+                break
+            if flow.id < first.id:
+                first = flow
+            i = bisect_right(byrem, rem, i, key=_REMAINING)
+        return time, run.seq + 1 + bisect_left(self.ids, first.id,
+                                               key=_ID), first
+
+
+class _LazyRun:
+    """One arming of a :class:`_Lane`: its ``n`` flows armed at
+    ``instant`` with rate ``fill`` under seqs ``seq + 1 .. seq + n`` in
+    flow-id order.  It enters the deadline heap keyed by an arm no later
+    than the lane's head, and is live while it is its lane's ``run``."""
+
+    __slots__ = ("lane", "instant", "fill", "seq", "n")
+
+    def __init__(self, lane: _Lane, instant: float, fill: float, seq: int,
+                 n: int):
+        self.lane = lane
+        self.instant = instant
+        self.fill = fill
+        self.seq = seq
+        self.n = n
+
+    # The eager copy :meth:`FlowScheduler._unlane` makes of a run may
+    # share its heap key; which of the two sorts first is immaterial.
+    def __lt__(self, other) -> bool:
+        return False
+
+    __gt__ = __lt__
 
 
 class FlowScheduler:
@@ -206,6 +289,11 @@ class FlowScheduler:
         self._retained = 0
         self._stale = 0
         self._wake_cb = self._on_wake  # one bound method for every wake
+        # Processor-sharing links armed lazily, and whether a batch on
+        # one may skip the component walk: not when a subclass redefines
+        # the component (a whole-network reference, say).
+        self._lanes: Dict[object, _Lane] = {}
+        self._ps_fast = type(self)._component is FlowScheduler._component
         #: Allocator counters (batches run, flows re-rated, deadlines
         #: armed/skipped) — read by benchmarks, never reset.
         self.stats = {"batches": 0, "flows_rerated": 0,
@@ -257,11 +345,12 @@ class FlowScheduler:
         """Abort an in-flight flow; its waiters see :class:`FlowCancelled`."""
         if flow not in self._active:
             return
+        # Disarm before settling: a lane finds its flows by remainder.
+        self._disarm(flow)
         # Bill the cancelled flow up to this instant; its neighbours keep
         # their (still valid) rates until the batched recompute.
         self._settle((flow,))
         self._active.discard(flow)
-        self._disarm(flow)
         flow.done.fail(FlowCancelled(f"{flow!r} cancelled"))
         flow.done.defused = True  # cancellation is never a crash
         self._unindex(flow)
@@ -298,6 +387,10 @@ class FlowScheduler:
         self._batch_pending = False
         flows, links = self._dirty_flows, self._dirty_links
         self._dirty_flows, self._dirty_links = set(), set()
+        if self._ps_fast:
+            link = self._ps_link(flows, links)
+            if link is not None and self._ps_batch(link, flows):
+                return
         component = self._component(flows, links)
         if not component:
             return
@@ -305,11 +398,177 @@ class FlowScheduler:
         self.stats["flows_rerated"] += len(component)
         # One flow-id order for settling (billing sums), filling and
         # re-arming: set order would follow memory addresses.
-        order = sorted(component, key=_flow_id)
+        order = sorted(component, key=_ID)
+        self._unlane(order)
         self._settle(order)
         self._maxmin_rates(order)
-        self._schedule_completions(order)
+        if not self._lane_from(order):
+            self._schedule_completions(order)
         self._wake_head()
+
+    def _ps_link(self, flows: Set[Flow], links: Set[object]):
+        """The one link every seed of a batch touches, if all of them
+        touch the same one and the flow seeds are single-link, uncapped
+        and of weight 1.0; else ``None``.  Links carrying no flow seed
+        nothing, as in :meth:`_component`."""
+        found = None
+        for flow in flows:
+            if flow not in self._active:
+                continue
+            if (len(flow.links) != 1 or flow.rate_cap is not None
+                    or flow.weight != 1.0):
+                return None
+            link = flow.links[0]
+            if found is None:
+                found = link
+            elif link is not found:
+                return None
+        for link in links:
+            if link in self._link_flows:
+                if found is None:
+                    found = link
+                elif link is not found:
+                    return None
+        return found
+
+    def _ps_batch(self, link, flows: Set[Flow]) -> bool:
+        """Re-rate the flows on ``link`` as one lane, without walking
+        them; return False, having changed nothing, where the general
+        path must run instead.
+
+        That path is exact here when every flow on the link is in its
+        lane or is a new flow seeded by this batch: the link is then a
+        processor-sharing component (lane flows have that shape, and
+        :meth:`_ps_link` checked the new ones), so the component walk
+        would find exactly these flows and :meth:`_one_round` would give
+        each the rate ``bandwidth / n``.  Lane flows were all settled at
+        their run's instant, so when that is now, settling changes
+        nothing and is skipped; otherwise they are settled and billed in
+        flow-id order, as the general path does.  It is needed instead
+        when a lane flow would keep its deadline (the fill is unchanged
+        within EPSILON) or a deadline would not be finite (the general
+        path raises)."""
+        new = sorted((f for f in flows if f in self._active), key=_ID)
+        n = len(self._link_flows[link])
+        lane = self._lanes.get(link)
+        live = lane.live if lane is not None else 0
+        if live + len(new) != n or any(f._run is not None for f in new):
+            return False
+        fill = link.bandwidth / float(n)  # _one_round's wsum is n * 1.0
+        if not 0.0 < fill < math.inf:
+            return False
+        run = lane.run if live else None
+        if run is not None and (abs(fill - run.fill)
+                                <= EPSILON * (fill if fill > 1.0 else 1.0)):
+            return False
+        top = max([f.remaining for f in new]
+                  + ([lane.byrem[-1].remaining] if live else []))
+        if not top / fill < math.inf:
+            return False
+        if lane is None:
+            lane = self._lanes[link] = _Lane(link)
+        self.stats["batches"] += 1
+        self.stats["flows_rerated"] += n
+        byrem = lane.byrem
+        if run is not None and run.instant != self.sim.now:
+            self._settle([f for f in lane.ids if f._run is lane])
+            byrem.sort(key=_REM_ID)
+        for flow in new:
+            insort(byrem, flow, key=_REM_ID)
+        self._arm_lane(lane, new, fill)
+        self._wake_head()
+        return True
+
+    def _lane_from(self, order: List[Flow]) -> bool:
+        """Arm ``order``, just rated, as a new lane if it is a
+        processor-sharing component re-armed whole; return whether it
+        was.
+
+        Whole means that no flow keeps its deadline under the
+        unchanged-rate rule of :meth:`_schedule_completions`, which
+        would arm the flows one by one under the same seqs."""
+        links = order[0].links
+        fill = order[0].rate
+        if len(links) != 1 or not 0.0 < fill < math.inf:
+            return False
+        tol = EPSILON * (fill if fill > 1.0 else 1.0)
+        top = 0.0
+        for flow in order:
+            if (flow.links != links or flow.rate_cap is not None
+                    or flow.weight != 1.0):
+                return False
+            if flow._run is not None and abs(fill - flow._armed_rate) <= tol:
+                return False
+            if flow.remaining > top:
+                top = flow.remaining
+        if not top / fill < math.inf:
+            return False
+        for flow in order:
+            self._disarm(flow)
+        lane = self._lanes[links[0]] = _Lane(links[0])
+        lane.byrem = sorted(order, key=_REM_ID)
+        self._arm_lane(lane, order, fill)
+        return True
+
+    def _arm_lane(self, lane: _Lane, new: List[Flow], fill: float) -> None:
+        """Arm every flow of ``lane`` (its ``byrem`` already in order)
+        plus ``new``, flow-id ordered and newer than the lane's, as one
+        :class:`_LazyRun` at ``fill``.
+
+        The run reserves the seq block the eager loop of
+        :meth:`_schedule_completions` would draw one by one, and
+        supersedes the lane's previous run whole; only the rates are
+        stored per flow."""
+        ids = lane.ids
+        for flow in lane.gone:
+            del ids[bisect_left(ids, flow.id, key=_ID)]
+        lane.gone.clear()
+        self._stale += lane.live  # the previous run's live arms
+        woken = lane.woken
+        if woken is not None:
+            woken._wake.deschedule()
+            woken._wake = None
+            lane.woken = None
+        for flow in new:
+            flow._run = lane
+        ids.extend(new)
+        for flow in ids:
+            flow.rate = fill
+        n = lane.live = len(ids)
+        sim = self.sim
+        run = lane.run = _LazyRun(lane, sim.now, fill, sim._seq, n)
+        sim._seq += n
+        self._retained += n
+        time, seq, _flow = lane.head()
+        heapq.heappush(self._deadlines, (time, seq, run))
+        self.stats["timers_armed"] += n
+
+    def _unlane(self, order: List[Flow]) -> None:
+        """Give every flow of ``order`` that is in a lane its own arm,
+        with the time and seq its lazy arm has, before the general path
+        settles or re-arms it."""
+        lanes = {flow._run: None for flow in order
+                 if flow._run.__class__ is _Lane}
+        for lane in lanes:
+            run = lane.run
+            instant, fill = run.instant, run.fill
+            eager = _Run()
+            arms = eager.arms
+            for seq, flow in enumerate(lane.ids, run.seq + 1):
+                if flow._run is lane:
+                    arms.append((instant + flow.remaining / fill, seq, flow))
+                    flow._run = eager
+                    flow._armed_rate = fill
+            arms.sort(reverse=True)
+            eager.live = len(arms)
+            # The lazy arms are superseded by these copies; a woken flow
+            # keeps its wake, whose key is its arm's.
+            self._stale += eager.live
+            self._retained += eager.live
+            heapq.heappush(self._deadlines, (arms[-1][0], arms[-1][1], eager))
+            lane.live = 0
+            lane.woken = None
+            del self._lanes[lane.link]
 
     def _component(self, flows: Iterable[Flow] = (),
                    links: Iterable[object] = ()) -> Set[Flow]:
@@ -514,10 +773,23 @@ class FlowScheduler:
 
     def _disarm(self, flow: Flow) -> None:
         """Supersede the live arm of ``flow``, if any: it goes stale,
-        never to be live again, and its wake is withdrawn."""
+        never to be live again, and its wake is withdrawn.  A flow in a
+        lane leaves it (found there by its unsettled remainder)."""
         run = flow._run
         if run is not None:
-            run.live -= 1
+            if run.__class__ is _Lane:
+                byrem = run.byrem
+                del byrem[bisect_left(byrem, (flow.remaining, flow.id),
+                                      key=_REM_ID)]
+                run.live -= 1
+                if run.woken is flow:
+                    run.woken = None
+                if run.live:
+                    run.gone.append(flow)
+                else:
+                    del self._lanes[run.link]
+            else:
+                run.live -= 1
             flow._run = None
             if flow._wake is not None:
                 flow._wake.deschedule()
@@ -542,13 +814,34 @@ class FlowScheduler:
         by its new, live head with one ``heapreplace``.  Stale arms
         deeper in a run wait there, and every run is compacted by the
         kernel queues' rule once stale arms pass half of those retained.
+
+        A lazy run counts the ``n`` arms it was armed with.  It is
+        dropped whole once superseded or empty; otherwise it is re-keyed
+        by its lane's head whenever that moved on (its flows only ever
+        leave, so the head never moves earlier than the key).
         """
         heap = self._deadlines
         if (self._stale > self._retained * COMPACT_FRACTION
                 and self._retained >= COMPACT_MIN):
             self._compact()
         while heap:
-            run = heap[0][2]
+            top = heap[0]
+            run = top[2]
+            if run.__class__ is _LazyRun:
+                lane = run.lane
+                if lane.run is not run or not lane.live:
+                    heapq.heappop(heap)
+                    self._stale -= run.n
+                    self._retained -= run.n
+                    continue
+                time, seq, flow = lane.head()
+                if seq != top[1]:
+                    heapq.heapreplace(heap, (time, seq, run))
+                    continue
+                if flow._wake is None:
+                    lane.woken = flow
+                    self._wake(flow, time, seq)
+                return
             arms = run.arms
             if not run.live:
                 heapq.heappop(heap)
@@ -559,11 +852,7 @@ class FlowScheduler:
             flow = arm[2]
             if flow._run is run:
                 if flow._wake is None:
-                    wake = flow._wake = Event(self.sim)
-                    wake._ok = True
-                    wake._value = flow
-                    wake.callbacks.append(self._wake_cb)
-                    self.sim.schedule_at(wake, arm[0], arm[1])
+                    self._wake(flow, arm[0], arm[1])
                 return
             dropped = 0
             while arm[2]._run is not run:  # stops at a live arm
@@ -574,16 +863,34 @@ class FlowScheduler:
             self._retained -= dropped
             heapq.heapreplace(heap, (arm[0], arm[1], run))
 
+    def _wake(self, flow: Flow, time: float, seq: int) -> None:
+        """Queue the wake of ``flow``'s live arm ``(time, seq)``."""
+        wake = flow._wake = Event(self.sim)
+        wake._ok = True
+        wake._value = flow
+        wake.callbacks.append(self._wake_cb)
+        self.sim.schedule_at(wake, time, seq)
+
     def _compact(self) -> None:
-        """Drop every stale arm of every run and rebuild the heap."""
+        """Drop every stale arm of every run, and every dead lazy run,
+        and rebuild the heap; a live lazy run now counts its live arms."""
         entries = []
-        for _time, _seq, run in self._deadlines:
-            if run.live:
+        retained = 0
+        for entry in self._deadlines:
+            run = entry[2]
+            if run.__class__ is _LazyRun:
+                lane = run.lane
+                if lane.run is run and lane.live:
+                    run.n = lane.live
+                    retained += run.n
+                    entries.append(entry)
+            elif run.live:
                 run.arms = [arm for arm in run.arms if arm[2]._run is run]
+                retained += run.live
                 entries.append((run.arms[-1][0], run.arms[-1][1], run))
         heapq.heapify(entries)
         self._deadlines[:] = entries
-        self._retained = sum(entry[2].live for entry in entries)
+        self._retained = retained
         self._stale = 0
 
     def _on_wake(self, wake: Event) -> None:
@@ -596,8 +903,8 @@ class FlowScheduler:
         forever."""
         flow = wake._value
         flow._wake = None  # fired: nothing left to withdraw
-        self._settle((flow,))
         self._disarm(flow)  # this arm has fired; never skip-reuse it
+        self._settle((flow,))
         now = self.sim.now
         if (flow.remaining > EPSILON * max(1.0, flow.size)
                 and now + flow.remaining / flow.rate != now):

@@ -299,8 +299,11 @@ def test_capped_flow_timer_survives_unrelated_churn():
 
 
 def retained_arms(sched):
-    """Arms held across every run of the deadline heap, stale or live."""
-    return sum(len(entry[2].arms) for entry in sched._deadlines)
+    """Arms held across every run of the deadline heap, stale or live;
+    a lazy run of a processor-sharing link holds the ``n`` it was armed
+    with."""
+    return sum(len(run.arms) if hasattr(run, "arms") else run.n
+               for _time, _seq, run in sched._deadlines)
 
 
 def test_deadline_heap_stays_bounded_under_churn():
