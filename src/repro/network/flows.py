@@ -37,6 +37,24 @@ cap, is a weighted processor-sharing queue: progressive filling ends in
 one round, which is computed directly with the general loop's exact
 float operations, so its rates are bit-identical.
 
+When those flows also have weight 1.0, the link is armed lazily, as a
+*lane*.  Mass deployments change such a link many times in one instant
+(every VM of a cluster fetching its context at once: each arrival
+re-rates the flows before it, each of n equal flows finishing together
+re-rates the rest), which eager arming pays for in O(n^2).  A lane keeps
+its flows in flow-id order and by ``(remaining, id)`` and arms them as
+one *lazy run* holding only ``(instant, fill, first seq)``: the run
+reserves the seq block the eager loop would draw, so every arm keeps
+its key, and as the arm time ``instant + remaining / fill`` is monotone
+in the remainder, only the earliest arm is ever materialized, found by
+bisection.  A same-instant arrival or departure on the link then skips
+the component walk and costs O(log n) Python work, list operations in C
+and one store of the fill into each flow's ``rate``.  Settling with
+elapsed time, a flow keeping its deadline under the unchanged-rate
+rule, drift re-arms and links that stop being processor-sharing take
+the general path, which first gives each lane flow its own arm under
+the same key.
+
 Per-flow rate caps (e.g. a VM NIC, or a deliberately throttled
 migration) are modeled as virtual single-flow links, which integrates
 them exactly into the water-filling computation.  Flows may carry a
