@@ -200,20 +200,20 @@ class _Lane:
     order, the order their seqs were drawn in, so a flow's seq is
     ``run.seq + 1 + its index``; flows that left since are listed in
     ``gone`` and drop out of ``ids`` only at the next arming.  ``byrem``
-    holds the flows still in the lane ordered by ``(remaining, id)``:
+    holds the flows still in the lane (never none: an emptied lane is
+    dropped) ordered by ``(remaining, id)``:
     for one fill the arm time ``instant + remaining / fill`` is monotone
     in the remainder, so the earliest arms lead it.  ``woken`` is the
     flow holding the lane's wake, if any.
     """
 
-    __slots__ = ("link", "ids", "byrem", "gone", "live", "run", "woken")
+    __slots__ = ("link", "ids", "byrem", "gone", "run", "woken")
 
     def __init__(self, link):
         self.link = link
         self.ids: List[Flow] = []
         self.byrem: List[Flow] = []
         self.gone: List[Flow] = []
-        self.live = 0
         self.run: Optional[_LazyRun] = None
         self.woken: Optional[Flow] = None
 
@@ -469,25 +469,25 @@ class FlowScheduler:
         new = sorted((f for f in flows if f in self._active), key=_ID)
         n = len(self._link_flows[link])
         lane = self._lanes.get(link)
-        live = lane.live if lane is not None else 0
-        if live + len(new) != n or any(f._run is not None for f in new):
+        byrem = lane.byrem if lane is not None else []
+        if len(byrem) + len(new) != n:
             return False
         fill = link.bandwidth / float(n)  # _one_round's wsum is n * 1.0
         if not 0.0 < fill < math.inf:
             return False
-        run = lane.run if live else None
+        run = lane.run if lane is not None else None
         if run is not None and (abs(fill - run.fill)
                                 <= EPSILON * (fill if fill > 1.0 else 1.0)):
             return False
         top = max([f.remaining for f in new]
-                  + ([lane.byrem[-1].remaining] if live else []))
+                  + [f.remaining for f in byrem[-1:]])
         if not top / fill < math.inf:
             return False
         if lane is None:
             lane = self._lanes[link] = _Lane(link)
+            byrem = lane.byrem
         self.stats["batches"] += 1
         self.stats["flows_rerated"] += n
-        byrem = lane.byrem
         if run is not None and run.instant != self.sim.now:
             self._settle([f for f in lane.ids if f._run is lane])
             byrem.sort(key=_REM_ID)
@@ -538,10 +538,10 @@ class FlowScheduler:
         supersedes the lane's previous run whole; only the rates are
         stored per flow."""
         ids = lane.ids
+        self._stale += len(ids) - len(lane.gone)  # the previous run's
         for flow in lane.gone:
             del ids[bisect_left(ids, flow.id, key=_ID)]
         lane.gone.clear()
-        self._stale += lane.live  # the previous run's live arms
         woken = lane.woken
         if woken is not None:
             woken._wake.deschedule()
@@ -552,7 +552,7 @@ class FlowScheduler:
         ids.extend(new)
         for flow in ids:
             flow.rate = fill
-        n = lane.live = len(ids)
+        n = len(ids)
         sim = self.sim
         run = lane.run = _LazyRun(lane, sim.now, fill, sim._seq, n)
         sim._seq += n
@@ -584,8 +584,7 @@ class FlowScheduler:
             self._stale += eager.live
             self._retained += eager.live
             heapq.heappush(self._deadlines, (arms[-1][0], arms[-1][1], eager))
-            lane.live = 0
-            lane.woken = None
+            lane.run = lane.woken = None
             del self._lanes[lane.link]
 
     def _component(self, flows: Iterable[Flow] = (),
@@ -799,10 +798,9 @@ class FlowScheduler:
                 byrem = run.byrem
                 del byrem[bisect_left(byrem, (flow.remaining, flow.id),
                                       key=_REM_ID)]
-                run.live -= 1
                 if run.woken is flow:
                     run.woken = None
-                if run.live:
+                if byrem:
                     run.gone.append(flow)
                 else:
                     del self._lanes[run.link]
@@ -847,7 +845,7 @@ class FlowScheduler:
             run = top[2]
             if run.__class__ is _LazyRun:
                 lane = run.lane
-                if lane.run is not run or not lane.live:
+                if lane.run is not run or not lane.byrem:
                     heapq.heappop(heap)
                     self._stale -= run.n
                     self._retained -= run.n
@@ -898,8 +896,8 @@ class FlowScheduler:
             run = entry[2]
             if run.__class__ is _LazyRun:
                 lane = run.lane
-                if lane.run is run and lane.live:
-                    run.n = lane.live
+                if lane.run is run and lane.byrem:
+                    run.n = len(lane.byrem)
                     retained += run.n
                     entries.append(entry)
             elif run.live:
