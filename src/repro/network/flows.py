@@ -204,10 +204,11 @@ class _Lane:
     dropped) ordered by ``(remaining, id)``:
     for one fill the arm time ``instant + remaining / fill`` is monotone
     in the remainder, so the earliest arms lead it.  ``woken`` is the
-    flow holding the lane's wake, if any.
+    flow holding the lane's wake, if any, and ``top`` the last
+    :meth:`head` found, kept until a flow leaves or the lane is re-armed.
     """
 
-    __slots__ = ("link", "ids", "byrem", "gone", "run", "woken")
+    __slots__ = ("link", "ids", "byrem", "gone", "run", "woken", "top")
 
     def __init__(self, link):
         self.link = link
@@ -216,6 +217,7 @@ class _Lane:
         self.gone: List[Flow] = []
         self.run: Optional[_LazyRun] = None
         self.woken: Optional[Flow] = None
+        self.top: Optional[tuple] = None
 
     def head(self):
         """``(time, seq, flow)`` of the earliest live arm.
@@ -225,6 +227,8 @@ class _Lane:
         lowest id.  Within one remainder ``byrem`` is in id order, so
         only the first flow of each remainder in the prefix competes
         (remainders a fraction of an ulp of time apart tie)."""
+        if self.top is not None:
+            return self.top
         run = self.run
         instant, fill = run.instant, run.fill
         byrem = self.byrem
@@ -240,8 +244,9 @@ class _Lane:
             if flow.id < first.id:
                 first = flow
             i = bisect_right(byrem, rem, i, key=_REMAINING)
-        return time, run.seq + 1 + bisect_left(self.ids, first.id,
-                                               key=_ID), first
+        seq = run.seq + 1 + bisect_left(self.ids, first.id, key=_ID)
+        self.top = (time, seq, first)
+        return self.top
 
 
 class _LazyRun:
@@ -344,9 +349,8 @@ class FlowScheduler:
         path = self.topology.path(src, dst)
         flow = Flow(self.sim, src, dst, size, path, rate_cap, tag, meta,
                     weight)
-        latency = sum(l.latency for l in path)
         if size == 0:
-            self._finish_after_latency(flow, latency)
+            self._finish_after_latency(flow, sum(l.latency for l in path))
             return flow
         self._active.add(flow)
         self._index(flow)
@@ -556,6 +560,7 @@ class FlowScheduler:
         sim = self.sim
         run = lane.run = _LazyRun(lane, sim.now, fill, sim._seq, n)
         sim._seq += n
+        lane.top = None
         self._retained += n
         time, seq, _flow = lane.head()
         heapq.heappush(self._deadlines, (time, seq, run))
@@ -798,6 +803,7 @@ class FlowScheduler:
                 byrem = run.byrem
                 del byrem[bisect_left(byrem, (flow.remaining, flow.id),
                                       key=_REM_ID)]
+                run.top = None
                 if run.woken is flow:
                     run.woken = None
                 if byrem:
