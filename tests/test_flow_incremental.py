@@ -396,3 +396,37 @@ def test_weighted_flows_share_proportionally():
 
     sim.process(probe())
     sim.run(until=light.done)
+
+
+def test_a_redefined_component_is_walked_on_every_batch():
+    """Processor-sharing batches skip the component walk only for the
+    scheduler's own ``_component``: a subclass that redefines it (the
+    whole-network reference of ``benchmarks/bench_flows.py``) is asked
+    on every batch, and completes the same cascade at the same times."""
+
+    class Walking(FlowScheduler):
+        walks = 0
+
+        def _component(self, flows=(), links=()):
+            self.walks += 1
+            return super()._component(flows, links)
+
+    def cascade(make):
+        sim = Simulator()
+        topo = Topology()
+        topo.add_site(Site("a"))
+        topo.add_site(Site("b"))
+        topo.connect("a", "b", bandwidth=2.0 ** 20, latency=0.0)
+        sched = make(sim, topo)
+        done = []
+        sched.taps.append(lambda r: done.append(r.finished_at))
+        for _ in range(8):  # one timer each: eight batches at t=0
+            sim.call_in(0.0, lambda _ev: sched.start_flow("a", "b", 2.0 ** 16))
+        sim.run()
+        return sched, done, sim._seq
+
+    walking, done, seq = cascade(Walking)
+    lazy, lazy_done, lazy_seq = cascade(FlowScheduler)
+    assert walking.stats["batches"] == lazy.stats["batches"] == 8 + 7
+    assert walking.walks >= walking.stats["batches"]
+    assert (done, seq) == (lazy_done, lazy_seq)
