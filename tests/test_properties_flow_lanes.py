@@ -13,7 +13,8 @@ their link off the lazy path and back.  Each world runs with
 :class:`~repro.network.FlowScheduler` and with
 :class:`tests.flow_reference.EagerFlowScheduler`; the completion rows,
 every flow's rate after each batch, the billed bytes, the events
-dispatched and the kernel's sequence number must all agree.
+dispatched and the kernel's sequence number must all agree, on either
+queue backend.
 """
 
 from hypothesis import given, settings
@@ -48,7 +49,7 @@ controls = st.lists(st.fixed_dictionaries({
 
 def world(plan, make):
     """Run ``plan`` with scheduler class ``make``; returns what must agree."""
-    sim = Simulator(initial_time=plan["t0"])
+    sim = Simulator(initial_time=plan["t0"], queue=plan["queue"])
     topo = Topology()
     for name in "abc":
         topo.add_site(Site(name))
@@ -114,11 +115,12 @@ def world(plan, make):
 @settings(max_examples=60, deadline=None)
 @given(starts=starts, controls=controls,
        t0=st.sampled_from([0.0, 3600.0]),
-       bandwidth=st.sampled_from([2.0 ** 20, 1e6, 1.25e9]))
+       bandwidth=st.sampled_from([2.0 ** 20, 1e6, 1.25e9]),
+       queue=st.sampled_from(["heap", "calendar"]))
 def test_lanes_complete_flows_as_per_flow_timers_do(starts, controls, t0,
-                                                    bandwidth):
+                                                    bandwidth, queue):
     plan = {"starts": starts, "controls": controls, "t0": t0,
-            "bandwidth": bandwidth}
+            "bandwidth": bandwidth, "queue": queue}
     got = world(plan, FlowScheduler)
     want = world(plan, EagerFlowScheduler)
     assert got["rates"] == want["rates"]
