@@ -200,12 +200,12 @@ class _Lane:
     order, the order their seqs were drawn in, so a flow's seq is
     ``run.seq + 1 + its index``; flows that left since are listed in
     ``gone`` and drop out of ``ids`` only at the next arming.  ``byrem``
-    holds the flows still in the lane (never none: an emptied lane is
-    dropped) ordered by ``(remaining, id)``:
+    holds the flows still in the lane ordered by ``(remaining, id)``:
     for one fill the arm time ``instant + remaining / fill`` is monotone
-    in the remainder, so the earliest arms lead it.  ``woken`` is the
-    flow holding the lane's wake, if any, and ``top`` the last
-    :meth:`head` found, kept until a flow leaves or the lane is re-armed.
+    in the remainder, so the earliest arms lead it.  A lane that empties
+    is dropped.  ``woken`` is the flow holding the lane's wake, if any,
+    and ``top`` the last :meth:`head` found, kept until a flow leaves or
+    the lane is re-armed.
     """
 
     __slots__ = ("link", "ids", "byrem", "gone", "run", "woken", "top")
@@ -253,7 +253,8 @@ class _LazyRun:
     """One arming of a :class:`_Lane`: its ``n`` flows armed at
     ``instant`` with rate ``fill`` under seqs ``seq + 1 .. seq + n`` in
     flow-id order.  It enters the deadline heap keyed by an arm no later
-    than the lane's head, and is live while it is its lane's ``run``."""
+    than the lane's head, and is live while it is its lane's ``run`` and
+    the lane holds a flow."""
 
     __slots__ = ("lane", "instant", "fill", "seq", "n")
 
