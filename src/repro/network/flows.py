@@ -416,6 +416,7 @@ class FlowScheduler:
                 return
         component = self._component(flows, links)
         if not component:
+            self._wake_head()
             return
         self.stats["batches"] += 1
         self.stats["flows_rerated"] += len(component)
@@ -825,7 +826,11 @@ class FlowScheduler:
 
         Called at the end of every operation that arms or disarms, so
         the earliest live arm always has a wake and no completion is
-        ever dispatched late.  A wake stays queued until its own arm is
+        ever dispatched late.  While a batched recompute is pending it
+        waits for that batch, which ends here too: the batch runs at this
+        very instant, before any wake could be due (URGENT sorts first),
+        and would withdraw most wakes given now (a departure cascade
+        would give one per step).  A wake stays queued until its own arm is
         superseded, even when an earlier arm takes the top: superseded
         arms never come back, so every queued key stays unique and
         every wake that fires is a real completion check.
@@ -843,6 +848,8 @@ class FlowScheduler:
         by its lane's head whenever that moved on (its flows only ever
         leave, so the head never moves earlier than the key).
         """
+        if self._batch_pending:
+            return
         heap = self._deadlines
         if (self._stale > self._retained * COMPACT_FRACTION
                 and self._retained >= COMPACT_MIN):
