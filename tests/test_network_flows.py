@@ -10,6 +10,7 @@ from repro.network import (
     Topology,
 )
 from repro.simkernel import Simulator
+from repro.testbeds import sky_testbed
 
 
 def two_sites(bw=1e6, latency=0.0):
@@ -332,8 +333,6 @@ def test_drift_below_the_clock_resolution_finishes_the_flow():
 def test_cluster_contextualized_an_hour_in_completes():
     """The same drift, end to end: contextualizing a one-VM cluster on
     the paper testbed an hour into the run."""
-    from repro.testbeds import sky_testbed
-
     tb = sky_testbed(seed=0)
     tb.sim.run(until=3600.0)
     cluster = tb.federation.create_virtual_cluster(tb.image_name, 1)
