@@ -12,8 +12,6 @@ between two VMs survives the move.
 Run:  python examples/autonomic_federation.py
 """
 
-import numpy as np
-
 from repro.autonomic import AdaptationEngine, cross_traffic
 from repro.network import Connection
 from repro.patterns import (

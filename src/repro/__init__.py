@@ -39,130 +39,90 @@ A complete control-plane scenario in five lines::
 See ``examples/quickstart.py`` for a complete multi-cloud scenario.
 """
 
-from .simkernel import Interrupt, Simulator
-from .network import (
-    BillingMeter,
-    Connection,
-    FlowScheduler,
-    Site,
-    Topology,
-    gbit_per_s,
-    mbit_per_s,
-)
-from .hypervisor import (
-    LiveMigrator,
-    MemoryImage,
-    MigrationConfig,
-    PhysicalHost,
-    VirtualMachine,
-)
-from .shrinker import (
-    ClusterMigrationCoordinator,
-    ContentRegistry,
-    RegistryDirectory,
-    ShrinkerCodec,
-    shrinker_codec_factory,
-)
-from .vine import MigrationReconfigurator, ViNeOverlay
-from .cloud import Cloud, InstancePricing, SpotMarket, make_image
-from .sky import (
-    Balanced,
-    Federation,
-    MigratableSpotManager,
-    SingleCloud,
-    SkyMigrationService,
-)
-from .controlplane import (
-    ControlPlane,
-    FailureInjector,
-    FairShareScheduler,
-    HealthMonitor,
-    Job,
-    JobQueue,
-    JobState,
-    Lease,
-    LeaseManager,
-    SchedulerConfig,
-    Tenant,
-)
-from .mapreduce import ElasticCluster, JobTracker, MapReduceJob
-from .patterns import GroundTruthRecorder, HypervisorSniffer, TrafficMatrix
-from .autonomic import AdaptationEngine, CommunicationAwarePlanner
-from .emr import DeadlineScalePolicy, ElasticMapReduceService
-from .framework import DynamicInfrastructure
-from .metrics import MetricsRecorder, TimeSeries
-from .obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    Tracer,
-    critical_path,
-    to_chrome_trace,
-    tracer_of,
-)
+import sys
+from importlib import import_module
+from types import ModuleType
+
+
+def _exports(package: str, table: dict) -> tuple:
+    """Lazy exports (PEP 562): ``__all__``, ``__getattr__`` and
+    ``__dir__`` for *package*.
+
+    *table* maps each submodule to the names the package exports from
+    it.  A name's submodule is imported the first time the name is
+    used, and the value is then cached in the package globals.  Every
+    submodule in *table* also resolves as an attribute.  An export
+    named after its own submodule stays bound to the export when that
+    submodule is imported directly.
+    """
+    module = sys.modules[package]
+    namespace = vars(module)
+    owner = {name: sub for sub, names in table.items() for name in names}
+
+    def __getattr__(name):
+        if name in owner:
+            value = getattr(import_module(f"{package}.{owner[name]}"), name)
+        elif name in table:
+            value = import_module(f"{package}.{name}")
+        else:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | owner.keys() | table.keys())
+
+    shadowed = owner.keys() & table.keys()
+    if shadowed:
+        class Package(ModuleType):
+            # The import system binds a freshly loaded submodule on its
+            # package; keep the export of the same name instead.
+            def __setattr__(self, name, value):
+                if name in shadowed and isinstance(value, ModuleType):
+                    value = getattr(value, name)
+                super().__setattr__(name, value)
+
+        module.__class__ = Package
+    return sorted(owner), __getattr__, __dir__
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptationEngine",
-    "Balanced",
-    "BillingMeter",
-    "Cloud",
-    "ClusterMigrationCoordinator",
-    "CommunicationAwarePlanner",
-    "Connection",
-    "ContentRegistry",
-    "ControlPlane",
-    "Counter",
-    "DeadlineScalePolicy",
-    "DynamicInfrastructure",
-    "ElasticCluster",
-    "ElasticMapReduceService",
-    "FailureInjector",
-    "FairShareScheduler",
-    "Federation",
-    "FlowScheduler",
-    "Gauge",
-    "GroundTruthRecorder",
-    "HealthMonitor",
-    "Histogram",
-    "HypervisorSniffer",
-    "InstancePricing",
-    "Interrupt",
-    "Job",
-    "JobQueue",
-    "JobState",
-    "JobTracker",
-    "Lease",
-    "LeaseManager",
-    "LiveMigrator",
-    "MapReduceJob",
-    "MemoryImage",
-    "MetricsRecorder",
-    "MigratableSpotManager",
-    "MigrationConfig",
-    "MigrationReconfigurator",
-    "PhysicalHost",
-    "RegistryDirectory",
-    "SchedulerConfig",
-    "ShrinkerCodec",
-    "SingleCloud",
-    "Site",
-    "Tenant",
-    "Simulator",
-    "TimeSeries",
-    "SkyMigrationService",
-    "SpotMarket",
-    "Topology",
-    "Tracer",
-    "TrafficMatrix",
-    "ViNeOverlay",
-    "critical_path",
-    "VirtualMachine",
-    "gbit_per_s",
-    "make_image",
-    "mbit_per_s",
-    "to_chrome_trace",
-    "tracer_of",
-    "shrinker_codec_factory",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "simkernel": ("Interrupt", "Simulator"),
+    "network": (
+        "BillingMeter", "Connection", "FlowScheduler", "Site", "Topology",
+        "gbit_per_s", "mbit_per_s",
+    ),
+    "hypervisor": (
+        "LiveMigrator", "MemoryImage", "MigrationConfig", "PhysicalHost",
+        "VirtualMachine",
+    ),
+    "shrinker": (
+        "ClusterMigrationCoordinator", "ContentRegistry", "RegistryDirectory",
+        "ShrinkerCodec", "shrinker_codec_factory",
+    ),
+    "vine": ("MigrationReconfigurator", "ViNeOverlay"),
+    "cloud": ("Cloud", "InstancePricing", "SpotMarket", "make_image"),
+    "sky": (
+        "Balanced", "Federation", "MigratableSpotManager", "SingleCloud",
+        "SkyMigrationService",
+    ),
+    "controlplane": (
+        "ControlPlane", "FailureInjector", "FairShareScheduler",
+        "HealthMonitor", "Job", "JobQueue", "JobState", "Lease",
+        "LeaseManager", "SchedulerConfig", "Tenant",
+    ),
+    "mapreduce": ("ElasticCluster", "JobTracker", "MapReduceJob"),
+    "patterns": ("GroundTruthRecorder", "HypervisorSniffer", "TrafficMatrix"),
+    "autonomic": ("AdaptationEngine", "CommunicationAwarePlanner"),
+    "emr": ("DeadlineScalePolicy", "ElasticMapReduceService"),
+    "framework": ("DynamicInfrastructure",),
+    "testbeds": (),
+    "metrics": ("MetricsRecorder", "TimeSeries"),
+    "obs": (
+        "Counter", "Gauge", "Histogram", "Tracer", "critical_path",
+        "to_chrome_trace", "tracer_of",
+    ),
+})

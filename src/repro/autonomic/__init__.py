@@ -3,41 +3,17 @@
 relocation through the sky migration service.
 """
 
-from .engine import AdaptationAction, AdaptationEngine, AdaptationReport
-from .monitor import (
-    AdaptationTrigger,
-    AvailabilityMonitor,
-    DeadlineMonitor,
-    PriceMonitor,
-    SLOMonitor,
-    TriggerBus,
-)
-from .policy import AutonomicController, CostAwarePolicy
-from .planner import (
-    Assignment,
-    CommunicationAwarePlanner,
-    PlanningError,
-    cross_traffic,
-    random_assignment,
-    round_robin_assignment,
-)
+from .. import _exports
 
-__all__ = [
-    "AdaptationAction",
-    "AdaptationEngine",
-    "AdaptationReport",
-    "AdaptationTrigger",
-    "Assignment",
-    "AutonomicController",
-    "AvailabilityMonitor",
-    "CostAwarePolicy",
-    "CommunicationAwarePlanner",
-    "DeadlineMonitor",
-    "PlanningError",
-    "PriceMonitor",
-    "SLOMonitor",
-    "TriggerBus",
-    "cross_traffic",
-    "random_assignment",
-    "round_robin_assignment",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "engine": ("AdaptationAction", "AdaptationEngine", "AdaptationReport"),
+    "monitor": (
+        "AdaptationTrigger", "AvailabilityMonitor", "DeadlineMonitor",
+        "PriceMonitor", "SLOMonitor", "TriggerBus",
+    ),
+    "policy": ("AutonomicController", "CostAwarePolicy"),
+    "planner": (
+        "Assignment", "CommunicationAwarePlanner", "PlanningError",
+        "cross_traffic", "random_assignment", "round_robin_assignment",
+    ),
+})

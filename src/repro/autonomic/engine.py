@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..hypervisor.vm import VirtualMachine
 from ..patterns.matrix import TrafficMatrix
-from ..simkernel import Process
+from ..simkernel.process import Process
 from ..sky.federation import Federation
 from ..sky.migration_api import SkyMigrationService
 from .monitor import AdaptationTrigger, TriggerBus

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from ..simkernel import Simulator
+from ..simkernel.core import Simulator
 
 
 @dataclass

@@ -2,45 +2,18 @@
 propagation strategies, contextualization, pricing, and the spot market.
 """
 
-from .contextualization import (
-    CONTEXT_MESSAGE_BYTES,
-    ContextBroker,
-    ContextualizationResult,
-)
-from .images import ImageError, ImageRepository, VMImage, make_image
-from .pricing import InstancePricing, UsageMeter
-from .propagation import (
-    BroadcastChainPropagation,
-    CowPropagation,
-    DeploymentStats,
-    HostImageCache,
-    STRATEGIES,
-    UnicastPropagation,
-)
-from .provider import Cloud, CloudError, InstanceSpec, QuotaExceeded
-from .spot import SpotInstance, SpotMarket, SpotState
+from .. import _exports
 
-__all__ = [
-    "BroadcastChainPropagation",
-    "CONTEXT_MESSAGE_BYTES",
-    "Cloud",
-    "CloudError",
-    "ContextBroker",
-    "ContextualizationResult",
-    "CowPropagation",
-    "DeploymentStats",
-    "HostImageCache",
-    "ImageError",
-    "ImageRepository",
-    "InstancePricing",
-    "InstanceSpec",
-    "QuotaExceeded",
-    "STRATEGIES",
-    "SpotInstance",
-    "SpotMarket",
-    "SpotState",
-    "UnicastPropagation",
-    "UsageMeter",
-    "VMImage",
-    "make_image",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "contextualization": (
+        "CONTEXT_MESSAGE_BYTES", "ContextBroker", "ContextualizationResult",
+    ),
+    "images": ("ImageError", "ImageRepository", "VMImage", "make_image"),
+    "pricing": ("InstancePricing", "UsageMeter"),
+    "propagation": (
+        "BroadcastChainPropagation", "CowPropagation", "DeploymentStats",
+        "HostImageCache", "STRATEGIES", "UnicastPropagation",
+    ),
+    "provider": ("Cloud", "CloudError", "InstanceSpec", "QuotaExceeded"),
+    "spot": ("SpotInstance", "SpotMarket", "SpotState"),
+})

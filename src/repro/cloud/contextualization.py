@@ -21,7 +21,8 @@ from ..hypervisor.vm import VirtualMachine
 from ..network.flows import FlowScheduler
 from ..network.transport import Transport
 from ..obs.trace import tracer_of
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 
 #: Bytes of the context exchange (template + roster + keys).
 CONTEXT_MESSAGE_BYTES = 64 * 1024

@@ -30,7 +30,8 @@ from ..hypervisor.host import PhysicalHost
 from ..network.flows import FlowScheduler
 from ..network.transport import Transport
 from ..obs.trace import tracer_of
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 from .images import VMImage
 
 

@@ -21,7 +21,8 @@ from ..network.flows import FlowScheduler
 from ..network.transport import Transport
 from ..network.nat import AddressPool
 from ..network.topology import Site
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 from .contextualization import ContextBroker
 from .images import ImageRepository, VMImage
 from .pricing import InstancePricing, UsageMeter

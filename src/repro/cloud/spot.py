@@ -39,7 +39,8 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional
 
 from ..hypervisor.vm import VirtualMachine
-from ..simkernel import Event, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.events import Event
 from ..workloads.traces import SpotPriceProcess
 from .provider import Cloud, CloudError
 

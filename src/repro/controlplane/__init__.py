@@ -33,61 +33,27 @@ Example
 3
 """
 
-from .bidding import BiddingStrategy, OnDemandClip
-from .eventlog import (EventLog, EventLogError, NULL_LOG, StateEvent,
-                       eventlog_of, validate_events)
-from .health import FailureInjector, HealEvent, HealthMonitor
-from .jobs import Job, JobState, Tenant
-from .lease import Lease, LeaseError, LeaseManager, LeaseState
-from .plane import ControlPlane
-from .queue import AdmissionError, JobQueue
-from .recovery import (Drift, RecoveredState, Reconciler, rebuild,
-                       recover, state_dict)
-from .scheduler import FairShareScheduler, SchedulerConfig
-from .spot import SpotBacking, SpotCapacityManager, SpotPolicy
-from .statemachine import (JOB_MACHINE, LEASE_MACHINE, StateMachine,
-                           TransitionError, machine_for, record,
-                           restore_state, transition)
+from .. import _exports
 
-__all__ = [
-    "AdmissionError",
-    "BiddingStrategy",
-    "ControlPlane",
-    "Drift",
-    "EventLog",
-    "EventLogError",
-    "FailureInjector",
-    "FairShareScheduler",
-    "HealEvent",
-    "HealthMonitor",
-    "JOB_MACHINE",
-    "Job",
-    "JobQueue",
-    "JobState",
-    "LEASE_MACHINE",
-    "Lease",
-    "LeaseError",
-    "LeaseManager",
-    "LeaseState",
-    "NULL_LOG",
-    "OnDemandClip",
-    "RecoveredState",
-    "Reconciler",
-    "SchedulerConfig",
-    "SpotBacking",
-    "SpotCapacityManager",
-    "SpotPolicy",
-    "StateEvent",
-    "StateMachine",
-    "Tenant",
-    "TransitionError",
-    "eventlog_of",
-    "machine_for",
-    "rebuild",
-    "record",
-    "recover",
-    "restore_state",
-    "state_dict",
-    "transition",
-    "validate_events",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "bidding": ("BiddingStrategy", "OnDemandClip"),
+    "eventlog": (
+        "EventLog", "EventLogError", "NULL_LOG", "StateEvent", "eventlog_of",
+        "validate_events",
+    ),
+    "health": ("FailureInjector", "HealEvent", "HealthMonitor"),
+    "jobs": ("Job", "JobState", "Tenant"),
+    "lease": ("Lease", "LeaseError", "LeaseManager", "LeaseState"),
+    "plane": ("ControlPlane",),
+    "queue": ("AdmissionError", "JobQueue"),
+    "recovery": (
+        "Drift", "RecoveredState", "Reconciler", "rebuild", "recover",
+        "state_dict",
+    ),
+    "scheduler": ("FairShareScheduler", "SchedulerConfig"),
+    "spot": ("SpotBacking", "SpotCapacityManager", "SpotPolicy"),
+    "statemachine": (
+        "JOB_MACHINE", "LEASE_MACHINE", "StateMachine", "TransitionError",
+        "machine_for", "record", "restore_state", "transition",
+    ),
+})

@@ -28,7 +28,8 @@ from ..hypervisor.host import PhysicalHost
 from ..hypervisor.migration import MigrationError
 from ..hypervisor.vm import VirtualMachine, VMState
 from ..metrics import MetricsRecorder
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 from ..sky.federation import Federation, FederationError
 from ..sky.migration_api import SkyMigrationService
 from .lease import Lease, LeaseManager

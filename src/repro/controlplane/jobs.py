@@ -16,7 +16,9 @@ from enum import Enum
 from typing import Optional
 
 from ..obs.trace import NULL_SPAN
-from ..simkernel import Event, Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.events import Event
+from ..simkernel.process import Process
 
 
 class JobState(Enum):

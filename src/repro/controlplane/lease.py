@@ -15,7 +15,8 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional
 
 from ..metrics import MetricsRecorder
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 from ..sky.federation import Federation
 from ..sky.virtual_cluster import VirtualCluster
 from .eventlog import eventlog_of

@@ -14,7 +14,8 @@ from typing import Dict, Iterable, List, Optional
 
 from ..metrics import MetricsRecorder, recorder_of
 from ..obs.trace import tracer_of
-from ..simkernel import Event, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.events import Event
 from ..sky.federation import Federation
 from .eventlog import EventLog
 from .health import HealthMonitor

@@ -18,7 +18,8 @@ from typing import Dict, List, Optional
 from ..cloud.provider import CloudError, InstanceSpec, QuotaExceeded
 from ..metrics import MetricsRecorder
 from ..obs.trace import tracer_of
-from ..simkernel import Event, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.events import Event
 from ..sky.federation import Federation
 from .jobs import Job, JobState, Tenant
 from .statemachine import record, transition

@@ -32,7 +32,8 @@ from typing import Dict, List, Optional, Union
 
 from ..hypervisor.vm import VMState
 from ..obs.trace import tracer_of
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 from .eventlog import EventLog, StateEvent, eventlog_of
 from .jobs import Job, JobState
 from .lease import Lease, LeaseState

@@ -29,7 +29,9 @@ from typing import Dict, List, Optional, Tuple
 from ..cloud.provider import Cloud, CloudError, InstanceSpec
 from ..metrics import MetricsRecorder
 from ..obs.trace import tracer_of
-from ..simkernel import Interrupt, Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.errors import Interrupt
+from ..simkernel.process import Process
 from ..sky.federation import Federation, FederationError
 from ..sky.scheduler import PlacementError
 from .jobs import Job, JobState, Tenant

@@ -44,7 +44,7 @@ from ..hypervisor.host import CapacityError
 from ..hypervisor.migration import MigrationError
 from ..metrics import MetricsRecorder
 from ..obs.trace import NULL_SPAN, tracer_of
-from ..simkernel import Simulator
+from ..simkernel.core import Simulator
 from ..sky.checkpoint import CheckpointingSpotManager
 from ..sky.federation import Federation, FederationError
 from ..sky.spot_manager import MigratableSpotManager

@@ -2,18 +2,11 @@
 clusters, deadline-driven scaling, cost accounting.
 """
 
-from .policies import (
-    DeadlineScalePolicy,
-    StaticPolicy,
-    estimate_remaining_seconds,
-)
-from .service import ElasticMapReduceService, EMRCluster, EMRJobReport
+from .. import _exports
 
-__all__ = [
-    "DeadlineScalePolicy",
-    "EMRCluster",
-    "EMRJobReport",
-    "ElasticMapReduceService",
-    "StaticPolicy",
-    "estimate_remaining_seconds",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "policies": (
+        "DeadlineScalePolicy", "StaticPolicy", "estimate_remaining_seconds",
+    ),
+    "service": ("ElasticMapReduceService", "EMRCluster", "EMRJobReport"),
+})

@@ -23,11 +23,11 @@ import numpy as np
 from ..mapreduce.elastic import ElasticCluster
 from ..mapreduce.engine import JobTracker
 from ..mapreduce.job import JobResult, MapReduceJob
-from ..simkernel import Process
+from ..simkernel.process import Process
 from ..sky.federation import Federation
 from ..sky.scheduler import PlacementPolicy
 from ..sky.virtual_cluster import VirtualCluster
-from .policies import DeadlineScalePolicy, StaticPolicy
+from .policies import StaticPolicy
 
 
 @dataclass

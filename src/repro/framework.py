@@ -22,7 +22,7 @@ from .autonomic.monitor import TriggerBus
 from .controlplane.plane import ControlPlane
 from .patterns.capture import HypervisorSniffer
 from .patterns.matrix import TrafficMatrix
-from .simkernel import Process
+from .simkernel.process import Process
 from .sky.virtual_cluster import VirtualCluster
 from .testbeds import Testbed
 

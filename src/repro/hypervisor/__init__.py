@@ -9,47 +9,18 @@ implements the iterative pre-copy algorithm with a pluggable page codec
 — the seam where Shrinker's content-based addressing plugs in.
 """
 
-from .disk import BLOCK_SIZE, CowDisk, DiskImage
-from .host import CapacityError, PhysicalHost
-from .memory import (
-    MemoryImage,
-    UNIQUE_FLAG,
-    UniqueContentFactory,
-    ZERO_PAGE,
-    pool_fingerprints,
-    sorted_unique,
-)
-from .migration import (
-    LiveMigrator,
-    MigrationConfig,
-    MigrationError,
-    MigrationStats,
-    PageCodec,
-    RawCodec,
-    TransferEncoding,
-)
-from .vm import Dirtier, VirtualMachine, VMState
+from .. import _exports
 
-__all__ = [
-    "BLOCK_SIZE",
-    "CapacityError",
-    "CowDisk",
-    "Dirtier",
-    "DiskImage",
-    "LiveMigrator",
-    "MemoryImage",
-    "MigrationConfig",
-    "MigrationError",
-    "MigrationStats",
-    "PageCodec",
-    "PhysicalHost",
-    "RawCodec",
-    "TransferEncoding",
-    "UNIQUE_FLAG",
-    "UniqueContentFactory",
-    "VMState",
-    "VirtualMachine",
-    "ZERO_PAGE",
-    "pool_fingerprints",
-    "sorted_unique",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "disk": ("BLOCK_SIZE", "CowDisk", "DiskImage"),
+    "host": ("CapacityError", "PhysicalHost"),
+    "memory": (
+        "MemoryImage", "UNIQUE_FLAG", "UniqueContentFactory", "ZERO_PAGE",
+        "pool_fingerprints", "sorted_unique",
+    ),
+    "migration": (
+        "LiveMigrator", "MigrationConfig", "MigrationError", "MigrationStats",
+        "PageCodec", "RawCodec", "TransferEncoding",
+    ),
+    "vm": ("Dirtier", "VirtualMachine", "VMState"),
+})

@@ -33,7 +33,8 @@ from ..metrics import recorder_of
 from ..network.flows import FlowScheduler
 from ..network.transport import Transport
 from ..obs.trace import tracer_of
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 from .host import CapacityError, PhysicalHost
 from .memory import sorted_unique
 from .vm import VirtualMachine, VMState

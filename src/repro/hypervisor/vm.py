@@ -10,7 +10,8 @@ from typing import List, Optional, Union
 import numpy as np
 
 from ..network.nat import Address
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 from .disk import CowDisk, DiskImage
 from .memory import MemoryImage
 

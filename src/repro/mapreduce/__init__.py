@@ -3,19 +3,11 @@ TaskTrackers with data-local scheduling, shuffle over the flow network,
 and runtime elasticity (the paper's extended Hadoop).
 """
 
-from .elastic import ElasticCluster
-from .engine import JobTracker, TaskTracker
-from .hdfs import BlockStore
-from .job import JobResult, MapReduceJob, Task, TaskKind, TaskState
+from .. import _exports
 
-__all__ = [
-    "BlockStore",
-    "ElasticCluster",
-    "JobResult",
-    "JobTracker",
-    "MapReduceJob",
-    "Task",
-    "TaskKind",
-    "TaskState",
-    "TaskTracker",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "elastic": ("ElasticCluster",),
+    "engine": ("JobTracker", "TaskTracker"),
+    "hdfs": ("BlockStore",),
+    "job": ("JobResult", "MapReduceJob", "Task", "TaskKind", "TaskState"),
+})

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from ..hypervisor.vm import VirtualMachine
-from ..simkernel import Simulator
+from ..simkernel.core import Simulator
 from .engine import JobTracker, TaskTracker
 
 

@@ -33,7 +33,10 @@ from ..hypervisor.vm import VirtualMachine
 from ..network.flows import FlowScheduler
 from ..network.transport import Transport
 from ..obs.trace import NULL_SPAN, tracer_of
-from ..simkernel import Event, Interrupt, Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.errors import Interrupt
+from ..simkernel.events import Event
+from ..simkernel.process import Process
 from .hdfs import BlockStore
 from .job import JobResult, MapReduceJob, Task, TaskKind, TaskState
 

@@ -39,7 +39,8 @@ from .obs.instruments import (
     _interpolated_percentile,
     labeled_name,
 )
-from .simkernel import Interrupt, Simulator
+from .simkernel.core import Simulator
+from .simkernel.errors import Interrupt
 
 
 def recorder_of(sim: Simulator) -> Optional["MetricsRecorder"]:

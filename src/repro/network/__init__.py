@@ -8,75 +8,25 @@ connection abstraction whose failure modes match the paper's analysis of
 why live migration cannot cross LAN boundaries.
 """
 
-from .billing import BillingMeter
-from .flows import (
-    EPSILON,
-    Flow,
-    FlowCancelled,
-    FlowRecord,
-    FlowScheduler,
-)
-from .nat import (
-    Address,
-    AddressPool,
-    Endpoint,
-    PlainIPResolver,
-    Resolver,
-    Route,
-)
-from .packets import record_packets, segments, wire_bytes
-from .tcp import Connection, ConnectionBroken, ConnectionState
-from .topology import DirectedLink, NetworkError, NoRoute, Site, Topology
-from .transport import Transport, TransferClass
-from .units import (
-    GB,
-    GB_DECIMAL,
-    Gbit,
-    KB,
-    Kbit,
-    MB,
-    MTU,
-    Mbit,
-    PAGE_SIZE,
-    gbit_per_s,
-    mbit_per_s,
-)
+from .. import _exports
 
-__all__ = [
-    "Address",
-    "AddressPool",
-    "BillingMeter",
-    "Connection",
-    "ConnectionBroken",
-    "ConnectionState",
-    "DirectedLink",
-    "EPSILON",
-    "Endpoint",
-    "Flow",
-    "FlowCancelled",
-    "FlowRecord",
-    "FlowScheduler",
-    "GB",
-    "GB_DECIMAL",
-    "Gbit",
-    "KB",
-    "Kbit",
-    "MB",
-    "MTU",
-    "Mbit",
-    "NetworkError",
-    "NoRoute",
-    "PAGE_SIZE",
-    "PlainIPResolver",
-    "Resolver",
-    "Route",
-    "Site",
-    "Topology",
-    "Transport",
-    "TransferClass",
-    "gbit_per_s",
-    "mbit_per_s",
-    "record_packets",
-    "segments",
-    "wire_bytes",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "billing": ("BillingMeter",),
+    "flows": (
+        "EPSILON", "Flow", "FlowCancelled", "FlowRecord", "FlowScheduler",
+    ),
+    "nat": (
+        "Address", "AddressPool", "Endpoint", "PlainIPResolver", "Resolver",
+        "Route",
+    ),
+    "packets": ("record_packets", "segments", "wire_bytes"),
+    "tcp": ("Connection", "ConnectionBroken", "ConnectionState"),
+    "topology": (
+        "DirectedLink", "NetworkError", "NoRoute", "Site", "Topology",
+    ),
+    "transport": ("Transport", "TransferClass"),
+    "units": (
+        "GB", "GB_DECIMAL", "Gbit", "KB", "Kbit", "MB", "MTU", "Mbit",
+        "PAGE_SIZE", "gbit_per_s", "mbit_per_s",
+    ),
+})

@@ -71,7 +71,8 @@ from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
-from ..simkernel import Event, Simulator, URGENT
+from ..simkernel.core import Simulator
+from ..simkernel.events import Event, URGENT
 from ..simkernel.queues import COMPACT_FRACTION, COMPACT_MIN
 from .billing import BillingMeter
 from .topology import DirectedLink, NetworkError, Topology

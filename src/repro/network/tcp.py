@@ -23,7 +23,8 @@ import itertools
 from enum import Enum
 from typing import Optional
 
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 from .flows import FlowScheduler
 from .transport import Transport
 from .nat import Endpoint, Resolver

@@ -18,7 +18,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Dict, List, Optional, Tuple
 
-from .units import Gbit, Mbit
+from .units import Gbit
 
 
 class NetworkError(Exception):
@@ -98,6 +98,7 @@ class Topology:
 
     Examples
     --------
+    >>> from repro.network.units import Mbit
     >>> topo = Topology()
     >>> a = topo.add_site(Site("a"))
     >>> b = topo.add_site(Site("b"))

@@ -28,10 +28,9 @@ name is an export key and is never parsed back.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable, List, Mapping, Optional
-
-from .windows import _interpolated_percentile
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "Instrument", "Timer",
@@ -40,6 +39,23 @@ __all__ = [
 ]
 
 Sink = Optional[Callable[[float], None]]
+
+
+def _interpolated_percentile(data: List[float], q: float) -> float:
+    """Linear-interpolation percentile over a *sorted* list."""
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile q={q} outside [0, 100]")
+    if not data:
+        raise ValueError("no observations")
+    if len(data) == 1:
+        return data[0]
+    pos = (q / 100.0) * (len(data) - 1)
+    lo = math.floor(pos)
+    hi = math.ceil(pos)
+    if lo == hi:
+        return data[lo]
+    frac = pos - lo
+    return data[lo] * (1.0 - frac) + data[hi] * frac
 
 
 #: Characters with structural meaning inside a ``name{k=v,...}`` body;

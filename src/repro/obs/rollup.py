@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .instruments import labeled_name
-from .windows import _interpolated_percentile
+from .instruments import _interpolated_percentile, labeled_name
 
 #: The label keys health dashboards pivot on by default.
 DEFAULT_DIMENSIONS = ("tenant", "cloud", "cluster")

@@ -20,27 +20,11 @@ and measure the per-observation work directly.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from collections import deque
 from typing import List
 
-
-def _interpolated_percentile(data: List[float], q: float) -> float:
-    """Linear-interpolation percentile over a *sorted* list."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile q={q} outside [0, 100]")
-    if not data:
-        raise ValueError("no observations")
-    if len(data) == 1:
-        return data[0]
-    pos = (q / 100.0) * (len(data) - 1)
-    lo = math.floor(pos)
-    hi = math.ceil(pos)
-    if lo == hi:
-        return data[lo]
-    frac = pos - lo
-    return data[lo] * (1.0 - frac) + data[hi] * frac
+from .instruments import _interpolated_percentile
 
 
 class TimeWindow:

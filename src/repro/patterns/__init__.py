@@ -3,24 +3,14 @@ hypervisor-level capture, instrumented ground truth, and matrix
 similarity analysis.
 """
 
-from .analysis import (
-    cosine_similarity,
-    pearson_correlation,
-    per_pair_relative_error,
-    top_pair_overlap,
-    volume_ratio,
-)
-from .capture import HypervisorSniffer
-from .groundtruth import GroundTruthRecorder
-from .matrix import TrafficMatrix
+from .. import _exports
 
-__all__ = [
-    "GroundTruthRecorder",
-    "HypervisorSniffer",
-    "TrafficMatrix",
-    "cosine_similarity",
-    "pearson_correlation",
-    "per_pair_relative_error",
-    "top_pair_overlap",
-    "volume_ratio",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "analysis": (
+        "cosine_similarity", "pearson_correlation", "per_pair_relative_error",
+        "top_pair_overlap", "volume_ratio",
+    ),
+    "capture": ("HypervisorSniffer",),
+    "groundtruth": ("GroundTruthRecorder",),
+    "matrix": ("TrafficMatrix",),
+})

@@ -13,31 +13,15 @@ Components:
   bounds.
 """
 
-from .analysis import (
-    collision_probability,
-    expected_wire_bytes,
-    ideal_dedup_saving,
-    pages_for_collision_risk,
-)
-from .codec import ShrinkerCodec, shrinker_codec_factory
-from .coordinator import ClusterMigrationCoordinator, ClusterMigrationStats
-from .hashing import MD5, SCHEMES, SHA1, SHA256, HashScheme
-from .registry import ContentRegistry, RegistryDirectory
+from .. import _exports
 
-__all__ = [
-    "ClusterMigrationCoordinator",
-    "ClusterMigrationStats",
-    "ContentRegistry",
-    "HashScheme",
-    "MD5",
-    "RegistryDirectory",
-    "SCHEMES",
-    "SHA1",
-    "SHA256",
-    "ShrinkerCodec",
-    "collision_probability",
-    "expected_wire_bytes",
-    "ideal_dedup_saving",
-    "pages_for_collision_risk",
-    "shrinker_codec_factory",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "analysis": (
+        "collision_probability", "expected_wire_bytes", "ideal_dedup_saving",
+        "pages_for_collision_risk",
+    ),
+    "codec": ("ShrinkerCodec", "shrinker_codec_factory"),
+    "coordinator": ("ClusterMigrationCoordinator", "ClusterMigrationStats"),
+    "hashing": ("MD5", "SCHEMES", "SHA1", "SHA256", "HashScheme"),
+    "registry": ("ContentRegistry", "RegistryDirectory"),
+})

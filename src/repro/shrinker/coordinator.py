@@ -20,7 +20,8 @@ from ..hypervisor.migration import (
 )
 from ..hypervisor.vm import VirtualMachine
 from ..obs.trace import tracer_of
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 
 
 @dataclass

@@ -7,40 +7,17 @@ the network substrate, the hypervisor model, clouds, MapReduce — is
 built as processes on this kernel.
 """
 
-from .core import Infinity, NULL_PROFILER, Simulator
-from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
-from .events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    NORMAL,
-    Timeout,
-    URGENT,
-)
-from .process import Process
-from .queues import BACKENDS, CalendarQueue, HeapQueue, make_queue
+from .. import _exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "BACKENDS",
-    "CalendarQueue",
-    "Condition",
-    "ConditionValue",
-    "EmptySchedule",
-    "Event",
-    "HeapQueue",
-    "Infinity",
-    "Interrupt",
-    "NORMAL",
-    "NULL_PROFILER",
-    "Process",
-    "SimulationError",
-    "Simulator",
-    "StopSimulation",
-    "Timeout",
-    "URGENT",
-    "make_queue",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "core": ("Infinity", "NULL_PROFILER", "Simulator"),
+    "errors": (
+        "EmptySchedule", "Interrupt", "SimulationError", "StopSimulation",
+    ),
+    "events": (
+        "AllOf", "AnyOf", "Condition", "ConditionValue", "Event", "NORMAL",
+        "Timeout", "URGENT",
+    ),
+    "process": ("Process",),
+    "queues": ("BACKENDS", "CalendarQueue", "HeapQueue", "make_queue"),
+})

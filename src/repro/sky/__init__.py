@@ -3,46 +3,21 @@ resource-selection policies, cloud-API-level migration, and migratable
 spot instances.
 """
 
-from .checkpoint import (
-    CheckpointRecord,
-    CheckpointingSpotManager,
-    RestoreRecord,
-)
-from .federation import Federation, FederationError
-from .migration_api import (
-    AUTH_HANDSHAKE_BYTES,
-    AuthenticationError,
-    CloudMigrationResult,
-    SkyMigrationService,
-)
-from .scheduler import (
-    Balanced,
-    CapacityProportional,
-    CheapestFirst,
-    PlacementError,
-    PlacementPolicy,
-    SingleCloud,
-)
-from .spot_manager import MigratableSpotManager, RescueRecord
-from .virtual_cluster import VirtualCluster
+from .. import _exports
 
-__all__ = [
-    "AUTH_HANDSHAKE_BYTES",
-    "AuthenticationError",
-    "Balanced",
-    "CapacityProportional",
-    "CheckpointRecord",
-    "CheckpointingSpotManager",
-    "CheapestFirst",
-    "CloudMigrationResult",
-    "Federation",
-    "FederationError",
-    "MigratableSpotManager",
-    "PlacementError",
-    "RestoreRecord",
-    "PlacementPolicy",
-    "RescueRecord",
-    "SingleCloud",
-    "SkyMigrationService",
-    "VirtualCluster",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "checkpoint": (
+        "CheckpointRecord", "CheckpointingSpotManager", "RestoreRecord",
+    ),
+    "federation": ("Federation", "FederationError"),
+    "migration_api": (
+        "AUTH_HANDSHAKE_BYTES", "AuthenticationError", "CloudMigrationResult",
+        "SkyMigrationService",
+    ),
+    "scheduler": (
+        "Balanced", "CapacityProportional", "CheapestFirst", "PlacementError",
+        "PlacementPolicy", "SingleCloud",
+    ),
+    "spot_manager": ("MigratableSpotManager", "RescueRecord"),
+    "virtual_cluster": ("VirtualCluster",),
+})

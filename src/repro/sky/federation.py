@@ -24,7 +24,8 @@ from ..network.topology import Topology
 from ..shrinker.codec import shrinker_codec_factory
 from ..shrinker.coordinator import ClusterMigrationCoordinator
 from ..shrinker.registry import RegistryDirectory
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 from ..vine.overlay import ViNeOverlay
 from ..vine.reconfig import MigrationReconfigurator
 from .scheduler import Balanced, PlacementPolicy

@@ -27,7 +27,7 @@ from ..hypervisor.host import PhysicalHost
 from ..hypervisor.migration import MigrationConfig, MigrationError, MigrationStats
 from ..hypervisor.vm import VirtualMachine
 from ..obs.trace import tracer_of
-from ..simkernel import Process
+from ..simkernel.process import Process
 from .federation import Federation, FederationError
 
 #: Bytes exchanged during the inter-cloud TLS/credential handshake.

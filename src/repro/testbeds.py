@@ -16,12 +16,17 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cloud import Cloud, InstancePricing, make_image
-from .hypervisor import PhysicalHost
-from .network import BillingMeter, FlowScheduler, Site, Topology, Transport
+from .cloud.images import make_image
+from .cloud.pricing import InstancePricing
+from .cloud.provider import Cloud
+from .hypervisor.host import PhysicalHost
+from .network.billing import BillingMeter
+from .network.flows import FlowScheduler
+from .network.topology import Site, Topology
+from .network.transport import Transport
 from .network.units import Gbit, Mbit
-from .simkernel import Simulator
-from .sky import Federation
+from .simkernel.core import Simulator
+from .sky.federation import Federation
 
 
 @dataclass

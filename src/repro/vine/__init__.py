@@ -7,25 +7,14 @@ overlay routing when a VM live-migrates between clouds so its TCP
 connections survive (§III-B).
 """
 
-from .arp import ArpProxyTable, GratuitousArp, emit_gratuitous_arp
-from .overlay import (
-    ENCAPSULATION_OVERHEAD,
-    OverlayError,
-    VINE_NETWORK,
-    ViNeOverlay,
-)
-from .reconfig import MigrationReconfigurator, ReconfigurationRecord
-from .router import ViNeRouter
+from .. import _exports
 
-__all__ = [
-    "ArpProxyTable",
-    "ENCAPSULATION_OVERHEAD",
-    "GratuitousArp",
-    "MigrationReconfigurator",
-    "OverlayError",
-    "ReconfigurationRecord",
-    "VINE_NETWORK",
-    "ViNeOverlay",
-    "ViNeRouter",
-    "emit_gratuitous_arp",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "arp": ("ArpProxyTable", "GratuitousArp", "emit_gratuitous_arp"),
+    "overlay": (
+        "ENCAPSULATION_OVERHEAD", "OverlayError", "VINE_NETWORK",
+        "ViNeOverlay",
+    ),
+    "reconfig": ("MigrationReconfigurator", "ReconfigurationRecord"),
+    "router": ("ViNeRouter",),
+})

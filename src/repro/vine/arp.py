@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..network.topology import Topology
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..network.nat import Address, AddressPool, Endpoint, Route
 from ..network.topology import Topology
-from ..simkernel import Simulator
+from ..simkernel.core import Simulator
 from .router import ViNeRouter
 
 #: Overlay network id used in VM addresses.

@@ -28,7 +28,8 @@ from typing import List, Optional
 
 from ..network.nat import Endpoint
 from ..obs.trace import tracer_of
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 from .overlay import ViNeOverlay
 
 

@@ -5,43 +5,18 @@ Everything stochastic takes an explicit :class:`numpy.random.Generator`,
 so experiments are exactly reproducible.
 """
 
-from .blast import blast_job
-from .comm_patterns import (
-    PATTERNS,
-    all_to_all,
-    clustered,
-    master_worker,
-    ring,
-    run_pattern,
-)
-from .memory_profiles import (
-    MemoryProfile,
-    PROFILES,
-    database,
-    generate_disk_fingerprints,
-    idle,
-    kernel_build,
-    web_server,
-)
-from .terasort import terasort_job
-from .traces import SpotPriceProcess, spot_price_trace
+from .. import _exports
 
-__all__ = [
-    "MemoryProfile",
-    "PATTERNS",
-    "PROFILES",
-    "SpotPriceProcess",
-    "all_to_all",
-    "blast_job",
-    "clustered",
-    "database",
-    "generate_disk_fingerprints",
-    "idle",
-    "kernel_build",
-    "master_worker",
-    "ring",
-    "run_pattern",
-    "spot_price_trace",
-    "terasort_job",
-    "web_server",
-]
+__all__, __getattr__, __dir__ = _exports(__name__, {
+    "blast": ("blast_job",),
+    "comm_patterns": (
+        "PATTERNS", "all_to_all", "clustered", "master_worker", "ring",
+        "run_pattern",
+    ),
+    "memory_profiles": (
+        "MemoryProfile", "PROFILES", "database", "generate_disk_fingerprints",
+        "idle", "kernel_build", "web_server",
+    ),
+    "terasort": ("terasort_job",),
+    "traces": ("SpotPriceProcess", "spot_price_trace"),
+})

@@ -15,7 +15,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..network.flows import FlowScheduler
 from ..network.transport import Transport
-from ..simkernel import Process, Simulator
+from ..simkernel.core import Simulator
+from ..simkernel.process import Process
 
 #: (src index, dst index, bytes) triples for one round.
 PatternRound = List[Tuple[int, int, float]]

@@ -16,7 +16,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from ..simkernel import Simulator
+from ..simkernel.core import Simulator
 
 
 def spot_price_trace(rng: np.random.Generator, duration: float,

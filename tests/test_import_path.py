@@ -28,6 +28,40 @@ def test_import_repro_leaves_networkx_out():
     assert out.strip() == "False"
 
 
+def test_import_repro_loads_no_submodule():
+    out = _python("import sys, repro\n"
+                  "print(sorted(m for m in sys.modules\n"
+                  "             if m.startswith('repro.')))\n")
+    assert out.strip() == "[]"
+
+
+def test_subpackages_resolve_after_a_bare_import():
+    out = _python("import repro\n"
+                  "print(repro.obs.__name__, repro.testbeds.__name__)\n")
+    assert out.split() == ["repro.obs", "repro.testbeds"]
+
+
+def test_building_a_testbed_leaves_the_unused_stacks_out():
+    out = _python("import sys\n"
+                  "import repro.controlplane, repro.testbeds\n"
+                  "print(sorted(m for m in (\n"
+                  "    'repro.obs.slo', 'repro.obs.dashboard',\n"
+                  "    'repro.obs.query', 'repro.emr', 'repro.autonomic',\n"
+                  "    'repro.patterns') if m in sys.modules))\n")
+    assert out.strip() == "[]"
+
+
+def test_submodule_imports_keep_same_named_exports_bound():
+    """``repro.obs`` exports the functions ``critical_path`` and
+    ``rollup`` from submodules of the same name; importing those
+    submodules first must not rebind the names to the modules."""
+    out = _python("import repro.obs.critical_path, repro.obs.rollup\n"
+                  "from repro.obs import critical_path, rollup\n"
+                  "print(type(critical_path).__name__,\n"
+                  "      type(rollup).__name__)\n")
+    assert out.split() == ["function", "function"]
+
+
 def test_routes_and_plans_without_networkx():
     """With ``networkx`` unimportable, a testbed still routes across
     sites and the planner still bisects."""

@@ -24,7 +24,6 @@ from repro.simkernel import (
     HeapQueue,
     NORMAL,
     Simulator,
-    StopSimulation,
     URGENT,
     make_queue,
 )
