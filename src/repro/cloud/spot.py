@@ -68,6 +68,9 @@ class SpotInstance:
     #: bid, outcome not yet resolved) — further price changes above the
     #: bid must not open a second episode for the same instance.
     reclaiming: bool = field(default=False, repr=False)
+    #: The cloud a grace-window rescue moved the VM to (set by the
+    #: rescuer); it tracks and bills the VM from then on.
+    rescued_to: Optional[Cloud] = field(default=None, repr=False)
 
     @property
     def alive(self) -> bool:
@@ -202,15 +205,17 @@ class SpotMarket:
     def close(self, inst: SpotInstance) -> None:
         """Customer-initiated termination.
 
-        A VM rescued inside the grace window already runs (and is
-        billed) at another cloud: only its spot terms end here.
+        The VM is terminated at the cloud that tracks it: this one, or
+        the one a rescue inside the grace window moved it to.
         """
         if inst.state is SpotState.RUNNING:
             inst.state = SpotState.CLOSED
             del self._live[inst.vm]
             inst.ended_at = self.sim.now
-            if inst.vm in self.cloud.instances:
-                self.cloud.terminate(inst.vm)
+            for cloud in (self.cloud, inst.rescued_to):
+                if cloud is not None and inst.vm in cloud.instances:
+                    cloud.terminate(inst.vm)
+                    break
 
     # -- reclamation -----------------------------------------------------
 
@@ -265,6 +270,13 @@ class SpotMarket:
             if inst.vm in self.cloud.instances:
                 self.cloud.release(inst.vm)
             self._resolve(inst, "rescued")
+        elif inst.vm not in self.cloud.instances:
+            # Its owner terminated the VM during the grace window (a
+            # failed VM scrubbed by its lease's health check): nothing
+            # is left to kill.
+            inst.state = SpotState.CLOSED
+            del self._live[inst.vm]
+            self._resolve(inst, "closed")
         else:
             inst.state = SpotState.RECLAIMED
             del self._live[inst.vm]

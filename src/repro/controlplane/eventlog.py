@@ -94,6 +94,9 @@ class EventLog:
         validate_events(self.events)
         self._seq = self.events[-1].seq if self.events else 0
         self._subscribers: List[Callable[[StateEvent], None]] = []
+        #: ``(recorder, kind, from, to)`` -> its bound
+        #: ``controlplane.transitions`` counter.
+        self._transitions: Dict[tuple, Any] = {}
         self._fh = None
         if path is not None:
             self._fh = open(path, "a", encoding="utf-8")
@@ -131,10 +134,15 @@ class EventLog:
             self._fh.flush()
         metrics = recorder_of(self.sim)
         if metrics is not None:
-            metrics.counter("controlplane.transitions",
-                            labels={"entity": kind,
-                                    "from": frm if frm is not None else "-",
-                                    "to": to}).inc()
+            key = (metrics, kind, frm, to)
+            counter = self._transitions.get(key)
+            if counter is None:
+                counter = self._transitions[key] = metrics.counter(
+                    "controlplane.transitions",
+                    labels={"entity": kind,
+                            "from": frm if frm is not None else "-",
+                            "to": to})
+            counter.inc()
         tracer = tracer_of(self.sim)
         if tracer.enabled:
             tracer.start(f"{kind}:{entity}:{to}", track="eventlog",

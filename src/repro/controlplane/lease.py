@@ -93,6 +93,9 @@ class LeaseManager:
         #: at grant/adopt, dropped when teardown commits), so queries
         #: and the sweeper never rescan ended leases.
         self._live: Dict[Lease, None] = {}
+        #: The subset of ``_live`` whose job is malleable, in the same
+        #: order (the scheduler's elastic adjustment walks only these).
+        self._elastic: Dict[Lease, None] = {}
         #: Called as ``on_expire(lease)`` after an expired lease's
         #: resources were reclaimed (the scheduler requeues its job).
         self.on_expire: Optional[Callable[[Lease], None]] = None
@@ -158,6 +161,8 @@ class LeaseManager:
             raise LeaseError(f"cannot adopt {lease!r}")
         self.leases.append(lease)
         self._live[lease] = None
+        if lease.job is not None and lease.job.elastic:
+            self._elastic[lease] = None
 
     def renew(self, lease: Lease, extra: Optional[float] = None) -> float:
         """Extend an active lease by ``extra`` (default: its original
@@ -203,6 +208,7 @@ class LeaseManager:
                           else "release"),
                    charged=node_seconds, cost=lease.cost)
         del self._live[lease]
+        self._elastic.pop(lease, None)
 
     # -- queries ---------------------------------------------------------
 
@@ -210,6 +216,10 @@ class LeaseManager:
         """Active leases in grant order (a copy: safe to tear down
         while iterating)."""
         return list(self._live)
+
+    def elastic_leases(self) -> List[Lease]:
+        """Active leases of malleable jobs, in grant order (a copy)."""
+        return list(self._elastic)
 
     def leaked(self) -> List[Lease]:
         """Leases whose capacity was not returned — ended (or expired by

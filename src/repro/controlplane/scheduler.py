@@ -31,6 +31,7 @@ from ..metrics import MetricsRecorder
 from ..obs.trace import tracer_of
 from ..simkernel.core import Simulator
 from ..simkernel.errors import Interrupt
+from ..simkernel.events import NORMAL, Event
 from ..simkernel.process import Process
 from ..sky.federation import Federation, FederationError
 from ..sky.scheduler import PlacementError
@@ -121,6 +122,8 @@ class FairShareScheduler:
         self.preemptions = 0
         self._loop: Optional[Process] = None
         self._running = False
+        #: The newest cohort of pure job-run ticks (see _plan_tick).
+        self._cohort: Optional[_RunCohort] = None
         # Expired leases with a live job come back through the queue.
         leases.on_expire = self._lease_expired
 
@@ -193,13 +196,28 @@ class FairShareScheduler:
     def _capacity_view(self) -> CapacityView:
         """Score and query every cloud once for a decision point.
 
-        Valid until the next dispatch: scores and availability change
-        only when a grant commits nodes or the clock moves, so callers
-        that stop scanning at their first dispatch read one view for
-        the whole scan instead of re-querying per candidate job."""
+        Scores and availability change only when nodes are committed or
+        released, hosts are placed or evicted, a price moves or the
+        clock moves.  A dispatch only commits nodes (its hosts are
+        placed later, by the provisioning process), so :meth:`_carry`
+        keeps a view exact across dispatches: a dispatch round reads one
+        view until it preempts or attempts a backfill."""
         clouds = self._ranked_clouds()
         available = {c.name: self._available(c) for c in clouds}
         return clouds, available, sum(available.values())
+
+    @staticmethod
+    def _carry(view: CapacityView, allocation: Dict[str, int]
+               ) -> CapacityView:
+        """``view`` after a dispatch of ``allocation``: what a fresh
+        :meth:`_capacity_view` would read.  The grant came out of the
+        view, so no cloud's availability drops below zero and the
+        clamp in :meth:`_available` never acts; scores read placed
+        hosts only, so the order stands."""
+        clouds, available, total = view
+        for name, count in allocation.items():
+            available[name] -= count
+        return clouds, available, total - sum(allocation.values())
 
     def _allocate(self, job: Job, view: CapacityView
                   ) -> Optional[Dict[str, int]]:
@@ -237,10 +255,12 @@ class FairShareScheduler:
 
     def _dispatch_round(self) -> None:
         progressed = True
+        view: Optional[CapacityView] = None
         while progressed and self.queue.depth() > 0:
             progressed = False
             starved_head: Optional[Job] = None
-            view = self._capacity_view()
+            if view is None:
+                view = self._capacity_view()
             for tenant in self._ranked_tenants():
                 job = self.queue.peek(tenant.name)
                 allocation = self._allocate(job, view)
@@ -253,15 +273,24 @@ class FairShareScheduler:
                 if not self._within_tenant_quota(job, sum(allocation.values())):
                     continue
                 self._dispatch(job, allocation)
+                view = self._carry(view, allocation)
                 progressed = True
                 break  # re-rank: the grant changed effective usage
             if progressed or starved_head is None:
                 continue
-            if self._starved(starved_head) and self._preempt_for(starved_head):
+            if self._starved(starved_head):
+                preemptions = self.preemptions
+                if self._preempt_for(starved_head, view[2]):
+                    progressed = True
+                    view = None
+                    continue
+                if self.preemptions != preemptions:
+                    # It reclaimed leases, if none with nodes: the view
+                    # must be read afresh.
+                    view = self._capacity_view()
+            if self.config.backfill and self._backfill(starved_head, view):
                 progressed = True
-                continue
-            if self.config.backfill and self._backfill(starved_head):
-                progressed = True
+            view = None
 
     def _dispatch(self, job: Job, allocation: Dict[str, int]) -> None:
         n = sum(allocation.values())
@@ -294,31 +323,55 @@ class FairShareScheduler:
         work drains at the current cluster size; anything else frees
         them at lease expiry (the sweeper's backstop)."""
         out = []
+        now = self.sim.now
         for lease in self.leases.active_leases():
             n = len(lease.cluster.vms)
             if n == 0:
                 continue
             job = lease.job
             if job is not None and job.state is JobState.RUNNING:
-                est = self.sim.now + job.work_remaining / n
+                est = now + job.work_remaining / n
             else:
                 est = lease.expires_at
             out.append((est, n))
         out.sort()
         return out
 
-    def _backfill(self, head: Job) -> bool:
+    def _backfill(self, head: Job, view: CapacityView) -> bool:
         """EASY backfill bounded by the blocked head's reservation.
 
         The head gets a *shadow time*: the earliest instant the release
         schedule accumulates its ``min_nodes``.  A smaller queued job
         may start now only if it either finishes (plus slack) before the
         shadow time, or fits in the nodes the head will leave spare —
-        so backfilling never delays the reservation it jumped."""
-        view = self._capacity_view()
+        so backfilling never delays the reservation it jumped.
+
+        ``view`` is the round's current capacity view.  With no free
+        node nothing can start (every job needs ``min_nodes >= 1``);
+        with no spare node and a shadow time closer than the slack no
+        job can jump the head; and a job needing more nodes than are
+        free is skipped before :meth:`_allocate`, which would refuse
+        it."""
+        pick = self._backfill_pick(head, view)
+        if pick is None:
+            return False
+        job, allocation = pick
+        self._dispatch(job, allocation)
+        self.backfills += 1
+        job.span.event("backfilled", ahead_of=head.name)
+        self.metrics.record("jobs.backfilled", self.backfills)
+        return True
+
+    def _backfill_pick(self, head: Job, view: CapacityView
+                       ) -> Optional[Tuple[Job, Dict[str, int]]]:
+        """The job :meth:`_backfill` starts ahead of ``head``, with its
+        allocation, or None."""
+        free = view[2]
+        if free == 0:
+            return None
         target = head.min_nodes
         shadow = self.sim.now
-        pool = view[2]
+        pool = free
         for est, n in self._release_schedule():
             if pool >= target:
                 break
@@ -329,26 +382,25 @@ class FairShareScheduler:
             # in-flight provisions/growth): nothing to protect yet.
             shadow = float("inf")
         spare = pool - target
+        now = self.sim.now
+        if spare < 1 and now + BACKFILL_SLACK > shadow:
+            # Every candidate would delay the head: it needs a node the
+            # head leaves spare, or to end (plus slack) by the shadow
+            # time, and even a job ending at once ends too late.
+            return None
         for tenant in self._ranked_tenants():
             for job in self.queue.queued_jobs(tenant.name):
-                if job is head:
+                if job is head or job.min_nodes > free:
                     continue
-                allocation = self._allocate(job, view)
-                if allocation is None:
-                    continue
-                k = sum(allocation.values())
+                # What _allocate would grant: min(n_nodes, free) nodes.
+                k = min(job.n_nodes, free)
                 if not self._within_tenant_quota(job, k):
                     continue
-                est_end = (self.sim.now + job.work_remaining / k
-                           + BACKFILL_SLACK)
+                est_end = now + job.work_remaining / k + BACKFILL_SLACK
                 if est_end > shadow and k > spare:
                     continue  # would delay the head's reservation
-                self._dispatch(job, allocation)
-                self.backfills += 1
-                job.span.event("backfilled", ahead_of=head.name)
-                self.metrics.record("jobs.backfilled", self.backfills)
-                return True
-        return False
+                return job, self._allocate(job, view)
+        return None
 
     # -- starvation preemption -------------------------------------------
 
@@ -367,38 +419,20 @@ class FairShareScheduler:
             return False
         return self.sim.now - since > self.spot.policy.starvation_patience
 
-    def _preempt_for(self, head: Job) -> bool:
+    def _preempt_for(self, head: Job, free: int) -> bool:
         """Reclaim spot-backed leases from materially better-served
-        tenants until the starving ``head`` fits, reusing the spot
-        subsystem's requeue-with-progress path.  Preempts at most one
-        round's worth; returns True if any lease was reclaimed.
+        tenants until the starving ``head`` fits in ``free`` nodes plus
+        the reclaimed ones, reusing the spot subsystem's
+        requeue-with-progress path.  Preempts at most one round's worth;
+        returns True if any lease was reclaimed.
 
         A victim tenant must exceed the starved tenant's share by
         :data:`PREEMPTION_IMBALANCE`: under steady contention fair-share
         keeps shares within epsilon of each other, and preempting over
         epsilon differences just trades places every round."""
-        starved_tenant = self.queue.tenants[head.tenant]
-        starved_share = (self.effective_usage(starved_tenant)
-                         / starved_tenant.weight)
-        floor = starved_share * PREEMPTION_IMBALANCE
-
-        def share_of(name: str) -> float:
-            t = self.queue.tenants[name]
-            return self.effective_usage(t) / t.weight
-
-        victims = [
-            l for l in self.spot.preemptible_leases()
-            if l.tenant != head.tenant
-            and l.job is not None and l.job.state is JobState.RUNNING
-            and share_of(l.tenant) > floor
-        ]
+        victims = self._preemption_victims(head)
         if not victims:
             return False
-        # Take from the most over-served tenants, newest leases first
-        # (their jobs have the least sunk progress).
-        victims.sort(key=lambda l: (-share_of(l.tenant), -l.id))
-        free = sum(self._available(c)
-                   for c in self.federation.clouds.values())
         needed = head.min_nodes - free
         reclaimed = 0
         for lease in victims:
@@ -410,6 +444,33 @@ class FairShareScheduler:
             self.metrics.counter(
                 "preemptions", labels={"tenant": lease.tenant}).inc()
         return reclaimed > 0
+
+    def _preemption_victims(self, head: Job) -> List[Lease]:
+        """Running spot-backed leases of tenants whose share exceeds the
+        starved tenant's by :data:`PREEMPTION_IMBALANCE`, most
+        over-served tenant first, newest lease first (their jobs have
+        the least sunk progress).  When no other tenant is over the
+        floor there is no victim, and the leases are not walked."""
+        starved_tenant = self.queue.tenants[head.tenant]
+        starved_share = (self.effective_usage(starved_tenant)
+                         / starved_tenant.weight)
+        floor = starved_share * PREEMPTION_IMBALANCE
+
+        def share_of(name: str) -> float:
+            t = self.queue.tenants[name]
+            return self.effective_usage(t) / t.weight
+
+        if not any(name != head.tenant and share_of(name) > floor
+                   for name in self.queue.tenants):
+            return []
+        victims = [
+            l for l in self.spot.preemptible_leases()
+            if l.tenant != head.tenant
+            and l.job is not None and l.job.state is JobState.RUNNING
+            and share_of(l.tenant) > floor
+        ]
+        victims.sort(key=lambda l: (-share_of(l.tenant), -l.id))
+        return victims
 
     def _run_job(self, job: Job, allocation: Dict[str, int]):
         cfg = self.config
@@ -453,16 +514,11 @@ class FairShareScheduler:
                 labels={"tenant": job.tenant}).observe(job.wait_time)
 
         rspan = tracer.start("run", parent=job.span, attempt=job.attempts)
+        run = _Run(job, lease, cluster)
         try:
-            while job.work_remaining > 0:
-                nodes = max(1, len(cluster.vms))
-                dt = min(cfg.interval, job.work_remaining / nodes)
-                if lease.remaining < dt + cfg.interval:
-                    self.leases.renew(lease)
-                    job.span.event("lease-renewed", lease=lease.id)
-                yield self.sim.timeout(dt)
-                job.work_remaining = max(0.0, job.work_remaining - nodes * dt)
+            yield from self._run_ticks(run)
         except Interrupt as intr:
+            run.live = False
             rspan.end(status=str(intr.cause) if intr.cause else "interrupted")
             return  # requeue/teardown handled by the interrupter
         rspan.end()
@@ -482,6 +538,55 @@ class FairShareScheduler:
         job.span.set(attempts=job.attempts,
                      turnaround=job.turnaround).end()
         job.done.succeed(job)
+
+    def _run_ticks(self, run: "_Run"):
+        """Tick ``run`` until its job's work is done: each tick takes
+        ``nodes * dt`` node-seconds off it."""
+        job = run.job
+        while job.work_remaining > 0:
+            if self._plan_tick(run):
+                # A cohort ticks the run from here and wakes it for the
+                # first tick that is not pure.
+                run.wake = self.sim.event()
+                yield run.wake
+            else:
+                yield self.sim.timeout(run.dt)
+            job.work_remaining = max(
+                0.0, job.work_remaining - run.nodes * run.dt)
+
+    def _plan_tick(self, run: "_Run") -> bool:
+        """Size ``run``'s next tick at the current cluster size, renew
+        the lease if the tick would outlast it, and draw the tick.
+
+        A *pure* next tick (a full ``interval`` that leaves work to do)
+        is drawn into a :class:`_RunCohort` — the newest one when it is
+        due at the same instant and the kernel has drawn no sequence
+        number since its last member — and True is returned.  Any other
+        tick is left to the caller to draw, under the next seq."""
+        interval = self.config.interval
+        job = run.job
+        work = job.work_remaining
+        nodes = max(1, len(run.cluster.vms))
+        dt = min(interval, work / nodes)
+        lease = run.lease
+        sim = self.sim
+        if lease.expires_at - sim._now < dt + interval:  # lease.remaining
+            self.leases.renew(lease)
+            job.span.event("lease-renewed", lease=lease.id)
+        run.nodes = nodes
+        run.dt = dt
+        if dt != interval or work - nodes * dt <= 0:
+            return False
+        cohort = self._cohort
+        if (cohort is not None and cohort.last == sim._seq
+                and cohort.due == sim._now + dt):
+            # Simulator.reserve_seq, inlined: the member's own seq.
+            sim._seq += 1
+            cohort.last = sim._seq
+        else:
+            cohort = self._cohort = _RunCohort(self, dt)
+        cohort.members.append(run)
+        return True
 
     # -- self-healing / requeue -----------------------------------------
 
@@ -525,14 +630,16 @@ class FairShareScheduler:
     # -- elasticity ------------------------------------------------------
 
     def _elastic_leases(self) -> List[Lease]:
-        return [l for l in self.leases.active_leases()
-                if l.job is not None and l.job.state is JobState.RUNNING
-                and l.job.elastic]
+        return [l for l in self.leases.elastic_leases()
+                if l.job.state is JobState.RUNNING]
 
     def _adjust_elastic(self) -> None:
+        leases = self._elastic_leases()
+        if not leases:
+            return
         if self.queue.depth() > 0:
             # Pressure: shrink one over-provisioned cluster to min_nodes.
-            for lease in self._elastic_leases():
+            for lease in leases:
                 job = lease.job
                 excess = len(lease.cluster.vms) - job.min_nodes
                 if excess <= 0:
@@ -547,7 +654,7 @@ class FairShareScheduler:
                 return
         else:
             # Idle capacity: grow the oldest malleable job.
-            for lease in self._elastic_leases():
+            for lease in leases:
                 job = lease.job
                 gap = job.max_nodes - len(lease.cluster.vms)
                 if gap <= 0:
@@ -613,3 +720,79 @@ class FairShareScheduler:
         return (f"<FairShareScheduler queued={self.queue.depth()} "
                 f"active={len(self.leases.active_leases())} "
                 f"done={self.jobs_completed}>")
+
+
+class _Run:
+    """One attempt's run phase: what its ticks read and write.
+
+    ``nodes`` and ``dt`` are the size and length of the tick drawn
+    last; ``wake`` is the event the runner process waits on while a
+    cohort ticks it; ``live`` drops when the runner is interrupted."""
+
+    __slots__ = ("job", "lease", "cluster", "nodes", "dt", "wake", "live")
+
+    def __init__(self, job: Job, lease: Lease, cluster):
+        self.job = job
+        self.lease = lease
+        self.cluster = cluster
+        self.nodes = 1
+        self.dt = 0.0
+        self.wake: Optional[Event] = None
+        self.live = True
+
+
+class _RunCohort:
+    """Pure ticks of job runs due at one instant, in one kernel entry.
+
+    A runner process resumes every ``interval`` just to subtract
+    ``nodes * dt`` from its job's work.  A tick is *pure* when it is a
+    full ``interval`` and leaves work to do: it updates the work,
+    re-reads the cluster size, maybe renews the lease — which queues
+    nothing — and draws the next tick's seq.  Pure ticks of runs that
+    drew back to back, at one ``(time, NORMAL)``, run here in join
+    order, inside one entry keyed by the first member's seq;
+    :meth:`FairShareScheduler._plan_tick` draws each later member's seq
+    as :meth:`~repro.simkernel.Simulator.reserve_seq` would.
+
+    **Exact by construction.**  The members' seqs are consecutive, so
+    no other entry sorts between their ticks, and a pure tick queues
+    nothing that could run between them.  Ticking them inline, in
+    order, runs what their processes ran, and redrawing them in that
+    order keeps the next members contiguous too.  A member whose next
+    tick is not pure (its last one, or a shorter one) leaves: its
+    ``wake`` event is queued under a seq drawn where its timeout was,
+    and the runner finishes in its own process.  An interrupted member
+    would have left an orphan timeout that fires as a no-op; the
+    cohort skips it at that instant.  The cohort's own entry still
+    fires when every member has gone, like the first one's orphan.
+    """
+
+    __slots__ = ("scheduler", "due", "last", "members")
+
+    def __init__(self, scheduler: FairShareScheduler, dt: float):
+        sim = scheduler.sim
+        entry = Event(sim)
+        entry._ok = True
+        entry._value = None
+        entry.callbacks.append(self._fire)
+        sim.schedule(entry, NORMAL, dt)
+        self.scheduler = scheduler
+        self.due = sim._now + dt
+        #: The seq the newest member drew.
+        self.last = sim._seq
+        self.members: List[_Run] = []
+
+    def _fire(self, _entry: Event) -> None:
+        scheduler = self.scheduler
+        sim = scheduler.sim
+        for run in self.members:
+            if not run.live:
+                continue
+            job = run.job
+            job.work_remaining = max(
+                0.0, job.work_remaining - run.nodes * run.dt)
+            if not scheduler._plan_tick(run):
+                wake = run.wake
+                wake._ok = True
+                wake._value = None
+                sim.schedule(wake, NORMAL, run.dt)

@@ -321,8 +321,11 @@ class SpotCapacityManager:
             self._record(inst, backing, "survived")
             return
         if outcome == "closed":
-            # Retired mid-episode (lease ended / preemption); savings
-            # were finalized by whoever retired it.
+            # Retired mid-episode (lease ended / preemption), and its
+            # savings finalized by whoever retired it; or its VM was
+            # terminated under it (a failed VM the health check
+            # scrubbed), and the spot chapter ends here.
+            self._finalize(backing, "closed")
             backing.span.end(status="closed")
             self._record(inst, backing, "closed")
             return

@@ -136,6 +136,7 @@ class MigratableSpotManager:
             return False  # lost the race (capacity, concurrent teardown)
         record.migration_duration = self.federation.sim.now - started
         record.succeeded = True
+        inst.rescued_to = dst
         return True
 
     @property

@@ -130,6 +130,27 @@ def test_customer_close_before_reclaim():
     assert cloud.instances == []
 
 
+def test_reclaim_of_a_vm_its_owner_terminated_in_the_grace_window():
+    """Regression: an enrolled VM terminated by its owner during the
+    grace window (a failed VM its lease's health check scrubbed) made
+    the kill at the window's end raise ``CloudError``.  The episode now
+    resolves as closed."""
+    sim, cloud, market = build_market([(0, 0.03), (500, 0.20)], grace=60)
+    vm = sim.run(until=cloud.run_instances("debian", 1))[0]
+    inst = market.enroll(vm, bid=0.10)
+    outcomes = []
+    market.on_resolution = lambda i, outcome: outcomes.append(outcome)
+    sim.run(until=530)
+    assert inst.reclaiming
+    cloud.terminate(vm)
+    sim.run()
+    assert outcomes == ["closed"]
+    assert inst.state is SpotState.CLOSED
+    assert inst.ended_at == 560
+    assert market.live_instances() == []
+    assert not inst.reclaim_event.triggered
+
+
 def test_reclaim_handler_rescues_instance():
     sim, cloud, market = build_market([(0, 0.03), (500, 0.20)], grace=60)
 

@@ -538,8 +538,9 @@ def test_close_of_an_instance_rescued_inside_the_grace_window():
     """Regression: a VM rescued to another cloud keeps its instance
     ``RUNNING`` until the grace window ends.  Closing it then used to
     terminate the VM at the source cloud, which no longer tracks it,
-    and raise ``CloudError``; now it ends the spot terms and leaves the
-    VM running at the destination."""
+    and raise ``CloudError``; later it ended only the spot terms and
+    left the VM running, and billing, at the destination for good.
+    Now it terminates the VM at the destination."""
     tb, market = spot_testbed(trace=(np.array([0.0, 300.0]),
                                      np.array([0.02, 0.50])),
                               grace=200.0)
@@ -555,17 +556,19 @@ def test_close_of_an_instance_rescued_inside_the_grace_window():
     assert inst.state is SpotState.CLOSED
     assert inst.ended_at == 480.0
     assert market.live_instances() == []
-    assert inst.vm.state is VMState.RUNNING
-    assert inst.vm in dst.instances
+    assert inst.rescued_to is dst
+    assert inst.vm.state is VMState.STOPPED
+    assert inst.vm not in dst.instances
+    assert inst.vm.host is None
     tb.sim.run(until=600.0)
     assert outcomes == ["closed"]
     assert not inst.reclaim_event.triggered
-    # Billing left the source at the hand-off and runs on at the
-    # destination's on-demand price.
-    with pytest.raises(ValueError):
-        src.meter.current_rate(inst.vm.name)
-    assert dst.meter.current_rate(inst.vm.name) == pytest.approx(
-        dst.pricing.on_demand_hourly)
+    # Billing left the source at the hand-off and stopped at the
+    # destination when the instance closed.
+    for cloud in (src, dst):
+        with pytest.raises(ValueError):
+            cloud.meter.current_rate(inst.vm.name)
+    assert dst.meter.segments(inst.vm.name)[-1][1] == 480.0
 
 
 # -- the spend property ---------------------------------------------------
