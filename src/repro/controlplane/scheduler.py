@@ -514,7 +514,7 @@ class FairShareScheduler:
                 labels={"tenant": job.tenant}).observe(job.wait_time)
 
         rspan = tracer.start("run", parent=job.span, attempt=job.attempts)
-        run = _Run(job, lease, cluster)
+        run = _Run(job, lease)
         try:
             yield from self._run_ticks(run)
         except Interrupt as intr:
@@ -566,7 +566,7 @@ class FairShareScheduler:
         interval = self.config.interval
         job = run.job
         work = job.work_remaining
-        nodes = max(1, len(run.cluster.vms))
+        nodes = max(1, len(run.lease.cluster.vms))
         dt = min(interval, work / nodes)
         lease = run.lease
         sim = self.sim
@@ -729,12 +729,11 @@ class _Run:
     last; ``wake`` is the event the runner process waits on while a
     cohort ticks it; ``live`` drops when the runner is interrupted."""
 
-    __slots__ = ("job", "lease", "cluster", "nodes", "dt", "wake", "live")
+    __slots__ = ("job", "lease", "nodes", "dt", "wake", "live")
 
-    def __init__(self, job: Job, lease: Lease, cluster):
+    def __init__(self, job: Job, lease: Lease):
         self.job = job
         self.lease = lease
-        self.cluster = cluster
         self.nodes = 1
         self.dt = 0.0
         self.wake: Optional[Event] = None

@@ -19,7 +19,8 @@ class ReferenceScheduler(FairShareScheduler):
 
     def _run_ticks(self, run):
         cfg = self.config
-        job, lease, cluster = run.job, run.lease, run.cluster
+        job, lease = run.job, run.lease
+        cluster = lease.cluster
         while job.work_remaining > 0:
             nodes = max(1, len(cluster.vms))
             dt = min(cfg.interval, job.work_remaining / nodes)

@@ -86,7 +86,7 @@ EVERY_PATH = {
     "weights": (1.0, 4.0),
     "quotas": (None, None),
     "patience": 0.0,
-    "crash_at": 300.0,
+    "crash_at": 200.0,
     "seed": 1,
 }
 
@@ -205,12 +205,14 @@ def test_a_world_taking_every_path_matches_the_reference():
                  '"cause": "spot-reclaimed"', '"cause": "fair-share"'):
         assert fact in run["log"], fact
     assert all(job[1] == "completed" for job in run["jobs"])
+    crashed = run_world(EVERY_PATH)
+    assert "running" in [job[1] for job in crashed["jobs"]]
     assert_matches_reference(world)
     assert_matches_reference(EVERY_PATH)
 
 
 @pytest.mark.parametrize("queue", [None, "calendar"])
-def test_cohorts_take_most_ticks_off_the_kernel(queue):
+def test_in_phase_runs_share_one_kernel_entry_per_tick(queue):
     """Ten jobs started together tick in phase: 200 tick entries on the
     reference.  Their first ticks drew apart, so they run alone; from
     the second on the ten share one cohort entry per instant."""
