@@ -770,11 +770,7 @@ class _RunCohort:
 
     def __init__(self, scheduler: FairShareScheduler, dt: float):
         sim = scheduler.sim
-        entry = Event(sim)
-        entry._ok = True
-        entry._value = None
-        entry.callbacks.append(self._fire)
-        sim.schedule(entry, NORMAL, dt)
+        sim.call_in(dt, self._fire)
         self.scheduler = scheduler
         self.due = sim._now + dt
         #: The seq the newest member drew.
