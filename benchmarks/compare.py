@@ -95,9 +95,6 @@ METRICS = {
     "obs": [
         ("overhead.traced_over_null", "lower", 0.50, 1.00),
         ("overhead.labeled_over_flat", "lower", 0.50, 1.00),
-        ("windowed_percentile.mismatches", "exact", 0, 0),
-        ("windowed_percentile.comparisons_per_observe_worst",
-         "lower", 0.10, 0.25),
     ],
 }
 

@@ -9,7 +9,7 @@ __all__, __getattr__, __dir__ = _exports(__name__, {
     "engine": ("AdaptationAction", "AdaptationEngine", "AdaptationReport"),
     "monitor": (
         "AdaptationTrigger", "AvailabilityMonitor", "DeadlineMonitor",
-        "PriceMonitor", "SLOMonitor", "TriggerBus",
+        "PriceMonitor", "TriggerBus",
     ),
     "policy": ("AutonomicController", "CostAwarePolicy"),
     "planner": (

@@ -101,35 +101,6 @@ class AvailabilityMonitor:
                     self._last[cloud.name] = cap
 
 
-class SLOMonitor:
-    """Bridges :class:`~repro.obs.slo.SLOEngine` alerts onto the
-    trigger bus — the paper's observe-then-act loop closed over SLOs.
-
-    A fourth adaptation cause alongside price/availability/deadline:
-    a *firing* service-level objective (rescue rate collapsing, queue
-    wait blowing past target) is itself a reason to re-plan.  Only the
-    states in ``states`` are forwarded; "pending" is excluded by
-    default so the planner is not churned by blips that never fire.
-    """
-
-    def __init__(self, bus: TriggerBus, engine,
-                 states=("firing", "resolved")):
-        self.bus = bus
-        self.states = tuple(states)
-        engine.subscribe(self._on_alert)
-
-    def _on_alert(self, alert) -> None:
-        if alert.state not in self.states:
-            return
-        at = {"pending": alert.pending_at, "firing": alert.fired_at,
-              "resolved": alert.resolved_at}.get(alert.state)
-        self.bus.emit(AdaptationTrigger(
-            "slo", at if at is not None else alert.pending_at,
-            {"objective": alert.objective.name, "state": alert.state,
-             "value": alert.value},
-        ))
-
-
 class DeadlineMonitor:
     """Fires when an application's deadline changes."""
 

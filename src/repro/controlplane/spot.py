@@ -291,8 +291,7 @@ class SpotCapacityManager:
             timer = self.metrics.timer("spot.rescue_time").time(self.sim)
             rescued = yield self.rescuer.rescue(market, inst,
                                                 exclude=exclude)
-            with self.metrics.exemplar_scope(span):
-                timer.stop()
+            timer.stop()
             if rescued:
                 span.event("rescued", to=inst.vm.site)
                 return True
@@ -493,18 +492,6 @@ class SpotCapacityManager:
             cloud=inst.cloud.name,
             tenant=backing.tenant if backing else None,
             outcome=outcome, detail=detail))
-        # Terminal reclamation outcomes feed the rescue-rate SLO: how
-        # many episodes ended a backing, and how many of those were
-        # saved in place ("survived"/"closed" are not reclamations).
-        if backing is not None and outcome in ("rescued", "checkpointed",
-                                               "requeued"):
-            # Exemplar-scope the SLO counters: the rescue-rate panels
-            # (and explain(alert)) can then jump from a breach straight
-            # to the episode trace that moved the ratio.
-            with self.metrics.exemplar_scope(backing.span):
-                self.metrics.counter("spot.episodes.resolved").inc()
-                if outcome == "rescued":
-                    self.metrics.counter("spot.episodes.rescued").inc()
 
     @property
     def savings_total(self) -> float:

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import deque
 from functools import partial
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .obs.instruments import (
     Counter,
@@ -67,8 +66,7 @@ class TimeSeries:
     in one chunk back down to ``max_points`` (amortized O(1) per
     record, unlike per-sample ``pop(0)``).  Aggregations then describe
     the retained tail.  :attr:`dropped` counts evicted samples and
-    :attr:`total` the lifetime count, so cursor-based consumers (the
-    SLO engine) can keep absolute positions across evictions.
+    :attr:`total` the lifetime count.
     """
 
     def __init__(self, name: str, max_points: Optional[int] = None,
@@ -165,20 +163,6 @@ class TimeSeries:
         return f"<TimeSeries {self.name!r} n={len(self.samples)}>"
 
 
-class Exemplar(NamedTuple):
-    """One sampled observation linked to the trace that produced it —
-    the dashboard's jump from a percentile panel to a concrete trace."""
-
-    time: float
-    value: float
-    trace_id: int
-    span_id: int
-
-    def to_dict(self) -> dict:
-        return {"time": self.time, "value": self.value,
-                "trace_id": self.trace_id, "span_id": self.span_id}
-
-
 class Probe:
     """Samples ``fn()`` every ``interval`` simulated seconds."""
 
@@ -231,34 +215,8 @@ class Probe:
             return
 
 
-class _ExemplarScope:
-    """Re-entrant context manager marking ``span`` as the origin of
-    every sample recorded inside it (see
-    :meth:`MetricsRecorder.exemplar_scope`)."""
-
-    __slots__ = ("_recorder", "_span", "_previous")
-
-    def __init__(self, recorder: "MetricsRecorder", span):
-        self._recorder = recorder
-        self._span = span
-        self._previous = None
-
-    def __enter__(self):
-        self._previous = self._recorder._active_span
-        self._recorder._active_span = self._span
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb):
-        self._recorder._active_span = self._previous
-        return False
-
-
 class MetricsRecorder:
     """A registry of series and probes for one simulation."""
-
-    #: Exemplars retained per series (newest win — deterministic, since
-    #: arrival order is simulation order).
-    EXEMPLARS_PER_SERIES = 8
 
     def __init__(self, sim: Simulator):
         self.sim = sim
@@ -270,8 +228,6 @@ class MetricsRecorder:
         self._instruments: Dict[str, Instrument] = {}
         #: (base, label set) -> instrument: a hit skips rendering the name.
         self._handles: Dict[object, Instrument] = {}
-        self._exemplars: Dict[str, deque] = {}
-        self._active_span = None
 
     def install(self) -> "MetricsRecorder":
         """Attach this recorder to the simulator so layers without a
@@ -300,53 +256,15 @@ class MetricsRecorder:
 
     def get(self, name: str) -> Optional[TimeSeries]:
         """The named series, or ``None`` — never creates (the read-side
-        counterpart of :meth:`series` for SLO/rollup consumers)."""
+        counterpart of :meth:`series`)."""
         return self._series.get(name)
 
     def record(self, name: str, value) -> None:
-        """Record a sample at the current simulation time.  Inside an
-        :meth:`exemplar_scope`, the sample also lands in the series'
-        exemplar reservoir, linked to the active span's trace."""
+        """Record a sample at the current simulation time."""
         ts = self._series.get(name)
         if ts is None:
             ts = self.series(name)
         ts.record(self.sim.now, value)
-        span = self._active_span
-        if span is not None and span.trace_id is not None:
-            bucket = self._exemplars.get(name)
-            if bucket is None:
-                bucket = self._exemplars[name] = deque(
-                    maxlen=self.EXEMPLARS_PER_SERIES)
-            bucket.append(Exemplar(self.sim.now, value,
-                                   span.trace_id, span.span_id))
-
-    # -- exemplars ------------------------------------------------------
-
-    def exemplar_scope(self, span) -> _ExemplarScope:
-        """Tag every sample recorded inside the ``with`` block with
-        ``span``'s trace identity::
-
-            with metrics.exemplar_scope(span):
-                metrics.counter("spot.episodes.resolved").inc()
-
-        The scope must not contain simulation yields — it marks the
-        synchronous instant where an instrumented operation lands its
-        measurements, so interleaved processes never cross-tag.  Scopes
-        nest (inner span wins); a ``NULL_SPAN`` scope records no
-        exemplars."""
-        return _ExemplarScope(self, span)
-
-    def exemplars(self, name: str) -> List[Exemplar]:
-        """Retained exemplars for series ``name``, oldest first."""
-        return list(self._exemplars.get(name, ()))
-
-    def exemplar_names(self) -> List[str]:
-        return sorted(self._exemplars)
-
-    def exemplars_as_dict(self) -> Dict[str, List[dict]]:
-        """JSON-ready exemplar map (what the dashboard embeds)."""
-        return {name: [e.to_dict() for e in bucket]
-                for name, bucket in sorted(self._exemplars.items())}
 
     def probe(self, name: str, fn: Callable[[], float],
               interval: float = 1.0,

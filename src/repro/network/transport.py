@@ -153,7 +153,7 @@ class Transport:
         cls = self.classify(record)
         self.bytes_by_class[cls] += record.size
         self.transfers_by_class[cls] += 1
-        # Per-class achieved throughput for the watchtower's SLO floors.
+        # Per-class achieved throughput (bytes per simulated second).
         rec = recorder_of(self.sim)
         if rec is not None:
             duration = record.finished_at - record.started_at

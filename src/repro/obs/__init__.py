@@ -5,7 +5,7 @@ The package sits between the simkernel and every instrumented subsystem:
 * :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span` on the
   simulation clock, with a zero-cost :data:`NULL_TRACER` default;
 * :mod:`repro.obs.instruments` — :class:`Counter`, :class:`Gauge`,
-  :class:`Histogram` (exposed through
+  :class:`Histogram`, :class:`Timer` (exposed through
   :class:`~repro.metrics.MetricsRecorder` factories);
 * :mod:`repro.obs.export` — Chrome trace-event / Perfetto JSON and
   structured JSONL span logs;
@@ -30,24 +30,18 @@ from .. import _exports
 
 __all__, __getattr__, __dir__ = _exports(__name__, {
     "critical_path": ("CriticalPathReport", "Segment", "critical_path"),
-    "dashboard": ("dashboard_payload", "dump_dashboard", "render_html"),
     "export": (
         "dump_chrome_trace", "dump_jsonl", "span_to_dict", "spans_to_jsonl",
         "to_chrome_trace",
     ),
     "profile": (
         "CallbackProfiler", "KernelStats", "NULL_PROFILER", "ProfileSnapshot",
-        "SiteStat", "dump_speedscope", "install_kernel_gauges", "kernel_stats",
-        "profiler_of", "spans_to_collapsed", "to_speedscope",
-        "validate_speedscope",
+        "SiteStat", "dump_speedscope", "kernel_stats", "profiler_of",
+        "spans_to_collapsed", "to_speedscope", "validate_speedscope",
     ),
     "instruments": ("Counter", "Gauge", "Histogram", "Timer", "labeled_name"),
-    "query": ("ExplainReport", "alert_window", "explain", "explain_all"),
-    "rollup": ("SeriesStats", "health_rollups", "rollup", "series_stats"),
-    "slo": ("Alert", "AlertState", "BurnRatePolicy", "Objective", "SLOEngine"),
     "trace": (
         "NULL_SPAN", "NULL_TRACER", "NullTracer", "Span", "SpanContext",
         "Tracer", "tracer_of",
     ),
-    "windows": ("CounterWindow", "TimeWindow"),
 })

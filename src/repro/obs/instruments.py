@@ -20,7 +20,7 @@ Labels
 Instruments can carry **labels** — tag dimensions like
 ``counter("spot.reclaims", labels={"tenant": "acme", "cloud": "east"})``.
 The labels are data on the series (:attr:`~repro.metrics.TimeSeries.labels`,
-values stringified), which is what :mod:`repro.obs.rollup` pivots on.
+values stringified).
 :func:`labeled_name` renders the series name once, when the series is
 created: ``spot.reclaims{cloud=east,tenant=acme}`` (keys sorted).  The
 name is an export key and is never parsed back.

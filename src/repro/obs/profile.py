@@ -29,9 +29,7 @@ infrastructure; this one watches the simulator itself.  Three pieces:
 :class:`KernelStats` / :func:`kernel_stats`
     A point-in-time kernel-health snapshot — queue depth, dead-entry
     ratio, compaction count, calendar bucket shape,
-    dispatch/batch/preemption counters — and
-    :func:`install_kernel_gauges` to stream the same signals into
-    watchtower as labeled series.
+    dispatch/batch/preemption counters.
 
 Flame export
     :meth:`ProfileSnapshot.to_collapsed` and :func:`spans_to_collapsed`
@@ -61,7 +59,6 @@ __all__ = [
     "ProfileSnapshot",
     "SiteStat",
     "dump_speedscope",
-    "install_kernel_gauges",
     "kernel_stats",
     "profiler_of",
     "spans_to_collapsed",
@@ -89,9 +86,9 @@ def _site_name(callback) -> str:
 
 
 def _subsystem_of(module: str) -> str:
-    """Coarse attribution bucket for a module path.  The tracer,
-    metrics and watchtower layers all map to ``obs`` — that bucket *is*
-    the observability tax."""
+    """Coarse attribution bucket for a module path.  The tracer and
+    metrics layers both map to ``obs`` — that bucket *is* the
+    observability tax."""
     if module == "repro.metrics" or module.startswith("repro.obs"):
         return "obs"
     if module.startswith("repro."):
@@ -353,8 +350,7 @@ class CallbackProfiler:
         (instance-level, restorable via :meth:`untap_obs`) with
         wall-clock meters; their totals surface as ``obs_taps`` in the
         snapshot and count toward :attr:`ProfileSnapshot.obs_tax`
-        alongside obs-subsystem callback sites (probe ticks, SLO
-        evaluation timers)."""
+        alongside obs-subsystem callback sites (probe ticks)."""
         if tracer is not None:
             self._tap(tracer, "start", "trace:Tracer.start",
                       aliases=("span",))
@@ -501,40 +497,6 @@ def kernel_stats(sim) -> KernelStats:
         max_bucket=stats.get("max_bucket"),
         mean_bucket=stats.get("mean_bucket"),
     )
-
-
-def install_kernel_gauges(sim, metrics, interval: float = 1.0,
-                          max_points: Optional[int] = None) -> list:
-    """Stream kernel health into watchtower as labeled series.
-
-    Starts periodic probes (every ``interval`` simulated seconds)
-    feeding ``kernel.queue.depth{backend=...}``,
-    ``kernel.queue.dead_ratio``, ``kernel.queue.compactions``,
-    ``kernel.events.dispatched``, ``kernel.batch.max`` and
-    ``kernel.preemptions`` — the same
-    signals :func:`kernel_stats` snapshots, but as dashboard/SLO-ready
-    time series.  ``max_points`` ring-bounds each backing series so
-    week-long runs do not grow them without limit.  Returns the probes
-    (stop them to quiesce)."""
-    queue = sim.queue_backend
-    labels = {"backend": getattr(queue, "name", type(queue).__name__)}
-
-    def dead_ratio() -> float:
-        depth = len(queue)
-        return (getattr(queue, "dead", 0) / depth) if depth else 0.0
-
-    samplers = [
-        ("kernel.queue.depth", lambda: float(len(queue))),
-        ("kernel.queue.dead_ratio", dead_ratio),
-        ("kernel.queue.compactions",
-         lambda: float(getattr(queue, "compactions", 0))),
-        ("kernel.events.dispatched", lambda: float(sim._n_events)),
-        ("kernel.batch.max", lambda: float(sim._max_batch)),
-        ("kernel.preemptions", lambda: float(sim._n_preemptions)),
-    ]
-    return [metrics.probe(name, fn, interval, max_points=max_points,
-                          labels=labels)
-            for name, fn in samplers]
 
 
 # -- sim-time flame (span tree) -----------------------------------------

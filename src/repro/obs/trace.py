@@ -198,8 +198,8 @@ class Tracer:
     """Factory and registry of spans for one simulation.
 
     Every span ever started lives in :attr:`spans`, in creation order,
-    for the whole run: exporters, :func:`~repro.obs.critical_path` and
-    :func:`~repro.obs.query.explain` read it in full.
+    for the whole run: exporters and :func:`~repro.obs.critical_path`
+    read it in full.
     """
 
     #: Real tracers record; instrumentation may branch on this to skip

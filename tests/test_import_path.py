@@ -45,21 +45,19 @@ def test_building_a_testbed_leaves_the_unused_stacks_out():
     out = _python("import sys\n"
                   "import repro.controlplane, repro.testbeds\n"
                   "print(sorted(m for m in (\n"
-                  "    'repro.obs.slo', 'repro.obs.dashboard',\n"
-                  "    'repro.obs.query', 'repro.emr', 'repro.autonomic',\n"
-                  "    'repro.patterns') if m in sys.modules))\n")
+                  "    'repro.emr', 'repro.autonomic', 'repro.patterns')\n"
+                  "    if m in sys.modules))\n")
     assert out.strip() == "[]"
 
 
 def test_submodule_imports_keep_same_named_exports_bound():
-    """``repro.obs`` exports the functions ``critical_path`` and
-    ``rollup`` from submodules of the same name; importing those
-    submodules first must not rebind the names to the modules."""
-    out = _python("import repro.obs.critical_path, repro.obs.rollup\n"
-                  "from repro.obs import critical_path, rollup\n"
-                  "print(type(critical_path).__name__,\n"
-                  "      type(rollup).__name__)\n")
-    assert out.split() == ["function", "function"]
+    """``repro.obs`` exports the function ``critical_path`` from the
+    submodule of the same name; importing that submodule first must not
+    rebind the name to the module."""
+    out = _python("import repro.obs.critical_path\n"
+                  "from repro.obs import critical_path\n"
+                  "print(type(critical_path).__name__)\n")
+    assert out.split() == ["function"]
 
 
 def test_routes_and_plans_without_networkx():

@@ -370,15 +370,25 @@ def test_bounded_probe_stops_growing():
 
 
 def test_kernel_gauges_accept_max_points():
-    from repro.obs import install_kernel_gauges
+    from repro.obs import kernel_stats
 
     sim = Simulator()
     metrics = MetricsRecorder(sim)
-    probes = install_kernel_gauges(sim, metrics, interval=1.0,
-                                   max_points=8)
+    labels = {"backend": kernel_stats(sim).backend}
+    probes = [
+        metrics.probe("kernel.queue.depth", lambda: len(sim.queue_backend),
+                      interval=1.0, max_points=8, labels=labels),
+        metrics.probe("kernel.events.dispatched",
+                      lambda: kernel_stats(sim).events_dispatched,
+                      interval=1.0, max_points=8, labels=labels),
+    ]
     sim.run(until=100.0)
     for probe in probes:
+        assert probe.series.labels == {"backend": "heap"}
         assert len(probe.series.samples) < 16
         assert probe.series.total == 99  # samples at t=1..99
+    dispatched = metrics.get("kernel.events.dispatched{backend=heap}")
+    assert dispatched is probes[1].series
+    assert dispatched.last() > dispatched.samples[0][1]
     for probe in probes:
         probe.stop()

@@ -12,14 +12,12 @@ from repro.obs import (
     NULL_PROFILER,
     Tracer,
     critical_path,
-    install_kernel_gauges,
     kernel_stats,
     profiler_of,
     spans_to_collapsed,
     to_speedscope,
     validate_speedscope,
 )
-from repro.obs.dashboard import dashboard_payload, render_html
 from repro.simkernel import Simulator
 from repro.simkernel.events import URGENT
 
@@ -338,35 +336,6 @@ def test_kernel_stats_calendar_shape():
     doc = ks.to_dict()
     assert doc["bucket_width"] == ks.bucket_width
     assert doc["buckets"] == ks.buckets
-
-
-def test_install_kernel_gauges_streams_labeled_series():
-    sim = Simulator(queue="calendar")
-    metrics = MetricsRecorder(sim)
-    probes = install_kernel_gauges(sim, metrics, interval=1.0)
-    assert len(probes) == 6
-    for t in range(1, 6):
-        sim.call_in(float(t), _tick)
-    sim.run(until=5.5)
-    names = [n for n in metrics._series if n.startswith("kernel.")]
-    assert any(n == "kernel.queue.depth{backend=calendar}" for n in names)
-    assert any(n.startswith("kernel.events.dispatched") for n in names)
-    dispatched = metrics.get("kernel.events.dispatched{backend=calendar}")
-    assert dispatched.last() > 0
-
-
-def test_dashboard_payload_and_html_include_kernel_panel():
-    sim = Simulator()
-    metrics = MetricsRecorder(sim)
-    metrics.record("queue.depth", 3.0)
-    sim.call_in(1.0, _tick)
-    sim.run()
-    payload = dashboard_payload(metrics)
-    kernel = payload["kernel"]
-    assert kernel["backend"] == "heap"
-    assert kernel["events_dispatched"] >= 1
-    html = render_html(payload, metrics)
-    assert "<h2>Kernel</h2>" in html
 
 
 # -- flame export --------------------------------------------------------

@@ -74,5 +74,5 @@ def test_unknown_name_raises_attribute_error(package):
 
 
 def test_listed_submodules_resolve_as_attributes():
-    assert repro.obs.slo is importlib.import_module("repro.obs.slo")
+    assert repro.obs.export is importlib.import_module("repro.obs.export")
     assert "testbeds" in dir(repro)
