@@ -291,10 +291,11 @@ class SpotCapacityManager:
             timer = self.metrics.timer("spot.rescue_time").time(self.sim)
             rescued = yield self.rescuer.rescue(market, inst,
                                                 exclude=exclude)
-            timer.stop()
             if rescued:
+                timer.stop()
                 span.event("rescued", to=inst.vm.site)
                 return True
+            timer.fail()
             span.event("rescue-failed")
         if backing is not None and self._can_restore(inst):
             backing.intent = "checkpoint"

@@ -225,7 +225,9 @@ class Timer(Histogram):
         with rescue_timer.time(sim):
             yield service.migrate_vm(vm, dst)
 
-    Failure handling: when the timed block raises, the duration is a
+    Failure handling: when the timed block raises, or the caller ends
+    the timing with :meth:`_Running.fail` (an operation that returns a
+    failed outcome rather than raising), the duration is a
     *failed-operation* latency and would skew the success histogram, so
     it is routed to ``fail_sink`` (the recorder wires this to the
     ``<base>.failed`` series with the same labels) instead of being
@@ -265,6 +267,14 @@ class Timer(Histogram):
             self._timer.observe(elapsed)
             return elapsed
 
+        def fail(self) -> float:
+            """Record the elapsed duration as a failed operation's and
+            return it."""
+            elapsed = self.elapsed
+            self._done = True
+            self._timer.observe_failure(elapsed)
+            return elapsed
+
         def __enter__(self) -> "Timer._Running":
             return self
 
@@ -274,11 +284,10 @@ class Timer(Histogram):
             if exc_type is None:
                 self.stop()
             else:
-                self._done = True
-                self._timer.observe_failure(self.elapsed)
+                self.fail()
             return False
 
     def time(self, sim) -> "Timer._Running":
-        """Start timing at ``sim.now``; stop() or context-exit records
-        the duration."""
+        """Start timing at ``sim.now``; stop(), fail() or context-exit
+        records the duration."""
         return Timer._Running(self, sim)

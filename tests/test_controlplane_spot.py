@@ -197,6 +197,30 @@ def test_transient_spike_within_grace_survives_unharmed():
 # -- fair-share preemption ------------------------------------------------
 
 
+def test_a_rescue_that_finds_no_destination_is_timed_as_failed():
+    """The rescue races for room it was told exists: ``feasible`` says
+    yes, then ``_rescue`` finds no destination and yields False.  Its
+    duration is a failed operation's, so it lands in
+    ``spot.rescue_time.failed`` and not in ``spot.rescue_time``."""
+    tb, market = spot_testbed(trace=SPIKE, rescue_cloud=False)
+    plane = make_spot_plane(tb, market, SpotPolicy())
+    # Sibling rescues of one reclaim burst can take the room between
+    # the feasibility check and the rescue; stand in for them.
+    plane.spot.rescuer.feasible = lambda *args, **kwargs: True
+    job = plane.submit("alice", n_nodes=2, runtime=600.0)
+    tb.sim.run(until=job.done)
+    records = plane.spot.rescuer.records
+    assert records and all(r.to_cloud is None and not r.succeeded
+                           for r in records)
+    assert plane.spot.outcomes["rescued"] == 0
+    assert plane.metrics.get("spot.rescue_time") is None
+    failed = plane.metrics.get("spot.rescue_time.failed")
+    assert failed is not None
+    assert failed.values() == [0.0] * len(records)
+    assert failed.times() == [300.0] * len(records)
+    assert job.state is JobState.COMPLETED
+
+
 def test_preemption_rescues_a_starving_tenant():
     """Regression: a spot-backed hog must not starve a second tenant —
     the scheduler reclaims the hog's lease (requeue with progress) once

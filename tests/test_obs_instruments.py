@@ -171,6 +171,24 @@ def test_timer_explicit_stop_inside_block_not_double_counted():
     assert rec.series("op").values() == [1.0]
 
 
+def test_timer_fail_records_to_the_failed_series_only():
+    sim = Simulator()
+    rec = MetricsRecorder(sim)
+    timer = rec.timer("op")
+
+    def work():
+        with timer.time(sim) as running:
+            yield sim.timeout(2.0)
+            running.fail()  # a failed outcome that does not raise
+            yield sim.timeout(5.0)  # after fail(): not timed
+
+    sim.process(work())
+    sim.run()
+    assert timer.count == 0
+    assert rec.get("op") is None
+    assert rec.series("op.failed").values() == [2.0]
+
+
 def test_timer_exception_propagates():
     sim = Simulator()
     timer = Histogram("h")  # sanity: context managers never swallow
