@@ -35,7 +35,6 @@ from typing import Callable, List, Mapping, Optional
 __all__ = [
     "Counter", "Gauge", "Histogram", "Instrument", "Timer",
     "labeled_name",
-    "_interpolated_percentile",
 ]
 
 Sink = Optional[Callable[[float], None]]
