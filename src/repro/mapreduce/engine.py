@@ -187,7 +187,9 @@ class TaskTracker:
                 task = self.current_tasks.get(slot)
                 self.current_tasks[slot] = None
                 if intr.cause == "kill-task":
-                    # A speculative sibling won; this slot lives on.
+                    # A speculative sibling won; this slot lives on
+                    # (unless that was a draining tracker's last task).
+                    self.jt._finish_drain(self)
                     continue
                 # Forced decommission: abandon the in-flight task.
                 if task is not None:
@@ -297,7 +299,8 @@ class JobTracker:
         self.trackers: Dict[str, TaskTracker] = {}
         self.traffic_recorder = traffic_recorder
         self.current: Optional[_JobRun] = None
-        self._waiters: List[Tuple[TaskTracker, Event]] = []
+        #: Parked slot requests of active trackers, in arrival order.
+        self._waiters: Deque[Tuple[TaskTracker, Event]] = deque()
         #: One turn event per submitted job, in submission order; the
         #: head's job runs and the rest wait (FIFO, one job at a time).
         self._turns: List[Event] = []
@@ -335,7 +338,7 @@ class JobTracker:
         tracker.active = False
         self.hdfs.remove_node(vm)
         # Wake its parked slot loops with "no more work".
-        still = []
+        still: Deque[Tuple[TaskTracker, Event]] = deque()
         for t, ev in self._waiters:
             if t is tracker:
                 ev.succeed(None)
@@ -398,8 +401,14 @@ class JobTracker:
 
     def _request_task(self, tracker: TaskTracker) -> Event:
         ev = self.sim.event()
-        self._waiters.append((tracker, ev))
-        self._dispatch()
+        if tracker.active:
+            self._waiters.append((tracker, ev))
+            self._dispatch()
+        else:
+            # A retired tracker gets no more work.  Every parked waiter
+            # already missed at this instant, so a dispatch here would
+            # serve none of them.
+            ev.succeed(None)
         return ev
 
     def _requeue(self, task: Task) -> None:
@@ -421,7 +430,9 @@ class JobTracker:
     def _task_done(self, tracker: TaskTracker, task: Task) -> None:
         run = self.current
         if run is None or task.job is not run.job:
-            return  # stale completion from a removed job
+            # Stale completion from a removed job.
+            self._finish_drain(tracker)
+            return
         run.running.pop(task, None)
         started = run.task_start.pop(task, None)
         key = (task.kind, task.index)
@@ -465,6 +476,8 @@ class JobTracker:
         self._dispatch()
 
     def _finish_drain(self, tracker: TaskTracker) -> None:
+        """Fire a draining tracker's drain event once none of its slots
+        holds an attempt (finished, stale or killed by a sibling)."""
         if tracker in self._draining and not any(
             t is not None for t in tracker.current_tasks.values()
         ):
@@ -473,24 +486,28 @@ class JobTracker:
             # reducers still need them.
             self._draining.pop(tracker).succeed()
             self._invalidate_outputs(tracker.vm)
+            self._dispatch()
 
     def _pick(self, run: _JobRun, tracker: TaskTracker) -> Optional[Task]:
+        """A pending map (local to ``tracker`` if any is) or reduce."""
         task = run.take_map(tracker.vm)
         if task is not None:
             return task
         if run.all_maps_done and run.pending_reduces:
             return run.pending_reduces.pop(0)
-        if self.speculative:
-            return self._pick_speculative(run, tracker)
         return None
 
-    def _pick_speculative(self, run: _JobRun,
-                          tracker: TaskTracker) -> Optional[Task]:
-        """A backup attempt for the slowest eligible straggler."""
+    def _straggler_threshold(self, run: _JobRun) -> Optional[float]:
+        """The elapsed time past which a running attempt is a straggler
+        (None until enough attempts have completed)."""
         if len(run.completed_durations) < self.speculative_min_samples:
             return None
         median = float(np.median(run.completed_durations))
-        threshold = self.speculative_slowdown * median
+        return self.speculative_slowdown * median
+
+    def _pick_speculative(self, run: _JobRun, tracker: TaskTracker,
+                          threshold: float) -> Optional[Task]:
+        """A backup attempt for the slowest eligible straggler."""
         now = self.sim.now
         best, best_elapsed = None, 0.0
         for task, owner in run.running.items():
@@ -514,38 +531,46 @@ class JobTracker:
         return Task(run.job, best.kind, best.index)
 
     def _dispatch(self) -> None:
+        """Hand pending work to the parked waiters, in arrival order."""
         run = self.current
-        # Without speculation the work on offer does not depend on who
-        # asks: once one waiter finds nothing, the rest would too.
-        idle = run is None or run.finished
+        if run is None or run.finished:
+            return
         waiters = self._waiters
-        still: List[Tuple[TaskTracker, Event]] = []
-        rest: List[Tuple[TaskTracker, Event]] = []
-        for k, (tracker, ev) in enumerate(waiters):
-            if idle:
-                rest = waiters[k:]
-                break
-            if not tracker.active:
-                ev.succeed(None)
-                continue
+        if not self.speculative:
+            # The work on offer does not depend on who asks: serve from
+            # the head until one waiter finds nothing; the rest would
+            # find nothing too.
+            while waiters:
+                tracker, ev = waiters[0]
+                task = self._pick(run, tracker)
+                if task is None:
+                    return
+                waiters.popleft()
+                self._start(run, tracker, task, ev)
+            return
+        # A backup attempt depends on who asks: try every waiter.  The
+        # straggler bar cannot move within one dispatch.
+        still: Deque[Tuple[TaskTracker, Event]] = deque()
+        threshold = unset = object()
+        for tracker, ev in waiters:
             task = self._pick(run, tracker)
-            if task is not None:
-                task.state = TaskState.RUNNING
-                run.running[task] = tracker
-                run.task_start[task] = self.sim.now
-                ev.succeed(task)
-            else:
+            if task is None:
+                if threshold is unset:
+                    threshold = self._straggler_threshold(run)
+                if threshold is not None:
+                    task = self._pick_speculative(run, tracker, threshold)
+            if task is None:
                 still.append((tracker, ev))
-                idle = not self.speculative
-        # Idle: resolve the rest's retired trackers in order, keep the
-        # others.
-        kept = [waiter for waiter in rest if waiter[0].active]
-        if len(kept) < len(rest):
-            for tracker, ev in rest:
-                if not tracker.active:
-                    ev.succeed(None)
-        still.extend(kept)
+            else:
+                self._start(run, tracker, task, ev)
         self._waiters = still
+
+    def _start(self, run: _JobRun, tracker: TaskTracker, task: Task,
+               ev: Event) -> None:
+        task.state = TaskState.RUNNING
+        run.running[task] = tracker
+        run.task_start[task] = self.sim.now
+        ev.succeed(task)
 
     # -- public API ----------------------------------------------------
 

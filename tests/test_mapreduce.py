@@ -119,7 +119,7 @@ def others_list_placement(names, n_maps, replication, rng):
 
 @pytest.mark.parametrize("n, replication, seed", [
     (1, 1, 0), (1, 3, 1), (2, 2, 2), (5, 3, 3), (16, 2, 4), (7, 7, 5),
-    (9, 12, 6),
+    (9, 12, 6), (64, 2, 7), (513, 2, 8),
 ])
 def test_blockstore_placement_matches_others_list(n, replication, seed):
     sim = Simulator()
@@ -133,6 +133,33 @@ def test_blockstore_placement_matches_others_list(n, replication, seed):
                                  replication, np.random.default_rng(seed))
     assert [store.locations(job, split) for split in range(job.n_maps)] \
         == want
+
+
+#: Bounds spanning NumPy's tail-shuffle and Floyd branches of
+#: ``choice(..., replace=False)`` and its 32- and 64-bit integer paths.
+DRAW_BOUNDS = (1, 2, 3, 7, 511, 1000, 9999, 10000, 10001, 20000,
+               2**31, 2**33)
+
+
+@pytest.mark.parametrize("m", DRAW_BOUNDS)
+def test_one_draw_without_replacement_is_one_bounded_integer(m):
+    """``BlockStore.load_input`` draws two-way replication's extra
+    replicas with one ``integers(0, m, size=k)`` call where each split
+    used to call ``choice(m, size=1, replace=False)``.  Both must give
+    the same values and leave the generator in the same state."""
+    for seed in range(20):
+        by_choice, one_by_one, at_once = (np.random.default_rng(seed)
+                                          for _ in range(3))
+        chosen = [int(by_choice.choice(m, size=1, replace=False)[0])
+                  for _ in range(50)]
+        assert [int(one_by_one.integers(0, m)) for _ in range(50)] \
+            == chosen
+        assert at_once.integers(0, m, size=50).tolist() == chosen
+        state = by_choice.bit_generator.state
+        assert one_by_one.bit_generator.state == state
+        assert at_once.bit_generator.state == state
+        assert one_by_one.random() == at_once.random() \
+            == by_choice.random()
 
 
 def test_blockstore_validation():

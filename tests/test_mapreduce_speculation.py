@@ -97,3 +97,24 @@ def test_killed_backup_slot_keeps_working():
     assert sum(result.tasks_per_node.values()) == 20
     # Every tracker contributed throughout the job.
     assert len(result.tasks_per_node) >= 2
+
+
+def test_drain_completes_when_speculative_sibling_kills_last_attempt():
+    """A tracker draining gracefully while it runs the straggler: the
+    backup wins, the straggler is killed, and the drain fires then."""
+    sim, jt = build()
+    slow = jt.trackers["slow0"]
+    drained_at = []
+
+    def scale_in():
+        yield sim.timeout(25)
+        assert any(slow.current_tasks.values())
+        yield jt.remove_tracker(slow.vm, graceful=True)
+        drained_at.append(sim.now)
+
+    sim.process(scale_in())
+    result = sim.run(until=jt.submit(straggler_job()))
+    sim.run(until=sim.now + 200)
+    assert result.speculative_launched == result.wasted_attempts == 1
+    assert "slow0" not in result.tasks_per_node
+    assert drained_at == [result.finished_at]
