@@ -567,6 +567,7 @@ class JobTracker:
 
     def _start(self, run: _JobRun, tracker: TaskTracker, task: Task,
                ev: Event) -> None:
+        """Run ``task`` on ``tracker``: answer the slot waiting on ``ev``."""
         task.state = TaskState.RUNNING
         run.running[task] = tracker
         run.task_start[task] = self.sim.now

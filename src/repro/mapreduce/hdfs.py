@@ -54,22 +54,20 @@ class BlockStore:
         Primary replicas round-robin over nodes (Hadoop balances input),
         extra replicas land on distinct random nodes: a draw ``i`` over
         the ``n - 1`` other nodes in order is node ``i + (i >= primary)``.
-        Each split draws ``rng.choice(n - 1, size=reps - 1,
-        replace=False)``.  For one extra replica that is exactly
-        ``rng.integers(0, n - 1)`` (same values, same generator state
-        after), so two-way replication draws every split's in one call.
         """
         if not self.nodes:
             raise RuntimeError("cannot load input: no data nodes")
         names = [vm.name for vm in self.nodes]
         n = len(names)
         reps = min(self.replication, n)
-        placement = self._placement
         if reps == 2:
-            draws = rng.integers(0, n - 1, size=job.n_maps).tolist()
-            for split, i in enumerate(draws):
+            # rng.choice(n - 1, size=1, replace=False) per split gives
+            # the values and leaves the generator state of one
+            # rng.integers(0, n - 1) each: draw them all in one call.
+            extra = rng.integers(0, n - 1, size=job.n_maps).tolist()
+            for split, i in enumerate(extra):
                 primary = split % n
-                placement[(job.id, split)] = [
+                self._placement[(job.id, split)] = [
                     names[primary], names[i + (i >= primary)]]
             return
         for split in range(job.n_maps):
@@ -79,7 +77,7 @@ class BlockStore:
                 for i in rng.choice(n - 1, size=reps - 1,
                                     replace=False).tolist():
                     chosen.append(names[i + (i >= primary)])
-            placement[(job.id, split)] = chosen
+            self._placement[(job.id, split)] = chosen
 
     def locations(self, job: MapReduceJob, split: int) -> List[str]:
         """VM names currently holding a replica of ``split``."""
