@@ -531,47 +531,40 @@ class JobTracker:
         return Task(run.job, best.kind, best.index)
 
     def _dispatch(self) -> None:
-        """Hand pending work to the parked waiters, in arrival order."""
+        """Hand pending work to the parked waiters, in arrival order.
+
+        Without speculation the work on offer does not depend on who
+        asks, so the first waiter that finds none ends the pass and the
+        rest stay parked untouched.  A backup attempt does depend on who
+        asks, so speculative dispatch tries every waiter, against one
+        straggler bar (it cannot move within a dispatch).
+        """
         run = self.current
         if run is None or run.finished:
             return
         waiters = self._waiters
-        if not self.speculative:
-            # The work on offer does not depend on who asks: serve from
-            # the head until one waiter finds nothing; the rest would
-            # find nothing too.
-            while waiters:
-                tracker, ev = waiters[0]
-                task = self._pick(run, tracker)
-                if task is None:
-                    return
-                waiters.popleft()
-                self._start(run, tracker, task, ev)
-            return
-        # A backup attempt depends on who asks: try every waiter.  The
-        # straggler bar cannot move within one dispatch.
-        still: Deque[Tuple[TaskTracker, Event]] = deque()
-        threshold = unset = object()
-        for tracker, ev in waiters:
+        missed: Deque[Tuple[TaskTracker, Event]] = deque()
+        bar = unset = object()
+        while waiters:
+            tracker, ev = waiters[0]
             task = self._pick(run, tracker)
             if task is None:
-                if threshold is unset:
-                    threshold = self._straggler_threshold(run)
-                if threshold is not None:
-                    task = self._pick_speculative(run, tracker, threshold)
+                if not self.speculative:
+                    break
+                if bar is unset:
+                    bar = self._straggler_threshold(run)
+                if bar is not None:
+                    task = self._pick_speculative(run, tracker, bar)
+            waiters.popleft()
             if task is None:
-                still.append((tracker, ev))
-            else:
-                self._start(run, tracker, task, ev)
-        self._waiters = still
-
-    def _start(self, run: _JobRun, tracker: TaskTracker, task: Task,
-               ev: Event) -> None:
-        """Run ``task`` on ``tracker``: answer the slot waiting on ``ev``."""
-        task.state = TaskState.RUNNING
-        run.running[task] = tracker
-        run.task_start[task] = self.sim.now
-        ev.succeed(task)
+                missed.append((tracker, ev))
+                continue
+            task.state = TaskState.RUNNING
+            run.running[task] = tracker
+            run.task_start[task] = self.sim.now
+            ev.succeed(task)
+        if missed:  # only a speculative pass misses and goes on
+            self._waiters = missed
 
     # -- public API ----------------------------------------------------
 
