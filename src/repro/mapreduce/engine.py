@@ -176,10 +176,11 @@ class TaskTracker:
         self.current_tasks[slot] = None
         while True:
             try:
-                task = yield self.jt._request_task(self)
+                # The slot holds its task from hand-out (see
+                # JobTracker._dispatch), before this resumes.
+                task = yield self.jt._request_task(self, slot)
                 if task is None:
                     return
-                self.current_tasks[slot] = task
                 yield from self._execute(task)
                 self.current_tasks[slot] = None
                 self.jt._task_done(self, task)
@@ -299,8 +300,9 @@ class JobTracker:
         self.trackers: Dict[str, TaskTracker] = {}
         self.traffic_recorder = traffic_recorder
         self.current: Optional[_JobRun] = None
-        #: Parked slot requests of active trackers, in arrival order.
-        self._waiters: Deque[Tuple[TaskTracker, Event]] = deque()
+        #: Parked slot requests ``(tracker, slot, event)`` of active
+        #: trackers, in arrival order.
+        self._waiters: Deque[Tuple[TaskTracker, int, Event]] = deque()
         #: One turn event per submitted job, in submission order; the
         #: head's job runs and the rest wait (FIFO, one job at a time).
         self._turns: List[Event] = []
@@ -338,12 +340,12 @@ class JobTracker:
         tracker.active = False
         self.hdfs.remove_node(vm)
         # Wake its parked slot loops with "no more work".
-        still: Deque[Tuple[TaskTracker, Event]] = deque()
-        for t, ev in self._waiters:
-            if t is tracker:
-                ev.succeed(None)
+        still: Deque[Tuple[TaskTracker, int, Event]] = deque()
+        for waiter in self._waiters:
+            if waiter[0] is tracker:
+                waiter[2].succeed(None)
             else:
-                still.append((t, ev))
+                still.append(waiter)
         self._waiters = still
         if not graceful:
             for slot, task in tracker.current_tasks.items():
@@ -399,10 +401,10 @@ class JobTracker:
             run.maps_done -= 1
             run.result.reexecuted_tasks += 1
 
-    def _request_task(self, tracker: TaskTracker) -> Event:
+    def _request_task(self, tracker: TaskTracker, slot: int) -> Event:
         ev = self.sim.event()
         if tracker.active:
-            self._waiters.append((tracker, ev))
+            self._waiters.append((tracker, slot, ev))
             self._dispatch()
         else:
             # A retired tracker gets no more work.  Every parked waiter
@@ -533,6 +535,10 @@ class JobTracker:
     def _dispatch(self) -> None:
         """Hand pending work to the parked waiters, in arrival order.
 
+        A slot holds its task from hand-out, before its loop resumes, so
+        a removal, a drain check or a sibling's kill at the same instant
+        sees the task.
+
         Without speculation the work on offer does not depend on who
         asks, so the first waiter that finds none ends the pass and the
         rest stay parked untouched.  A backup attempt does depend on who
@@ -543,10 +549,10 @@ class JobTracker:
         if run is None or run.finished:
             return
         waiters = self._waiters
-        missed: Deque[Tuple[TaskTracker, Event]] = deque()
+        missed: Deque[Tuple[TaskTracker, int, Event]] = deque()
         bar = unset = object()
         while waiters:
-            tracker, ev = waiters[0]
+            tracker, slot, ev = waiters[0]
             task = self._pick(run, tracker)
             if task is None:
                 if not self.speculative:
@@ -557,11 +563,12 @@ class JobTracker:
                     task = self._pick_speculative(run, tracker, bar)
             waiters.popleft()
             if task is None:
-                missed.append((tracker, ev))
+                missed.append((tracker, slot, ev))
                 continue
             task.state = TaskState.RUNNING
             run.running[task] = tracker
             run.task_start[task] = self.sim.now
+            tracker.current_tasks[slot] = task
             ev.succeed(task)
         if missed:  # only a speculative pass misses and goes on
             self._waiters = missed

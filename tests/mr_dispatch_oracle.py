@@ -45,9 +45,9 @@ class ReferenceBlockStore(BlockStore):
 class ReferenceJobTracker(JobTracker):
     """The job tracker with a full dispatch on every request."""
 
-    def _request_task(self, tracker):
+    def _request_task(self, tracker, slot):
         ev = self.sim.event()
-        self._waiters.append((tracker, ev))
+        self._waiters.append((tracker, slot, ev))
         self._dispatch()
         return ev
 
@@ -95,7 +95,7 @@ class ReferenceJobTracker(JobTracker):
         waiters = list(self._waiters)
         still: List[Tuple] = []
         rest: List[Tuple] = []
-        for k, (tracker, ev) in enumerate(waiters):
+        for k, (tracker, slot, ev) in enumerate(waiters):
             if idle:
                 rest = waiters[k:]
                 break
@@ -107,13 +107,14 @@ class ReferenceJobTracker(JobTracker):
                 task.state = TaskState.RUNNING
                 run.running[task] = tracker
                 run.task_start[task] = self.sim.now
+                tracker.current_tasks[slot] = task
                 ev.succeed(task)
             else:
-                still.append((tracker, ev))
+                still.append((tracker, slot, ev))
                 idle = not self.speculative
         kept = [waiter for waiter in rest if waiter[0].active]
         if len(kept) < len(rest):
-            for tracker, ev in rest:
+            for tracker, _slot, ev in rest:
                 if not tracker.active:
                     ev.succeed(None)
         still.extend(kept)

@@ -118,3 +118,45 @@ def test_drain_completes_when_speculative_sibling_kills_last_attempt():
     assert result.speculative_launched == result.wasted_attempts == 1
     assert "slow0" not in result.tasks_per_node
     assert drained_at == [result.finished_at]
+
+
+def remove_at_hand_out(graceful):
+    """Remove ``fast0`` at t=10 after one zero-delay hop: its slot has
+    just been handed ``map2`` but has not resumed to start it."""
+    sim, jt = build(n_fast=2, n_slow=0, speculative=False)
+    fast0 = jt.trackers["fast0"]
+    job = MapReduceJob("six", np.full(6, 10.0), np.array([]),
+                       split_bytes=0, map_output_bytes=0)
+    seen = {}
+
+    def scale_in():
+        yield sim.timeout(10)
+        yield sim.timeout(0)
+        seen["held"] = [t.index for t in fast0.current_tasks.values() if t]
+        drained = jt.remove_tracker(fast0.vm, graceful=graceful)
+        seen["drained_at_once"] = drained.triggered
+        yield drained
+        seen["drained_at"] = sim.now
+
+    sim.process(scale_in())
+    result = sim.run(until=jt.submit(job))
+    return result, seen
+
+
+def test_graceful_removal_waits_for_a_handed_out_task():
+    """A task handed to a slot is in flight: the drain waits for it."""
+    result, seen = remove_at_hand_out(graceful=True)
+    assert seen == {"held": [2], "drained_at_once": False,
+                    "drained_at": 20.0}
+    assert result.tasks_per_node == {"fast0": 2, "fast1": 4}
+    assert result.reexecuted_tasks == 0
+
+
+def test_forced_removal_requeues_a_handed_out_task():
+    """A forced removal abandons a handed-out task like a running one:
+    the slot is interrupted before it starts, the task runs elsewhere."""
+    result, seen = remove_at_hand_out(graceful=False)
+    assert seen == {"held": [2], "drained_at_once": True, "drained_at": 10.0}
+    assert result.tasks_per_node == {"fast0": 1, "fast1": 5}
+    assert result.reexecuted_tasks == 1
+    assert result.makespan == 50.0
