@@ -21,39 +21,31 @@ is unchanged within :data:`EPSILON` — the armed deadline is already
 exact.  The test suite checks rates and completion times against an
 exact rational (``fractions.Fraction``) water-filling oracle.
 
-Completion deadlines live off the kernel queue (SimGrid's lazy action
-update).  Re-arming a flow makes a new ``(time, seq, flow)`` *arm* under
-a seq drawn as :meth:`~repro.simkernel.Simulator.reserve_seq` would and
-makes the old one stale.  The arms of one re-rate are sorted into a
-*run*, and a per-scheduler min-heap holds one entry per run, keyed by
-its earliest retained arm.  Only the earliest live arm needs a kernel
-entry — its *wake* — carrying exactly the key ``(time, NORMAL, seq)`` a
-per-flow timer armed at that moment would have had, so the kernel
-dispatches completions in the same order as if every arm were queued,
-while re-rating a large component costs one sort and one heap push.
+Each armed flow's completion is a kernel timer of its own, its *wake*:
+an entry under the key ``(now + eta, NORMAL, seq)`` with ``seq`` from
+:meth:`~repro.simkernel.Simulator.reserve_seq`, withdrawn with
+:meth:`~repro.simkernel.Event.deschedule` when the flow is re-armed or
+disarmed.  The kernel queue compacts withdrawn entries once they
+dominate, so cancel/restart churn holds bounded memory.
 
 A component whose flows all cross one and the same link, with no rate
-cap, is a weighted processor-sharing queue: progressive filling ends in
-one round, which is computed directly with the general loop's exact
-float operations, so its rates are bit-identical.
-
-When those flows also have weight 1.0, the link is armed lazily, as a
-*lane*.  Mass deployments change such a link many times in one instant
-(every VM of a cluster fetching its context at once: each arrival
-re-rates the flows before it, each of n equal flows finishing together
-re-rates the rest), which eager arming pays for in O(n^2).  A lane keeps
-its flows in flow-id order and by ``(remaining, id)`` and arms them as
-one *lazy run* holding only ``(instant, fill, first seq)``: the run
+cap and weight 1.0, is a processor-sharing queue, and its link is armed
+lazily, as a *lane*.  Mass deployments change such a link many times in
+one instant (every VM of a cluster fetching its context at once: each
+arrival re-rates the flows before it, each of n equal flows finishing
+together re-rates the rest), which eager arming pays for in O(n^2).  A
+lane keeps its flows in flow-id order and by ``(remaining, id)`` and
+arms them all at once, holding only ``(instant, fill, first seq)``: it
 reserves the seq block the eager loop would draw, so every arm keeps
 its key, and as the arm time ``instant + remaining / fill`` is monotone
-in the remainder, only the earliest arm is ever materialized, found by
-bisection.  A same-instant arrival or departure on the link then skips
-the component walk and costs O(log n) Python work, list operations in C
-and one store of the fill into each flow's ``rate``.  Settling with
-elapsed time, a flow keeping its deadline under the unchanged-rate
-rule, drift re-arms and links that stop being processor-sharing take
-the general path, which first gives each lane flow its own arm under
-the same key.
+in the remainder, only the earliest arm, found by bisection, holds a
+wake.  A same-instant arrival or departure on the link then skips the
+component walk and costs O(log n) Python work, list operations in C and
+one store of the fill into each flow's ``rate``.  Settling with elapsed
+time, a flow keeping its deadline under the unchanged-rate rule and
+links that stop being processor-sharing take the general path, which
+first gives each lane flow a wake of its own under the same key; a
+woken flow that drifts leaves its lane and is re-armed alone.
 
 Per-flow rate caps (e.g. a VM NIC, or a deliberately throttled
 migration) are modeled as virtual single-flow links, which integrates
@@ -64,7 +56,6 @@ each fill level (weighted max-min).
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from bisect import bisect_left, bisect_right, insort
@@ -73,7 +64,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from ..simkernel.core import Simulator
 from ..simkernel.events import Event, URGENT
-from ..simkernel.queues import COMPACT_FRACTION, COMPACT_MIN
 from .billing import BillingMeter
 from .topology import DirectedLink, NetworkError, Topology
 
@@ -111,8 +101,7 @@ class Flow:
     __slots__ = (
         "id", "src", "dst", "size", "remaining", "rate", "path", "done",
         "started_at", "finished_at", "rate_cap", "tag", "meta", "weight",
-        "links", "_last_settled", "_run", "_armed_rate",
-        "_wake",
+        "links", "_last_settled", "_lane", "_armed_rate", "_wake",
     )
 
     def __init__(self, sim: Simulator, src: str, dst: str, size: float,
@@ -134,7 +123,7 @@ class Flow:
         self.weight = weight
         self.links = tuple(path)
         self._last_settled = sim.now
-        self._run = None  # the run (or lane) holding the live arm
+        self._lane: Optional[_Lane] = None  # the lane arming the flow
         self._armed_rate = -1.0  # rate the live arm was armed with
         self._wake: Optional[Event] = None  # the live arm's kernel entry
 
@@ -176,62 +165,48 @@ _REMAINING = attrgetter("remaining")
 _REM_ID = attrgetter("remaining", "id")
 
 
-class _Run:
-    """The arms of one re-arming pass: ``(time, seq, flow)`` tuples
-    sorted descending, so the earliest is last, and the count of those
-    still live.  An arm is live while its flow's ``_run`` is this run
-    (a pass arms a flow at most once)."""
-
-    __slots__ = ("arms", "live")
-
-    def __init__(self):
-        self.arms: list = []
-        self.live = 0
-
-
 class _Lane:
     """The lazily armed flows of one processor-sharing link.
 
     Every flow on the link crosses only that link, has no rate cap and
     weight 1.0, so all of them run at one rate, the fill, and were
     settled at the same instant when they were last armed.  A flow is
-    in the lane while its ``_run`` is the lane.
+    in the lane while its ``_lane`` is the lane.
 
-    ``ids`` holds the flows of the current arming (``run``) in flow-id
-    order, the order their seqs were drawn in, so a flow's seq is
-    ``run.seq + 1 + its index``; flows that left since are listed in
-    ``gone`` and drop out of ``ids`` only at the next arming.  ``byrem``
-    holds the flows still in the lane ordered by ``(remaining, id)``:
-    for one fill the arm time ``instant + remaining / fill`` is monotone
-    in the remainder, so the earliest arms lead it.  A lane that empties
-    is dropped.  ``woken`` is the flow holding the lane's wake, if any,
-    and ``top`` the last :meth:`head` found, kept until a flow leaves or
-    the lane is re-armed.
+    The last arming armed ``ids``, in flow-id order, at ``instant`` with
+    rate ``fill`` under the seqs ``seq + 1 ..`` drawn in that order, so
+    a flow's seq is ``seq + 1 + its index``; flows that left since are
+    listed in ``gone`` and drop out of ``ids`` only at the next arming.
+    ``byrem`` holds the flows still in the lane ordered by
+    ``(remaining, id)``: for one fill the arm time ``instant + remaining
+    / fill`` is monotone in the remainder, so the earliest arms lead it.
+    ``woken`` is the flow holding the lane's one wake, its
+    :meth:`head`, or ``None`` from that flow's departure until the
+    batched recompute re-arms the lane.  A lane that empties is
+    dropped.
     """
 
-    __slots__ = ("link", "ids", "byrem", "gone", "run", "woken", "top")
+    __slots__ = ("link", "ids", "byrem", "gone", "instant", "fill", "seq",
+                 "woken")
 
     def __init__(self, link):
         self.link = link
         self.ids: List[Flow] = []
         self.byrem: List[Flow] = []
         self.gone: List[Flow] = []
-        self.run: Optional[_LazyRun] = None
+        self.instant = self.fill = 0.0
+        self.seq = 0
         self.woken: Optional[Flow] = None
-        self.top: Optional[tuple] = None
 
     def head(self):
-        """``(time, seq, flow)`` of the earliest live arm.
+        """``(time, seq, flow)`` of the earliest arm.
 
         The flows whose arm time equals the first one's form a prefix of
         ``byrem``; the arm with the lowest seq among them belongs to the
         lowest id.  Within one remainder ``byrem`` is in id order, so
         only the first flow of each remainder in the prefix competes
         (remainders a fraction of an ulp of time apart tie)."""
-        if self.top is not None:
-            return self.top
-        run = self.run
-        instant, fill = run.instant, run.fill
+        instant, fill = self.instant, self.fill
         byrem = self.byrem
         first = byrem[0]
         rem = first.remaining
@@ -245,34 +220,8 @@ class _Lane:
             if flow.id < first.id:
                 first = flow
             i = bisect_right(byrem, rem, i, key=_REMAINING)
-        seq = run.seq + 1 + bisect_left(self.ids, first.id, key=_ID)
-        self.top = (time, seq, first)
-        return self.top
-
-
-class _LazyRun:
-    """One arming of a :class:`_Lane`: its ``n`` flows armed at
-    ``instant`` with rate ``fill`` under seqs ``seq + 1 .. seq + n`` in
-    flow-id order.  It enters the deadline heap keyed by an arm no later
-    than the lane's head, and is live while it is its lane's ``run`` and
-    the lane holds a flow."""
-
-    __slots__ = ("lane", "instant", "fill", "seq", "n")
-
-    def __init__(self, lane: _Lane, instant: float, fill: float, seq: int,
-                 n: int):
-        self.lane = lane
-        self.instant = instant
-        self.fill = fill
-        self.seq = seq
-        self.n = n
-
-    # The eager copy :meth:`FlowScheduler._unlane` makes of a run may
-    # share its heap key; which of the two sorts first is immaterial.
-    def __lt__(self, other) -> bool:
-        return False
-
-    __gt__ = __lt__
+        seq = self.seq + 1 + bisect_left(self.ids, first.id, key=_ID)
+        return time, seq, first
 
 
 class FlowScheduler:
@@ -307,12 +256,6 @@ class FlowScheduler:
         self._dirty_flows: Set[Flow] = set()
         self._dirty_links: Set[object] = set()
         self._batch_pending = False
-        # Completion deadlines: a min-heap of (time, seq, run) entries,
-        # each run keyed by its last (earliest) arm; ``_retained`` arms
-        # in all runs, ``_stale`` of them superseded.
-        self._deadlines: list = []
-        self._retained = 0
-        self._stale = 0
         self._wake_cb = self._on_wake  # one bound method for every wake
         # Processor-sharing links armed lazily, and whether a batch on
         # one may skip the component walk: not when a subclass redefines
@@ -379,7 +322,6 @@ class FlowScheduler:
         flow.done.defused = True  # cancellation is never a crash
         self._unindex(flow)
         self._mark_dirty(links=flow.links)
-        self._wake_head()
 
     # -- incremental machinery ----------------------------------------------
 
@@ -417,7 +359,6 @@ class FlowScheduler:
                 return
         component = self._component(flows, links)
         if not component:
-            self._wake_head()
             return
         self.stats["batches"] += 1
         self.stats["flows_rerated"] += len(component)
@@ -429,7 +370,6 @@ class FlowScheduler:
         self._maxmin_rates(order)
         if not self._lane_from(order):
             self._schedule_completions(order)
-        self._wake_head()
 
     def _ps_link(self, flows: Set[Flow], links: Set[object]):
         """The one link every seed of a batch touches, if all of them
@@ -465,11 +405,12 @@ class FlowScheduler:
         lane or is a new flow seeded by this batch: the link is then a
         processor-sharing component (lane flows have that shape, and
         :meth:`_ps_link` checked the new ones), so the component walk
-        would find exactly these flows and :meth:`_one_round` would give
-        each the rate ``bandwidth / n``.  Lane flows were all settled at
-        their run's instant, so when that is now, settling changes
-        nothing and is skipped; otherwise they are settled and billed in
-        flow-id order, as the general path does.  It is needed instead
+        would find exactly these flows, and the one round of
+        :meth:`_maxmin_rates` would give each the rate ``bandwidth /
+        n``.  Lane flows were all settled at the lane's instant, so when
+        that is now, settling changes nothing and is skipped; otherwise
+        they are settled and billed in flow-id order, as the general
+        path does.  It is needed instead
         when a lane flow would keep its deadline (the fill is unchanged
         within EPSILON) or a deadline would not be finite (the general
         path raises)."""
@@ -479,29 +420,28 @@ class FlowScheduler:
         byrem = lane.byrem if lane is not None else []
         if len(byrem) + len(new) != n:
             return False
-        fill = link.bandwidth / float(n)  # _one_round's wsum is n * 1.0
+        # The general loop sums n weights of 1.0 from 0.0, exactly n.
+        fill = link.bandwidth / float(n)
         if not 0.0 < fill < math.inf:
             return False
-        run = lane.run if lane is not None else None
-        if run is not None and (abs(fill - run.fill)
-                                <= EPSILON * (fill if fill > 1.0 else 1.0)):
+        if lane is not None and (abs(fill - lane.fill)
+                                 <= EPSILON * (fill if fill > 1.0 else 1.0)):
             return False
         top = max([f.remaining for f in new]
                   + [f.remaining for f in byrem[-1:]])
         if not top / fill < math.inf:
             return False
+        self.stats["batches"] += 1
+        self.stats["flows_rerated"] += n
         if lane is None:
             lane = self._lanes[link] = _Lane(link)
             byrem = lane.byrem
-        self.stats["batches"] += 1
-        self.stats["flows_rerated"] += n
-        if run is not None and run.instant != self.sim.now:
-            self._settle([f for f in lane.ids if f._run is lane])
+        elif lane.instant != self.sim.now:
+            self._settle([f for f in lane.ids if f._lane is lane])
             byrem.sort(key=_REM_ID)
         for flow in new:
             insort(byrem, flow, key=_REM_ID)
         self._arm_lane(lane, new, fill)
-        self._wake_head()
         return True
 
     def _lane_from(self, order: List[Flow]) -> bool:
@@ -522,7 +462,7 @@ class FlowScheduler:
             if (flow.links != links or flow.rate_cap is not None
                     or flow.weight != 1.0):
                 return False
-            if flow._run is not None and abs(fill - flow._armed_rate) <= tol:
+            if flow._wake is not None and abs(fill - flow._armed_rate) <= tol:
                 return False
             if flow.remaining > top:
                 top = flow.remaining
@@ -537,15 +477,14 @@ class FlowScheduler:
 
     def _arm_lane(self, lane: _Lane, new: List[Flow], fill: float) -> None:
         """Arm every flow of ``lane`` (its ``byrem`` already in order)
-        plus ``new``, flow-id ordered and newer than the lane's, as one
-        :class:`_LazyRun` at ``fill``.
+        plus ``new``, flow-id ordered and newer than the lane's, at
+        ``fill``, superseding the lane's previous arming whole.
 
-        The run reserves the seq block the eager loop of
-        :meth:`_schedule_completions` would draw one by one, and
-        supersedes the lane's previous run whole; only the rates are
-        stored per flow."""
+        The lane reserves the seq block the eager loop of
+        :meth:`_schedule_completions` would draw one by one, and its
+        wake moves to the new head; only the rates are stored per
+        flow."""
         ids = lane.ids
-        self._stale += len(ids) - len(lane.gone)  # the previous run's
         for flow in lane.gone:
             del ids[bisect_left(ids, flow.id, key=_ID)]
         lane.gone.clear()
@@ -553,46 +492,40 @@ class FlowScheduler:
         if woken is not None:
             woken._wake.deschedule()
             woken._wake = None
-            lane.woken = None
         for flow in new:
-            flow._run = lane
+            flow._lane = lane
         ids.extend(new)
         for flow in ids:
             flow.rate = fill
-        n = len(ids)
         sim = self.sim
-        run = lane.run = _LazyRun(lane, sim.now, fill, sim._seq, n)
-        sim._seq += n
-        lane.top = None
-        self._retained += n
-        time, seq, _flow = lane.head()
-        heapq.heappush(self._deadlines, (time, seq, run))
-        self.stats["timers_armed"] += n
+        lane.instant = sim.now
+        lane.fill = fill
+        lane.seq = sim._seq
+        sim._seq += len(ids)
+        self._wake_lane(lane)
+        self.stats["timers_armed"] += len(ids)
+
+    def _wake_lane(self, lane: _Lane) -> None:
+        """Give the head of ``lane`` the lane's wake."""
+        time, seq, flow = lane.head()
+        lane.woken = flow
+        self._wake(flow, time, seq)
 
     def _unlane(self, order: List[Flow]) -> None:
-        """Give every flow of ``order`` that is in a lane its own arm,
-        with the time and seq its lazy arm has, before the general path
-        settles or re-arms it."""
-        lanes = {flow._run: None for flow in order
-                 if flow._run.__class__ is _Lane}
+        """Give every flow of ``order`` that is in a lane a wake of its
+        own, under the key its lazy arm has, before the general path
+        settles or re-arms it; the woken flow keeps its wake."""
+        lanes = {flow._lane: None for flow in order
+                 if flow._lane is not None}
         for lane in lanes:
-            run = lane.run
-            instant, fill = run.instant, run.fill
-            eager = _Run()
-            arms = eager.arms
-            for seq, flow in enumerate(lane.ids, run.seq + 1):
-                if flow._run is lane:
-                    arms.append((instant + flow.remaining / fill, seq, flow))
-                    flow._run = eager
+            instant, fill = lane.instant, lane.fill
+            for seq, flow in enumerate(lane.ids, lane.seq + 1):
+                if flow._lane is lane:
+                    flow._lane = None
                     flow._armed_rate = fill
-            arms.sort(reverse=True)
-            eager.live = len(arms)
-            # The lazy arms are superseded by these copies; a woken flow
-            # keeps its wake, whose key is its arm's.
-            self._stale += eager.live
-            self._retained += eager.live
-            heapq.heappush(self._deadlines, (arms[-1][0], arms[-1][1], eager))
-            lane.run = lane.woken = None
+                    if flow._wake is None:
+                        self._wake(flow, instant + flow.remaining / fill,
+                                   seq)
             del self._lanes[lane.link]
 
     def _component(self, flows: Iterable[Flow] = (),
@@ -643,13 +576,12 @@ class FlowScheduler:
         current fill level.  A per-flow rate cap is a virtual link
         carrying only that flow.
 
-        A component whose flows all cross the same single link and carry
-        no rate cap is filled in its one round directly (see
-        :meth:`_one_round`).
+        A component whose flows all cross the same single link with no
+        rate cap fills in one round: ``fill = bandwidth / wsum``, with
+        ``wsum`` the weights summed from 0.0 in flow-id order, saturates
+        the link, and each flow gets ``fill * weight``.
         """
         if not order:
-            return
-        if self._one_round(order):
             return
         # Map each (physical or virtual) link to the flows crossing it.
         link_flows: Dict[object, Set[Flow]] = {}
@@ -704,51 +636,13 @@ class FlowScheduler:
                     link_flows[cap_key].discard(flow)
                     wsum[cap_key] -= flow.weight
 
-    @staticmethod
-    def _one_round(order: List[Flow]) -> bool:
-        """Rate ``order`` if it is one weighted processor-sharing queue;
-        return whether it was.
-
-        When every flow crosses the same one link and none has a rate
-        cap, progressive filling ends after its first round: the link's
-        residual ``bw - (bw / wsum) * wsum`` is within a few ulps of
-        zero, so the link saturates and every flow freezes at ``fill *
-        weight`` with ``fill = 0.0 + bw / wsum``.  Computing that round
-        directly gives bit-identical rates: ``wsum`` is summed from 0.0
-        left to right in flow-id order, as the general loop does
-        (``sum()`` would not do: it compensates float sums since Python
-        3.12).  An infinite ``fill`` is left to the general loop.
-        """
-        links = order[0].links
-        if len(links) != 1:
-            return False
-        wsum = 0.0
-        for flow in order:
-            if flow.links != links or flow.rate_cap is not None:
-                return False
-            wsum += flow.weight
-        fill = links[0].bandwidth / wsum
-        if fill == math.inf:
-            return False
-        for flow in order:
-            flow.rate = fill * flow.weight
-        return True
-
     def _schedule_completions(self, flows: Iterable[Flow]) -> None:
-        """(Re)arm the completion deadline of each of ``flows``, in
-        order, at its current rate.
-
-        An arm is ``(now + eta, seq, flow)``, with ``seq`` drawn from
-        the kernel exactly where a per-flow timer would have drawn its
-        own (:meth:`~repro.simkernel.Simulator.reserve_seq`, inlined
-        here); the flow's previous arm goes stale (:meth:`_disarm`,
-        inlined).  The pass's arms are sorted once into a :class:`_Run`
-        that enters the deadline heap as one entry keyed by its earliest
-        arm.  The kernel hears of a new arm only if it becomes the
-        earliest live one (:meth:`_wake_head`).
+        """(Re)arm the completion of each of ``flows``, in order, at its
+        current rate: withdraw its wake and give it a new one at ``now +
+        eta`` under a seq drawn now.
 
         Re-arming is skipped when the rate is unchanged within EPSILON:
-        the deadline the live arm already carries is
+        the deadline the live wake already carries is
         ``armed_time + remaining_at_arm/rate == now + remaining_now/rate``
         for an unchanged rate, so re-arming would be pure churn (any
         sub-EPSILON drift is absorbed by the re-check in
@@ -756,177 +650,66 @@ class FlowScheduler:
         """
         sim = self.sim
         now = sim.now
-        seq = sim._seq
-        run = _Run()
-        arms = run.arms
-        stale = skipped = 0
+        armed = skipped = 0
         for flow in flows:
             rate = flow.rate
-            old = flow._run
-            if old is not None:
+            wake = flow._wake
+            if wake is not None:
                 if (rate > 0 and abs(rate - flow._armed_rate)
                         <= EPSILON * (rate if rate > 1.0 else 1.0)):
                     skipped += 1
                     continue
-                old.live -= 1
-                flow._run = None
-                wake = flow._wake
-                if wake is not None:
-                    wake.deschedule()
-                    flow._wake = None
-                stale += 1
+                wake.deschedule()
+                flow._wake = None
             if rate <= 0:  # starved; re-armed by the next recompute
                 continue
             eta = float(flow.remaining / rate)
             if not 0.0 <= eta < math.inf:
-                sim._seq = seq
                 raise ValueError(
                     f"delay must be finite and non-negative, got {eta}")
-            seq += 1
-            arms.append((now + eta, seq, flow))
-            flow._run = run
             flow._armed_rate = rate
-        sim._seq = seq
-        self._stale += stale
-        if arms:
-            arms.sort(reverse=True)
-            run.live = len(arms)
-            self._retained += run.live
-            heapq.heappush(self._deadlines, (arms[-1][0], arms[-1][1], run))
-        self.stats["timers_armed"] += len(arms)
+            self._wake(flow, now + eta, sim.reserve_seq())
+            armed += 1
+        self.stats["timers_armed"] += armed
         self.stats["timers_skipped"] += skipped
 
     def _disarm(self, flow: Flow) -> None:
-        """Supersede the live arm of ``flow``, if any: it goes stale,
-        never to be live again, and its wake is withdrawn.  A flow in a
-        lane leaves it (found there by its unsettled remainder)."""
-        run = flow._run
-        if run is not None:
-            if run.__class__ is _Lane:
-                byrem = run.byrem
-                del byrem[bisect_left(byrem, (flow.remaining, flow.id),
-                                      key=_REM_ID)]
-                run.top = None
-                if run.woken is flow:
-                    run.woken = None
-                if byrem:
-                    run.gone.append(flow)
-                else:
-                    del self._lanes[run.link]
-            else:
-                run.live -= 1
-            flow._run = None
-            if flow._wake is not None:
-                flow._wake.deschedule()
-                flow._wake = None
-            self._stale += 1
+        """Withdraw the arm of ``flow``, if any.  A flow in a lane leaves
+        it (found there by its unsettled remainder).
 
-    def _wake_head(self) -> None:
-        """Give the earliest live arm its wake: a kernel entry under the
-        arm's own key ``(time, NORMAL, seq)``.
-
-        Called at the end of every operation that arms or disarms, so
-        the earliest live arm always has a wake and no completion is
-        ever dispatched late.  While a batched recompute is pending it
-        waits for that batch, which ends here too: the batch runs at this
-        very instant, before any wake could be due (URGENT sorts first),
-        and would withdraw most wakes given now (a departure cascade
-        would give one per step).  A wake stays queued until its own arm is
-        superseded, even when an earlier arm takes the top: superseded
-        arms never come back, so every queued key stays unique and
-        every wake that fires is a real completion check.
-
-        Each heap entry is a run keyed by its earliest retained arm, so
-        the top run holds the earliest arm of all.  A run with no live
-        arm left is dropped whole; otherwise a stale head is popped off
-        together with every stale arm behind it and the run is re-keyed
-        by its new, live head with one ``heapreplace``.  Stale arms
-        deeper in a run wait there, and every run is compacted by the
-        kernel queues' rule once stale arms pass half of those retained.
-
-        A lazy run counts the ``n`` arms it was armed with.  It is
-        dropped whole once superseded or empty; otherwise it is re-keyed
-        by its lane's head whenever that moved on (its flows only ever
-        leave, so the head never moves earlier than the key).
-        """
-        if self._batch_pending:
+        A lane left by its woken flow has no wake until the caller gives
+        it one, or marks its link dirty: the batched recompute runs at
+        this instant before any wake could be due (URGENT sorts first)
+        and re-arms or unlanes the rest, so a wake given now would only
+        be withdrawn (one per step of a departure cascade)."""
+        wake = flow._wake
+        if wake is not None:
+            wake.deschedule()
+            flow._wake = None
+        lane = flow._lane
+        if lane is None:
             return
-        heap = self._deadlines
-        if (self._stale > self._retained * COMPACT_FRACTION
-                and self._retained >= COMPACT_MIN):
-            self._compact()
-        while heap:
-            top = heap[0]
-            run = top[2]
-            if run.__class__ is _LazyRun:
-                lane = run.lane
-                if lane.run is not run or not lane.byrem:
-                    heapq.heappop(heap)
-                    self._stale -= run.n
-                    self._retained -= run.n
-                    continue
-                time, seq, flow = lane.head()
-                if seq != top[1]:
-                    heapq.heapreplace(heap, (time, seq, run))
-                    continue
-                if flow._wake is None:
-                    lane.woken = flow
-                    self._wake(flow, time, seq)
-                return
-            arms = run.arms
-            if not run.live:
-                heapq.heappop(heap)
-                self._stale -= len(arms)
-                self._retained -= len(arms)
-                continue
-            arm = arms[-1]
-            flow = arm[2]
-            if flow._run is run:
-                if flow._wake is None:
-                    self._wake(flow, arm[0], arm[1])
-                return
-            dropped = 0
-            while arm[2]._run is not run:  # stops at a live arm
-                arms.pop()
-                dropped += 1
-                arm = arms[-1]
-            self._stale -= dropped
-            self._retained -= dropped
-            heapq.heapreplace(heap, (arm[0], arm[1], run))
+        flow._lane = None
+        byrem = lane.byrem
+        del byrem[bisect_left(byrem, (flow.remaining, flow.id), key=_REM_ID)]
+        if not byrem:
+            del self._lanes[lane.link]
+            return
+        lane.gone.append(flow)
+        if lane.woken is flow:
+            lane.woken = None
 
     def _wake(self, flow: Flow, time: float, seq: int) -> None:
-        """Queue the wake of ``flow``'s live arm ``(time, seq)``."""
+        """Queue the wake of ``flow``'s arm ``(time, seq)``."""
         wake = flow._wake = Event(self.sim)
         wake._ok = True
         wake._value = flow
         wake.callbacks.append(self._wake_cb)
         self.sim.schedule_at(wake, time, seq)
 
-    def _compact(self) -> None:
-        """Drop every stale arm of every run, and every dead lazy run,
-        and rebuild the heap; a live lazy run now counts its live arms."""
-        entries = []
-        retained = 0
-        for entry in self._deadlines:
-            run = entry[2]
-            if run.__class__ is _LazyRun:
-                lane = run.lane
-                if lane.run is run and lane.byrem:
-                    run.n = len(lane.byrem)
-                    retained += run.n
-                    entries.append(entry)
-            elif run.live:
-                run.arms = [arm for arm in run.arms if arm[2]._run is run]
-                retained += run.live
-                entries.append((run.arms[-1][0], run.arms[-1][1], run))
-        heapq.heapify(entries)
-        self._deadlines[:] = entries
-        self._retained = retained
-        self._stale = 0
-
     def _on_wake(self, wake: Event) -> None:
-        """Kernel callback of a wake: its flow's live arm is due.  Finish
-        the flow, or re-arm it on numerical drift.
+        """Kernel callback of a wake: its flow's arm is due.  Finish the
+        flow, or re-arm it on numerical drift.
 
         Drift whose re-arm would land on this very instant (the leftover
         drains in less than the clock's resolution here) finishes the
@@ -934,12 +717,16 @@ class FlowScheduler:
         forever."""
         flow = wake._value
         flow._wake = None  # fired: nothing left to withdraw
+        lane = flow._lane
         self._disarm(flow)  # this arm has fired; never skip-reuse it
         self._settle((flow,))
         now = self.sim.now
         if (flow.remaining > EPSILON * max(1.0, flow.size)
                 and now + flow.remaining / flow.rate != now):
-            # Numerical drift: rearm.
+            # Numerical drift: rearm, alone.  No batch follows, so the
+            # rest of its lane needs its wake now.
+            if lane is not None and lane.byrem:
+                self._wake_lane(lane)
             self._schedule_completions((flow,))
         else:
             flow.remaining = 0.0
@@ -948,7 +735,6 @@ class FlowScheduler:
             self._finish_after_latency(flow, latency)
             self._unindex(flow)
             self._mark_dirty(links=flow.links)
-        self._wake_head()
 
     def _finish_after_latency(self, flow: Flow, latency: float) -> None:
         def fire(_ev):

@@ -7,10 +7,10 @@ plainest way: every batched recompute re-arms each flow of its
 component as a kernel timer of its own, under a seq drawn from the
 kernel at that moment, in flow-id order, unless the flow's rate is
 unchanged within EPSILON; re-arming or disarming a flow withdraws its
-timer.  It has no deadline heap, no wakes and no lanes, so a world run
-with it must end with the same completions, billing, events dispatched
-and kernel sequence number as with the library's scheduler, and show
-the same rates after every batch.
+timer.  It has no lanes and no processor-sharing shortcut, so a world
+run with it must end with the same completions, billing, events
+dispatched and kernel sequence number as with the library's scheduler,
+and show the same rates after every batch.
 """
 
 from repro.network import FlowScheduler
@@ -59,9 +59,6 @@ class EagerFlowScheduler(FlowScheduler):
         if flow._wake is not None:
             flow._wake.deschedule()
             flow._wake = None
-
-    def _wake_head(self) -> None:
-        """Every armed flow has its own timer: nothing to hand over."""
 
     def _on_wake(self, timer) -> None:
         flow = timer._value

@@ -249,10 +249,10 @@ _ps_other = st.fixed_dictionaries({
 )
 def test_single_link_rates_equal_general_fill(bandwidths, events,
                                               cap_factor):
-    """A one-link, uncapped component takes the one-round fill; a
-    non-binding per-flow rate cap sends the same flows through the
-    general progressive-filling loop.  Rates and completion times must
-    be equal, not merely close."""
+    """A one-link, uncapped component fills in one round of the
+    progressive-filling loop; a non-binding per-flow rate cap adds a
+    virtual link per flow, which the loop must fill to the same rates.
+    Rates and completion times must be equal, not merely close."""
     assert run_single_link(bandwidths, events, 0.0) \
         == run_single_link(bandwidths, events, cap_factor)
 
@@ -298,43 +298,47 @@ def test_capped_flow_timer_survives_unrelated_churn():
     assert sched.stats["timers_skipped"] >= 1
 
 
-def retained_arms(sched):
-    """Arms held across every run of the deadline heap, stale or live;
-    a lazy run of a processor-sharing link holds the ``n`` it was armed
-    with."""
-    return sum(len(run.arms) if hasattr(run, "arms") else run.n
-               for _time, _seq, run in sched._deadlines)
+def armed(sched):
+    """Active flows holding an arm: a wake of their own, or a place in a
+    lane (whose head holds the lane's one wake)."""
+    return sum(flow._wake is not None or flow._lane is not None
+               for flow in sched.active_flows)
 
 
-def test_deadline_heap_stays_bounded_under_churn():
+def test_kernel_queue_stays_bounded_under_churn():
     """Cancel-and-restart churn on one shared link re-arms every flow at
-    every step; superseded arms are compacted away, so past the
-    compaction floor the runs retain at most twice the live arms."""
-    sim = Simulator()
-    topo = Topology()
-    topo.add_site(Site("a"))
-    topo.add_site(Site("b"))
-    topo.connect("a", "b", bandwidth=1e6, latency=0.0)
-    sched = FlowScheduler(sim, topo)
-    flows = [sched.start_flow("a", "b", 1e9) for _ in range(200)]
-    for step in range(80):
-        # Alternate 199 and 200 flows so every change moves every rate.
-        if step % 2:
-            flows.append(sched.start_flow("a", "b", 1e9))
-        else:
-            sched.cancel(flows.pop(0))
-        sim.run(until=sim.now + 0.5)
-        live = sum(flow._run is not None for flow in sched.active_flows)
-        assert live == len(flows)
-        assert retained_arms(sched) <= max(512, 2 * live)
-    assert sched.stats["timers_armed"] >= 80 * 199
+    every step, both as a lane (weight 1.0) and one wake per flow
+    (weight 2.0).  Withdrawn wakes are compacted away by the kernel
+    queue, so past its compaction floor it holds at most twice the
+    armed flows."""
+    for weight in (1.0, 2.0):
+        sim = Simulator()
+        topo = Topology()
+        topo.add_site(Site("a"))
+        topo.add_site(Site("b"))
+        topo.connect("a", "b", bandwidth=1e6, latency=0.0)
+        sched = FlowScheduler(sim, topo)
+        flows = [sched.start_flow("a", "b", 1e9, weight=weight)
+                 for _ in range(200)]
+        for step in range(80):
+            # Alternate 199 and 200 flows so every change moves every rate.
+            if step % 2:
+                flows.append(sched.start_flow("a", "b", 1e9, weight=weight))
+            else:
+                sched.cancel(flows.pop(0))
+            sim.run(until=sim.now + 0.5)
+            live = armed(sched)
+            assert live == len(flows)
+            assert len(sim.queue_backend) <= max(512, 2 * live)
+        assert sched.stats["timers_armed"] >= 80 * 199
+        assert (weight == 1.0) == bool(sched._lanes)
 
 
-def test_pinned_run_does_not_retain_its_siblings_stale_arms():
-    """A capped flow keeps its rate, so its first arm is never re-armed:
-    its run stays live, headed by the earliest deadline, while every
-    sibling arm in it and in each later run is superseded step after
-    step.  Compaction still bounds what the runs retain."""
+def test_pinned_wake_does_not_retain_its_siblings_withdrawn_wakes():
+    """A capped flow keeps its rate, so its first wake is never re-armed:
+    it stays queued, the earliest deadline, while every sibling wake is
+    withdrawn step after step.  Compaction still bounds what the kernel
+    queue holds."""
     sim = Simulator()
     topo = Topology()
     topo.add_site(Site("a"))
@@ -344,18 +348,18 @@ def test_pinned_run_does_not_retain_its_siblings_stale_arms():
     pinned = sched.start_flow("a", "b", 1e6, rate_cap=1e3)
     flows = [sched.start_flow("a", "b", 1e9) for _ in range(150)]
     sim.run(until=0.5)
-    first = pinned._run
+    first = pinned._wake
     for step in range(120):
-        # Ever fewer siblings: each step makes every sibling arm stale
+        # Ever fewer siblings: each step withdraws every sibling wake
         # and arms the new ones earlier than the old.
         sched.cancel(flows.pop() if step % 3 else flows.pop(0))
         if step % 3 == 0:
             flows.append(sched.start_flow("a", "b", 1e9))
         sim.run(until=sim.now + 0.5)
-        assert pinned._run is first and pinned.rate == 1e3
-        live = sum(flow._run is not None for flow in sched.active_flows)
+        assert pinned._wake is first and pinned.rate == 1e3
+        live = armed(sched)
         assert live == len(flows) + 1
-        assert retained_arms(sched) <= max(512, 2 * live)
+        assert len(sim.queue_backend) <= max(512, 2 * live)
     assert sched.stats["timers_skipped"] >= 120
 
 

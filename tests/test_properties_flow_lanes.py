@@ -126,3 +126,56 @@ def test_lanes_complete_flows_as_per_flow_timers_do(starts, controls, t0,
     assert got["rates"] == want["rates"]
     assert got["rows"] == want["rows"]
     assert got == want
+
+
+
+def drifting_head(make):
+    """Three flows on one link at one fill, armed as a lane.  At t=1 the
+    head's stored rate is shaved by one part in a million, so its wake
+    at t=4 finds 4 bytes left and re-arms it on its own, due ~4e-6 s
+    later, while the other two stay in the lane.  The next of them is
+    due 2e-6 s after t=4, so it must get the lane's wake then.  (A lane
+    arms and settles its flows at one fill, so the drift its head meets
+    unaided lies below the clock's resolution and finishes the flow
+    instead.)  Returns what must agree with the reference, and the
+    flows' lanes just after t=4."""
+    sim = Simulator()
+    topo = Topology()
+    topo.add_site(Site("a"))
+    topo.add_site(Site("b"))
+    topo.connect("a", "b", bandwidth=3e6, latency=0.0)
+    sched = make(sim, topo)
+    rows, seen = [], []
+    sched.taps.append(lambda r: rows.append((r.meta["idx"], r.finished_at)))
+    flows = [sched.start_flow("a", "b", size, idx=k)
+             for k, size in enumerate((4e6, 4e6 + 2.0, 6e6))]
+
+    def shave(_ev):
+        flows[0].rate *= 1 - 1e-6
+
+    def look(_ev):
+        seen.append((flows[0] in sched.active_flows,
+                     flows[0]._wake is not None))
+
+    sim.call_in(1.0, shave)
+    sim.call_in(4.0 + 1e-7, look)
+    sim.run(until=4.0 + 2e-7)
+    lanes = [flow._lane for flow in flows]
+    sim.run()
+    return {"rows": rows, "seen": seen, "now": sim.now, "seq": sim._seq,
+            "events": kernel_stats(sim).events_dispatched,
+            "stats": (sched.stats["batches"], sched.stats["flows_rerated"]),
+            }, lanes
+
+
+def test_lane_head_drift_rearms_it_alone():
+    got, lanes = drifting_head(FlowScheduler)
+    want, _ = drifting_head(EagerFlowScheduler)
+    assert got == want
+    # Just after t=4 the head is still in flight on a wake of its own,
+    # out of the lane that still holds the other two; the next of them
+    # finishes first.
+    assert got["seen"] == [(True, True)]
+    assert lanes[0] is None and lanes[1] is not None and lanes[2] is lanes[1]
+    assert [idx for idx, _ in got["rows"]] == [1, 0, 2]
+    assert got["rows"][0][1] == 4.0 + 2e-6
