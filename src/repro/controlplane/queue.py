@@ -185,15 +185,6 @@ class JobQueue:
         q = self._queues.get(tenant)
         return q[0] if q else None
 
-    def pop(self, tenant: str) -> Job:
-        q = self._queues[tenant]
-        if not q:
-            raise LookupError(f"tenant {tenant!r} has no queued jobs")
-        job = q.pop(0)
-        job._queued_span.end()
-        self.metrics.record("queue.depth", self.depth())
-        return job
-
     def queued_jobs(self, tenant: str) -> List[Job]:
         """This tenant's queue in dispatch order (read-only view for
         backfill scans)."""

@@ -122,8 +122,6 @@ class FairShareScheduler:
         self.preemptions = 0
         self._loop: Optional[Process] = None
         self._running = False
-        #: The newest cohort of pure job-run ticks (see _plan_tick).
-        self._cohort: Optional[_RunCohort] = None
         # Expired leases with a live job come back through the queue.
         leases.on_expire = self._lease_expired
 
@@ -514,7 +512,7 @@ class FairShareScheduler:
                 labels={"tenant": job.tenant}).observe(job.wait_time)
 
         rspan = tracer.start("run", parent=job.span, attempt=job.attempts)
-        run = _Run(job, lease)
+        run = _Run(self, job, lease)
         try:
             yield from self._run_ticks(run)
         except Interrupt as intr:
@@ -545,8 +543,8 @@ class FairShareScheduler:
         job = run.job
         while job.work_remaining > 0:
             if self._plan_tick(run):
-                # A cohort ticks the run from here and wakes it for the
-                # first tick that is not pure.
+                # The kernel ticks the run from here (_Run.tick) and
+                # wakes it for the first tick that is not pure.
                 run.wake = self.sim.event()
                 yield run.wake
             else:
@@ -559,10 +557,10 @@ class FairShareScheduler:
         the lease if the tick would outlast it, and draw the tick.
 
         A *pure* next tick (a full ``interval`` that leaves work to do)
-        is drawn into a :class:`_RunCohort` — the newest one when it is
-        due at the same instant and the kernel has drawn no sequence
-        number since its last member — and True is returned.  Any other
-        tick is left to the caller to draw, under the next seq."""
+        is drawn as :meth:`_Run.tick` through
+        :meth:`~repro.simkernel.Simulator.tick_in`, so in-phase runs
+        share a kernel entry, and True is returned.  Any other tick is
+        left to the caller to draw, under the next seq."""
         interval = self.config.interval
         job = run.job
         work = job.work_remaining
@@ -577,15 +575,7 @@ class FairShareScheduler:
         run.dt = dt
         if dt != interval or work - nodes * dt <= 0:
             return False
-        cohort = self._cohort
-        if (cohort is not None and cohort.last == sim._seq
-                and cohort.due == sim._now + dt):
-            # Simulator.reserve_seq, inlined: the member's own seq.
-            sim._seq += 1
-            cohort.last = sim._seq
-        else:
-            cohort = self._cohort = _RunCohort(self, dt)
-        cohort.members.append(run)
+        sim.tick_in(dt, run.tick)
         return True
 
     # -- self-healing / requeue -----------------------------------------
@@ -726,12 +716,14 @@ class _Run:
     """One attempt's run phase: what its ticks read and write.
 
     ``nodes`` and ``dt`` are the size and length of the tick drawn
-    last; ``wake`` is the event the runner process waits on while a
-    cohort ticks it; ``live`` drops when the runner is interrupted."""
+    last; ``wake`` is the event the runner process waits on while the
+    kernel ticks it; ``live`` drops when the runner is interrupted."""
 
-    __slots__ = ("job", "lease", "nodes", "dt", "wake", "live")
+    __slots__ = ("scheduler", "job", "lease", "nodes", "dt", "wake", "live")
 
-    def __init__(self, job: Job, lease: Lease):
+    def __init__(self, scheduler: FairShareScheduler, job: Job,
+                 lease: Lease):
+        self.scheduler = scheduler
         self.job = job
         self.lease = lease
         self.nodes = 1
@@ -739,55 +731,20 @@ class _Run:
         self.wake: Optional[Event] = None
         self.live = True
 
-
-class _RunCohort:
-    """Pure ticks of job runs due at one instant, in one kernel entry.
-
-    A runner process resumes every ``interval`` just to subtract
-    ``nodes * dt`` from its job's work.  A tick is *pure* when it is a
-    full ``interval`` and leaves work to do: it updates the work,
-    re-reads the cluster size, maybe renews the lease — which queues
-    nothing — and draws the next tick's seq.  Pure ticks of runs that
-    drew back to back, at one ``(time, NORMAL)``, run here in join
-    order, inside one entry keyed by the first member's seq;
-    :meth:`FairShareScheduler._plan_tick` draws each later member's seq
-    as :meth:`~repro.simkernel.Simulator.reserve_seq` would.
-
-    **Exact by construction.**  The members' seqs are consecutive, so
-    no other entry sorts between their ticks, and a pure tick queues
-    nothing that could run between them.  Ticking them inline, in
-    order, runs what their processes ran, and redrawing them in that
-    order keeps the next members contiguous too.  A member whose next
-    tick is not pure (its last one, or a shorter one) leaves: its
-    ``wake`` event is queued under a seq drawn where its timeout was,
-    and the runner finishes in its own process.  An interrupted member
-    would have left an orphan timeout that fires as a no-op; the
-    cohort skips it at that instant.  The cohort's own entry still
-    fires when every member has gone, like the first one's orphan.
-    """
-
-    __slots__ = ("scheduler", "due", "last", "members")
-
-    def __init__(self, scheduler: FairShareScheduler, dt: float):
-        sim = scheduler.sim
-        sim.call_in(dt, self._fire)
-        self.scheduler = scheduler
-        self.due = sim._now + dt
-        #: The seq the newest member drew.
-        self.last = sim._seq
-        self.members: List[_Run] = []
-
-    def _fire(self, _entry: Event) -> None:
+    def tick(self, _event: Event) -> None:
+        """A pure tick, as the runner would take it: it updates the
+        work, re-reads the cluster size, maybe renews the lease (which
+        queues nothing) and draws the next tick.  A next tick that is
+        not pure wakes the runner under the seq its timeout would have
+        drawn.  An interrupted runner's timeout would fire as a no-op."""
+        if not self.live:
+            return
+        job = self.job
+        job.work_remaining = max(
+            0.0, job.work_remaining - self.nodes * self.dt)
         scheduler = self.scheduler
-        sim = scheduler.sim
-        for run in self.members:
-            if not run.live:
-                continue
-            job = run.job
-            job.work_remaining = max(
-                0.0, job.work_remaining - run.nodes * run.dt)
-            if not scheduler._plan_tick(run):
-                wake = run.wake
-                wake._ok = True
-                wake._value = None
-                sim.schedule(wake, NORMAL, run.dt)
+        if not scheduler._plan_tick(self):
+            wake = self.wake
+            wake._ok = True
+            wake._value = None
+            scheduler.sim.schedule(wake, NORMAL, self.dt)

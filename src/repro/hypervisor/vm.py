@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import itertools
-import weakref
 from enum import Enum
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ..network.nat import Address
 from ..simkernel.core import Simulator
-from ..simkernel.process import Process
+from ..simkernel.events import URGENT
 from .disk import CowDisk, DiskImage
 from .memory import MemoryImage
 
@@ -128,10 +127,11 @@ class Dirtier:
     * ``dirty_values(rng, n)`` — new fingerprints: unique content, or
       shared-pool content that other cluster VMs also produce.
 
-    Deterministic under a seeded generator.  Dirtiers created one after
-    another share one kernel process (see :class:`_Cohort`);
-    :attr:`process` is that process, which ends once every VM in it has
-    stopped.
+    Deterministic under a seeded generator.  The dirtier keeps the keys
+    of a kernel process of its own -- an URGENT birth entry, then a
+    NORMAL entry per tick until it finds its VM stopped -- but ticks
+    through :meth:`~repro.simkernel.Simulator.tick_in`, so dirtiers
+    created one after another share one kernel entry per tick.
     """
 
     def __init__(self, sim: Simulator, vm: VirtualMachine, profile,
@@ -153,7 +153,22 @@ class Dirtier:
         self.pages_written = 0
         self.blocks_written = 0
         vm.attach_dirtier(self)
-        self.process = _Cohort.join(self)
+        sim.tick_in(0.0, self._next, URGENT)
+
+    def _wake(self, _event) -> None:
+        """A tick: write if the VM executes, then draw the next tick."""
+        if self.vm.is_running:
+            self._tick()
+        self._next(_event)
+
+    def _next(self, _event) -> None:
+        """Draw the next tick, or stop with the VM."""
+        if self.vm.state is VMState.STOPPED:
+            # A process of its own would end here, queueing its
+            # completion under this seq.
+            self.sim.reserve_seq()
+        else:
+            self.sim.tick_in(self.tick, self._wake)
 
     def _tick(self) -> None:
         """One tick's writes (the VM executes)."""
@@ -178,95 +193,3 @@ class Dirtier:
                 block_vals = self.profile.dirty_values(self.rng, nd, vm)
                 vm.disk.write(block_idx, block_vals)
                 self.blocks_written += nd
-
-
-class _Cohort:
-    """Dirtiers with one tick, born at one instant, in one process.
-
-    Each member stands for the process a dirtier of its own would run:
-    an URGENT init entry at its birth, then a NORMAL timeout per tick
-    until its VM stops.  A new dirtier joins the simulator's newest
-    cohort when it has the same ``tick``, is born at the same
-    ``sim.now``, and the kernel has drawn no sequence number since the
-    previous member joined; otherwise it starts a new cohort.
-
-    **Exact by construction.**  Under that rule the members' init
-    entries hold consecutive sequence numbers at one ``(time,
-    priority)``, so nothing can sort between them.  Dispatching them one
-    after another draws the members' next timeout seqs back to back, at
-    one time, so again nothing sorts between them — and so on at every
-    tick.  Ticking the members inline, in join order, inside the first
-    one's entry therefore runs exactly what the separate processes ran.
-
-    The kernel's sequence stream stays the same too: the cohort draws
-    one seq wherever a member's own process would have — at join for
-    its init entry, after each tick for its next timeout, and one when
-    its VM is found stopped (that process would have scheduled its
-    completion).  The cohort's ``Timeout`` takes the first live
-    member's seq and :meth:`~repro.simkernel.Simulator.reserve_seq`
-    covers the rest, so every other event keeps its exact
-    ``(time, priority, seq)`` key.  The process ends when the last
-    member leaves; its own completion takes that member's seq.
-    """
-
-    __slots__ = ("sim", "tick", "born", "seq", "members", "process",
-                 "__weakref__")
-
-    #: simulator -> weak reference to its newest cohort.  Both sides
-    #: are weak: a cohort refers to its simulator, so a strong value
-    #: would keep every simulator ever built alive.
-    _newest: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-    def __init__(self, sim: Simulator, tick: float):
-        self.sim = sim
-        self.tick = tick
-        self.born = sim.now
-        self.members: List[Dirtier] = []
-        self.process = sim.process(self._run(), name="dirtiers")
-        #: The seq of the newest member's init entry.
-        self.seq = sim._seq
-
-    @classmethod
-    def join(cls, dirtier: Dirtier) -> Process:
-        """Add ``dirtier`` to its simulator's newest cohort, or to a new
-        one; returns the cohort's process."""
-        sim = dirtier.sim
-        ref = cls._newest.get(sim)
-        cohort = ref() if ref is not None else None
-        if (cohort is not None and cohort.tick == dirtier.tick
-                and cohort.born == sim.now and cohort.seq == sim._seq):
-            cohort.seq = sim.reserve_seq()
-        else:
-            cohort = cls(sim, dirtier.tick)
-            cls._newest[sim] = weakref.ref(cohort)
-        cohort.members.append(dirtier)
-        return cohort.process
-
-    def _run(self):
-        sim = self.sim
-        reserve = sim.reserve_seq
-        first = True
-        while True:
-            members, live, timeout = self.members, [], None
-            last = len(members) - 1
-            for i, dirtier in enumerate(members):
-                vm = dirtier.vm
-                if not first and vm.is_running:
-                    dirtier._tick()
-                if vm.state is VMState.STOPPED:
-                    # Its process would end here, scheduling its
-                    # completion; the cohort's own completion stands in
-                    # for the last one.
-                    if live or i < last:
-                        reserve()
-                    continue
-                live.append(dirtier)
-                if timeout is None:
-                    timeout = sim.timeout(self.tick)
-                else:
-                    reserve()
-            self.members = live
-            if not live:
-                return
-            first = False
-            yield timeout

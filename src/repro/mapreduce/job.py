@@ -14,6 +14,11 @@ class TaskKind(Enum):
     MAP = "map"
     REDUCE = "reduce"
 
+    # Members are singletons, so identity hashing agrees with Enum
+    # equality and skips the Python-level ``Enum.__hash__`` on every
+    # ``(kind, index)`` key probe.
+    __hash__ = object.__hash__
+
 
 class TaskState(Enum):
     PENDING = "pending"

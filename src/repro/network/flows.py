@@ -174,8 +174,8 @@ class _Lane:
     in the lane while its ``_lane`` is the lane.
 
     The last arming armed ``ids``, in flow-id order, at ``instant`` with
-    rate ``fill`` under the seqs ``seq + 1 ..`` drawn in that order, so
-    a flow's seq is ``seq + 1 + its index``; flows that left since are
+    rate ``fill`` under the seqs ``seq ..`` drawn in that order, so a
+    flow's seq is ``seq + its index``; flows that left since are
     listed in ``gone`` and drop out of ``ids`` only at the next arming.
     ``byrem`` holds the flows still in the lane ordered by
     ``(remaining, id)``: for one fill the arm time ``instant + remaining
@@ -220,7 +220,7 @@ class _Lane:
             if flow.id < first.id:
                 first = flow
             i = bisect_right(byrem, rem, i, key=_REMAINING)
-        seq = self.seq + 1 + bisect_left(self.ids, first.id, key=_ID)
+        seq = self.seq + bisect_left(self.ids, first.id, key=_ID)
         return time, seq, first
 
 
@@ -500,8 +500,7 @@ class FlowScheduler:
         sim = self.sim
         lane.instant = sim.now
         lane.fill = fill
-        lane.seq = sim._seq
-        sim._seq += len(ids)
+        lane.seq = sim.reserve_seq(len(ids))
         self._wake_lane(lane)
         self.stats["timers_armed"] += len(ids)
 
@@ -519,7 +518,7 @@ class FlowScheduler:
                  if flow._lane is not None}
         for lane in lanes:
             instant, fill = lane.instant, lane.fill
-            for seq, flow in enumerate(lane.ids, lane.seq + 1):
+            for seq, flow in enumerate(lane.ids, lane.seq):
                 if flow._lane is lane:
                     flow._lane = None
                     flow._armed_rate = fill

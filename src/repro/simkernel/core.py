@@ -100,6 +100,11 @@ class Simulator:
         # The entry being dispatched (the last one, between runs):
         # schedule_at() refuses keys the kernel has already passed.
         self._dispatching = (-Infinity, URGENT, -1, None)
+        # The newest tick_in() entry, its (time, priority) and the seq
+        # of its newest member.
+        self._ticks: Optional[Event] = None
+        self._ticks_key = None
+        self._ticks_seq = -1
         self._profiler = NULL_PROFILER
         if profiler is not None:
             self.set_profiler(profiler)
@@ -178,16 +183,18 @@ class Simulator:
         if self._now + delay == self._now and priority < self._batch_priority:
             self._preempted = True
 
-    def reserve_seq(self) -> int:
-        """Draw the next sequence number without queueing anything.
+    def reserve_seq(self, n: int = 1) -> int:
+        """Draw the next ``n`` sequence numbers without queueing
+        anything; returns the first of them.
 
-        An entry pushed later with :meth:`schedule_at` under this seq
-        sorts exactly where it would have had it been scheduled now, so
-        a caller can keep its own pending set off the queue and hand
+        An entry pushed later with :meth:`schedule_at` under a reserved
+        seq sorts exactly where it would have had it been scheduled now,
+        so a caller can keep its own pending set off the queue and hand
         the kernel only the entry that must fire next.
         """
-        self._seq += 1
-        return self._seq
+        first = self._seq + 1
+        self._seq += n
+        return first
 
     def schedule_at(self, event: Event, time: float, seq: int) -> None:
         """Queue ``event`` under exactly the key ``(time, NORMAL, seq)``.
@@ -227,6 +234,38 @@ class Simulator:
         event.callbacks.append(fn)
         self.schedule(event, priority, delay)
         return event
+
+    def tick_in(self, delay: float, fn, priority: int = NORMAL) -> None:
+        """Run ``fn(event)`` after ``delay``, under exactly the key
+        ``(now + delay, priority, seq)`` that :meth:`call_in` gives it,
+        sharing one kernel entry with the ticks it is in phase with.
+
+        Consecutive calls due at one ``(time, priority)`` with no seq
+        drawn in between hold consecutive seqs, so no other entry can
+        ever sort between them.  They share the first call's kernel
+        entry, whose callbacks run in call order: entities ticking in
+        phase (guest dirtiers, job runners) cost one event per instant,
+        not one per entity.  An entry that has started running takes no
+        more members.
+
+        **Exact** under one precondition: a member queues nothing that
+        sorts before the next member at that instant -- an URGENT push
+        at the current instant from a NORMAL member, or a
+        :meth:`schedule_at` under an older seq -- since that entry would
+        run after the whole shared entry, not between the two members.  Members cannot be cancelled: a
+        member with nothing left to do returns at once.  As with any
+        event's callbacks, a member that raises drops the ones after it.
+        """
+        seq = self._seq
+        if (seq == self._ticks_seq and self._ticks.callbacks is not None
+                and self._ticks_key == (self._now + delay, priority)
+                and delay >= 0.0):
+            self._seq = self._ticks_seq = seq + 1
+            self._ticks.callbacks.append(fn)
+            return
+        self._ticks = self.call_in(delay, fn, priority)
+        self._ticks_key = (self._now + float(delay), priority)
+        self._ticks_seq = self._seq
 
     def _note_descheduled(self) -> None:
         """An event somewhere in the queue was lazily cancelled."""

@@ -11,6 +11,7 @@ counters, kernel sequence number and generator state.
 :func:`snapshot` reads those end states out of a list of VMs, with
 unique content numbered from the first fingerprint the world minted
 (``base``), so two worlds built one after the other compare equal.
+:func:`queued_owners` tells which kernel entries hold whose ticks.
 """
 
 import hashlib
@@ -66,6 +67,15 @@ class ReferenceDirtier:
                                                            self.vm)
                     self.vm.disk.write(block_idx, block_vals)
                     self.blocks_written += nd
+
+
+def queued_owners(sim) -> list:
+    """For each live entry on ``sim``'s heap queue, in key order, the
+    objects its callbacks are bound to (plain functions stand for
+    themselves).  A dirtier that holds no kernel entry is in none."""
+    return [[getattr(cb, "__self__", cb) for cb in entry[3].callbacks]
+            for entry in sorted(sim.queue_backend._heap)
+            if not entry[3]._descheduled]
 
 
 def unique_base() -> int:

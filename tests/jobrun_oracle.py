@@ -1,11 +1,11 @@
 """Per-job reference for the fair-share scheduler's job runs.
 
 :class:`ReferenceScheduler` runs every job's ticks the way the scheduler
-did before job-run cohorts: the job's own runner process wakes every
-``interval`` (or less, for the last stretch), takes ``nodes * dt``
-node-seconds off the job's work, re-reads the cluster size, renews the
-lease when the next tick would outlast it, and sleeps on a fresh
-timeout.  A world whose plane runs it must end with the same event log,
+did before its pure ticks shared kernel entries: the job's own runner
+process wakes every ``interval`` (or less, for the last stretch), takes
+``nodes * dt`` node-seconds off the job's work, re-reads the cluster
+size, renews the lease when the next tick would outlast it, and sleeps
+on a fresh timeout.  A world whose plane runs it must end with the same event log,
 job times and kernel sequence number as the same world on the library
 scheduler.  Switch a built, not yet started plane to it by assigning
 ``plane.scheduler.__class__``.

@@ -1,4 +1,4 @@
-"""Tests for VM lifecycle, hosts, placement and the dirtier process."""
+"""Tests for VM lifecycle, hosts, placement and the dirtier."""
 
 import gc
 import weakref
@@ -17,6 +17,8 @@ from repro.hypervisor import (
 from repro.network import Address
 from repro.simkernel import Simulator
 from repro.workloads import web_server
+
+from tests.dirtier_oracle import queued_owners
 
 
 def make_vm(sim, name="vm1", pages=256, vcpus=1):
@@ -160,31 +162,34 @@ def _dirtied(sim, host, rng, name, tick=0.1):
     return Dirtier(sim, vm, profile, rng, tick=tick)
 
 
-def test_dirtiers_created_together_share_one_process():
-    """A dirtier joins the newest cohort only with the same tick, at the
-    same instant and with no event scheduled since the previous member;
-    the cohort's process ends with its last running member."""
+def test_dirtiers_created_together_share_one_kernel_entry():
+    """Dirtiers whose ticks are drawn back to back at one instant share
+    one kernel entry; a seq drawn in between keeps them apart, and a
+    dirtier whose VM stopped writes nothing more and holds no entry."""
     sim = Simulator()
     host = PhysicalHost("h1", "s", cores=16)
     rng = np.random.default_rng(7)
-    a, b = _dirtied(sim, host, rng, "a"), _dirtied(sim, host, rng, "b")
-    c = _dirtied(sim, host, rng, "c", tick=0.2)
+    a = _dirtied(sim, host, rng, "a", tick=0.25)
+    b = _dirtied(sim, host, rng, "b", tick=0.25)
+    c = _dirtied(sim, host, rng, "c", tick=0.5)
     sim.timeout(5.0)
-    d = _dirtied(sim, host, rng, "d", tick=0.2)
-    assert a.process is b.process
-    assert len({id(a.process), id(c.process), id(d.process)}) == 3
-    sim.run(until=0.5)
-    e = _dirtied(sim, host, rng, "e")
-    assert e.process is not a.process
+    d = _dirtied(sim, host, rng, "d", tick=0.5)
+    # Birth entries: the timeout's seq parts d from a, b and c.
+    assert queued_owners(sim) == [[a, b, c], [d], []]
+    sim.step()
+    sim.step()
+    # c's first tick was the last seq drawn when d drew its own.
+    assert queued_owners(sim) == [[a, b], [c, d], []]
+    sim.run(until=1.0)
+    assert queued_owners(sim) == [[c, d], [a, b], []]
+    e = _dirtied(sim, host, rng, "e", tick=0.25)
     a.vm.stop()
-    sim.run(until=0.75)
-    assert a.process.is_alive
     written = a.pages_written
-    b.vm.stop()
-    sim.run(until=0.95)
-    assert not a.process.is_alive
+    sim.run(until=1.5)
+    # a's stop drew the seq its process would have ended with, so b
+    # ticked alone at 1.25, right after e, and joined e's next entry.
+    assert queued_owners(sim) == [[c, d], [e, b], []]
     assert a.pages_written == written
-    assert c.process.is_alive and e.process.is_alive
 
 
 def test_dirtier_cohort_does_not_keep_its_simulator_alive():

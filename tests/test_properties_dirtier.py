@@ -11,6 +11,7 @@ and the generator's next value must all agree.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,3 +117,25 @@ def world(plan, make):
                                    "controls": controls}))
 def test_dirtier_equals_per_vm_processes(plan):
     assert world(plan, Dirtier) == world(plan, ReferenceDirtier)
+
+
+@pytest.mark.parametrize("queue", [None, "calendar"])
+def test_in_phase_dirtiers_share_one_kernel_entry_per_tick(queue):
+    """Eight dirtiers created together tick in phase: a birth entry and
+    ten tick entries each on the reference, and one birth entry and one
+    entry per tick for all eight on the library."""
+    def events(make):
+        sim = Simulator(queue=queue)
+        host = PhysicalHost("h", "s", cores=64, ram_bytes=2**40)
+        rng = np.random.default_rng(3)
+        profile = PROFILES["web-server"]()
+        for i in range(8):
+            vm = VirtualMachine(sim, f"vm{i}",
+                                profile.generate_memory(rng, 128))
+            host.place(vm)
+            vm.boot()
+            make(sim, vm, profile, rng, tick=0.1)
+        sim.run(until=1.05)
+        return sim._n_events
+
+    assert events(ReferenceDirtier) - events(Dirtier) == 7 * 11

@@ -1,7 +1,7 @@
-"""Job-run cohorts against the per-job reference scheduler.
+"""Shared job-run ticks against the per-job reference scheduler.
 
 The fair-share scheduler ticks the pure ticks of in-phase job runs in
-one kernel entry (:class:`repro.controlplane.scheduler._RunCohort`).
+one kernel entry (through :meth:`repro.simkernel.Simulator.tick_in`).
 Random plane worlds run once on the library scheduler and once on
 :class:`tests.jobrun_oracle.ReferenceScheduler`, whose every job wakes
 its own runner process per tick.  The worlds mix runtimes that are
@@ -215,7 +215,7 @@ def test_a_world_taking_every_path_matches_the_reference():
 def test_in_phase_runs_share_one_kernel_entry_per_tick(queue):
     """Ten jobs started together tick in phase: 200 tick entries on the
     reference.  Their first ticks drew apart, so they run alone; from
-    the second on the ten share one cohort entry per instant."""
+    the second on the ten share one kernel entry per instant."""
     world = dict(EVERY_PATH, fail_rate=0.0, spikes=[], crash_at=None,
                  patience=10_000.0, hosts=2, lease_term=600.0,
                  jobs=[{"tenant": "ab"[i % 2], "n": 1, "runtime": 200.0,
