@@ -32,14 +32,15 @@ from ..metrics import recorder_of
 from ..obs.trace import tracer_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateEvent:
     """One committed fact about a control-plane entity.
 
     ``kind`` names the entity family (``"job"``, ``"lease"``,
     ``"tenant"``, ``"spot"``, ``"heal"``), ``entity`` its id (job and
     lease ids are ints; tenants and spot VMs use names).  ``frm`` is
-    None for birth events (tenant registered, lease granted).
+    None for birth events (tenant registered, lease granted).  Slotted:
+    a run keeps every event resident, so none carries a ``__dict__``.
     """
 
     seq: int

@@ -11,7 +11,6 @@ pool, usage charged to the tenant.  Expiry is the backstop that makes
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from typing import Callable, Dict, List, Optional
 
 from ..metrics import MetricsRecorder
@@ -21,12 +20,8 @@ from ..sky.federation import Federation
 from ..sky.virtual_cluster import VirtualCluster
 from .eventlog import eventlog_of
 from .jobs import Job
-
-
-class LeaseState(Enum):
-    ACTIVE = "active"
-    RELEASED = "released"  # returned by the holder
-    EXPIRED = "expired"    # reclaimed by the sweeper
+# LeaseState lives beside LEASE_MACHINE, so this import is one-way.
+from .statemachine import LeaseState, transition
 
 
 class LeaseError(Exception):
@@ -202,7 +197,6 @@ class LeaseManager:
         # charge, so replayed state must never be ahead of live state.
         if self.charge is not None and node_seconds > 0:
             self.charge(lease.tenant, node_seconds)
-        from .statemachine import transition  # import cycle via enums
         transition(lease, final_state,
                    cause=("expiry" if final_state is LeaseState.EXPIRED
                           else "release"),

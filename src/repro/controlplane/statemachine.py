@@ -21,11 +21,21 @@ control plane: the set of legal lifecycles is data, not convention.
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Dict, FrozenSet, Mapping, Optional
 
 from .eventlog import eventlog_of
 from .jobs import JobState
-from .lease import LeaseState
+
+
+class LeaseState(Enum):
+    """Lifecycle of a :class:`~repro.controlplane.lease.Lease` (defined
+    here, beside :data:`LEASE_MACHINE`, so ``lease`` can import
+    :func:`transition` without a cycle)."""
+
+    ACTIVE = "active"
+    RELEASED = "released"  # returned by the holder
+    EXPIRED = "expired"    # reclaimed by the sweeper
 
 
 class TransitionError(Exception):

@@ -127,6 +127,13 @@ class UniqueContentFactory:
 class MemoryImage:
     """The RAM of one VM: fingerprints plus a dirty bitmap.
 
+    A zero-filled image holds no arrays until something needs them:
+    :attr:`pages` and the dirty bitmap are allocated on the first
+    :meth:`write`, :meth:`touch` or read of :attr:`pages`, and the
+    dirty-tracking reads answer for a clean image without allocating.
+    A VM costs only the memory it writes, as with copy-on-write
+    instantiation.
+
     Parameters
     ----------
     n_pages:
@@ -145,15 +152,29 @@ class MemoryImage:
             raise ValueError(f"page_size must be positive, got {page_size}")
         self.n_pages = n_pages
         self.page_size = page_size
-        if fingerprints is None:
-            self.pages = np.zeros(n_pages, dtype=np.uint64)
-        else:
+        #: Both None until first use (zero-filled, clean); both arrays
+        #: from then on.
+        self._pages: Optional[np.ndarray] = None
+        self._dirty: Optional[np.ndarray] = None
+        if fingerprints is not None:
             if len(fingerprints) != n_pages:
                 raise ValueError(
                     f"fingerprints length {len(fingerprints)} != n_pages {n_pages}"
                 )
-            self.pages = fingerprints.astype(np.uint64, copy=True)
-        self._dirty = np.zeros(n_pages, dtype=bool)
+            self._pages = fingerprints.astype(np.uint64, copy=True)
+            self._dirty = np.zeros(n_pages, dtype=bool)
+
+    def _materialize(self) -> None:
+        """Allocate the zero pages and the clean bitmap."""
+        self._pages = np.zeros(self.n_pages, dtype=np.uint64)
+        self._dirty = np.zeros(self.n_pages, dtype=bool)
+
+    @property
+    def pages(self) -> np.ndarray:
+        """Page fingerprints (``uint64``, one per page); writable."""
+        if self._pages is None:
+            self._materialize()
+        return self._pages
 
     # -- size ---------------------------------------------------------------
 
@@ -166,11 +187,15 @@ class MemoryImage:
 
     def write(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Guest writes: set page contents and mark them dirty."""
-        self.pages[indices] = values
+        if self._dirty is None:
+            self._materialize()
+        self._pages[indices] = values
         self._dirty[indices] = True
 
     def touch(self, indices: np.ndarray) -> None:
         """Mark pages dirty without changing content (rewrite same data)."""
+        if self._dirty is None:
+            self._materialize()
         self._dirty[indices] = True
 
     # -- dirty tracking ------------------------------------------------------
@@ -178,15 +203,20 @@ class MemoryImage:
     @property
     def dirty_count(self) -> int:
         """Number of pages dirtied since the last clear."""
+        if self._dirty is None:
+            return 0
         return int(self._dirty.sum())
 
     def dirty_indices(self) -> np.ndarray:
         """Indices of dirty pages (ascending)."""
+        if self._dirty is None:
+            return np.empty(0, dtype=np.intp)
         return np.flatnonzero(self._dirty)
 
     def clear_dirty(self) -> None:
         """Reset the dirty bitmap (start of a migration round)."""
-        self._dirty[:] = False
+        if self._dirty is not None:
+            self._dirty[:] = False
 
     def read_and_clear_dirty(self) -> np.ndarray:
         """Atomically fetch dirty indices and reset the bitmap."""
@@ -199,7 +229,10 @@ class MemoryImage:
     def duplication_ratio(self) -> float:
         """Fraction of pages whose content also appears elsewhere in
         this image (self-duplication, e.g. zero pages)."""
-        pages = np.sort(self.pages)
+        if self._pages is None:
+            # All zero pages: every one is duplicated, unless it is alone.
+            return 1.0 if self.n_pages > 1 else 0.0
+        pages = np.sort(self._pages)
         starts = np.flatnonzero(np.diff(pages)) + 1
         counts = np.diff(starts, prepend=0, append=len(pages))
         duplicated = counts[counts > 1].sum()

@@ -46,6 +46,11 @@ class TransferClass(enum.Enum):
     CONTROL = "control"
     DATA = "data"
 
+    # Members are singletons, so identity hashing agrees with Enum
+    # equality and skips the Python-level ``Enum.__hash__`` on every
+    # per-class tally in ``Transport._observe``.
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 

@@ -26,7 +26,7 @@ Design constraints, both load-bearing:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class SpanContext(NamedTuple):
@@ -64,10 +64,12 @@ class Span:
         self.end_time: Optional[float] = None
         self.status: str = "ok"
         self.attributes = attributes
+        # Most spans never get an event or a link: both start as the
+        # shared empty tuple and become lists on the first append.
         #: ``(time, name, attributes)`` point-in-time annotations.
-        self.events: List[Tuple[float, str, Dict[str, Any]]] = []
+        self.events: Sequence[Tuple[float, str, Dict[str, Any]]] = ()
         #: Span ids of causally related spans in *other* chains.
-        self.links: List[int] = []
+        self.links: Sequence[int] = ()
 
     # -- identity ------------------------------------------------------
 
@@ -94,7 +96,11 @@ class Span:
 
     def event(self, name: str, **attributes) -> "Span":
         """Record a point-in-time event at ``sim.now``."""
-        self.events.append((self._sim._now, name, attributes))
+        entry = (self._sim._now, name, attributes)
+        if self.events:
+            self.events.append(entry)
+        else:
+            self.events = [entry]
         return self
 
     def link(self, other) -> "Span":
@@ -102,7 +108,10 @@ class Span:
         chain — rendered as a flow arrow in Perfetto."""
         span_id = getattr(other, "span_id", None)
         if span_id is not None:
-            self.links.append(span_id)
+            if self.links:
+                self.links.append(span_id)
+            else:
+                self.links = [span_id]
         return self
 
     def end(self, status: Optional[str] = None) -> "Span":

@@ -1,0 +1,63 @@
+"""What a control-plane run keeps resident, checked by structure.
+
+Smoke-size ``controlplane_1000`` and ``spot_churn_500`` runs (from
+``benchmarks/e2e/scenarios.py``) must leave every plane VM's memory
+image without arrays (nothing in a plane run writes or reads guest
+pages), every span without events or links without a list, and every
+event-log record without a ``__dict__``.  These are the allocations
+that peak RSS of those workloads is made of; a structural check holds
+on any host, where an RSS number would not.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from repro.controlplane import StateEvent, eventlog_of
+from repro.hypervisor import MemoryImage
+
+ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location(
+    "e2e_scenarios", ROOT / "benchmarks" / "e2e" / "scenarios.py")
+scenarios = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(scenarios)
+
+
+@pytest.fixture
+def images(monkeypatch):
+    """Every :class:`MemoryImage` constructed while the test runs."""
+    made = []
+    init = MemoryImage.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(MemoryImage, "__init__", recording_init)
+    return made
+
+
+@pytest.mark.parametrize("name", ["controlplane_1000", "spot_churn_500"])
+def test_plane_run_keeps_no_guest_page_arrays(name, images):
+    scenario = scenarios.SCENARIOS[name](0, smoke=True)
+    scenario.run()
+    assert scenario.completed() == scenario.n_jobs
+    assert len(images) >= scenario.n_jobs
+    materialized = [m for m in images
+                    if m._pages is not None or m._dirty is not None]
+    assert materialized == []
+
+
+def test_spot_plane_spans_and_events_are_lean():
+    scenario = scenarios.SpotChurn500(0, smoke=True)
+    scenario.run()
+    spans = scenario.tracer.spans
+    assert any(span.events for span in spans)
+    for span in spans:
+        assert isinstance(span.events, list) == bool(span.events)
+        assert isinstance(span.links, list) == bool(span.links)
+    events = list(eventlog_of(scenario.tb.sim))
+    assert events
+    assert all(type(e) is StateEvent for e in events)
+    assert not any(hasattr(e, "__dict__") for e in events)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from repro.cloud import InstancePricing, UsageMeter
-from repro.network import MTU, record_packets, segments, wire_bytes
+from repro.mapreduce.job import TaskKind
+from repro.network import (
+    MTU,
+    TransferClass,
+    record_packets,
+    segments,
+    wire_bytes,
+)
 from repro.network.units import (
     GB,
     Gbit,
@@ -189,3 +196,20 @@ def test_estimate_infinite_without_slots():
     from repro.mapreduce.job import Task, TaskKind
     FakeJT.current.pending_maps = [Task(job, TaskKind.MAP, 0)]
     assert estimate_remaining_seconds(FakeJT(), job) == float("inf")
+
+
+# -- enum keys -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("enum_cls", [TaskKind, TransferClass],
+                         ids=lambda cls: cls.__name__)
+def test_hot_key_enums_hash_by_identity(enum_cls):
+    # Dict keys on hot paths: the C-level identity hash, which agrees
+    # with Enum equality because members are singletons.
+    assert enum_cls.__hash__ is object.__hash__
+    table = {member: i for i, member in enumerate(enum_cls)}
+    for i, member in enumerate(enum_cls):
+        assert hash(member) == object.__hash__(member)
+        assert enum_cls(member.value) is member
+        assert table[enum_cls(member.value)] == i
+    assert list(table) == list(enum_cls)
