@@ -17,8 +17,9 @@ the naive baseline, both reproduced here:
   back to the chained transfer of the base, so chain+CoW compose.
 
 Each strategy implements ``deploy(image, hosts) -> process`` returning a
-:class:`DeploymentStats`; the per-host :class:`HostImageCache` records
-which bases are already present.
+:class:`DeploymentStats`, a thin process over the ``propagate``
+generator that provisioning runs inside its own batch; the per-host
+:class:`HostImageCache` records which bases are already present.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class _PropagationBase:
 
     def deploy(self, image: VMImage, hosts: Sequence[PhysicalHost],
                span=None) -> Process:
-        """Propagate ``image`` so that every host in ``hosts`` holds it.
+        """Propagate ``image`` so that every host in ``hosts`` holds it,
+        in a process of its own (yields the :class:`DeploymentStats`).
         ``span`` optionally parents the deployment's trace span."""
         if not hosts:
             raise ValueError("no hosts to deploy to")
@@ -95,10 +97,15 @@ class _PropagationBase:
             raise ValueError(
                 "one deployment targets one site; split per-site first"
             )
-        return self.sim.process(self._traced_deploy(image, list(hosts), span),
+        return self.sim.process(self.propagate(image, list(hosts), span),
                                 name=f"deploy-{image.name}")
 
-    def _traced_deploy(self, image, hosts, parent_span):
+    def propagate(self, image: VMImage, hosts: List[PhysicalHost],
+                  parent_span=None):
+        """The deployment itself, as a generator for ``yield from``
+        inside the caller's process (a provisioning batch, or a
+        copy-on-write deploy chaining in its cache misses).  ``hosts``
+        must be non-empty and at one site, as :meth:`deploy` checks."""
         dspan = tracer_of(self.sim).start(
             f"propagate:{image.name}", parent=parent_span,
             track=f"propagate:{hosts[0].site}",
@@ -218,7 +225,7 @@ class CowPropagation(_PropagationBase):
         hits = len(hosts) - len(misses)
         moved = 0.0
         if misses:
-            stats = yield self._chain.deploy(image, misses, span=span)
+            stats = yield from self._chain.propagate(image, misses, span)
             moved = stats.bytes_moved
         # Overlay creation on all hosts happens in parallel.
         ospan = tracer_of(self.sim).start(

@@ -230,9 +230,10 @@ class Cloud:
                 vms.append(vm)
 
             # Propagate the image to the distinct hosts involved, then
-            # boot the guests in parallel.
+            # boot the guests in parallel.  The batch is the one process
+            # of a provisioning: the deploy runs inside it.
             distinct = list({h.name: h for h in hosts}.values())
-            yield self.propagation.deploy(image, distinct)
+            yield from self.propagation.propagate(image, distinct)
             yield self.sim.timeout(self.boot_delay)
         except BaseException:
             # Return every reservation of the failed batch (atomicity:

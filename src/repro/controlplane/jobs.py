@@ -30,6 +30,11 @@ class JobState(Enum):
     FAILED = "failed"              # gave up (too many requeues)
     REJECTED = "rejected"          # failed admission control
 
+    # Members are singletons, so identity hashing agrees with Enum
+    # equality and skips the Python-level ``Enum.__hash__`` on every
+    # ``StateMachine.allowed`` probe.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Tenant:

@@ -8,9 +8,10 @@ A single scheduler loop runs as a simkernel process.  Each round it
 2. places each grant on the cloud minimizing a price+utilization score
    (spot-market price taken when the local market is cheaper than
    on-demand), spanning clouds only when no single cloud fits;
-3. provisions a virtual cluster through
-   :meth:`~repro.sky.federation.Federation.create_virtual_cluster`,
-   wraps it in a lease, and runs the job against it;
+3. provisions a virtual cluster inside the job's own runner process
+   (:meth:`~repro.sky.federation.Federation.launch` starts one batch
+   per cloud, :meth:`~repro.sky.federation.Federation.assemble` joins
+   them), wraps it in a lease, and runs the job against it;
 4. adjusts malleable jobs to queue pressure: grows idle-capacity
    clusters when the queue is empty, shrinks over-provisioned ones back
    to ``min_nodes`` when jobs are waiting.
@@ -34,7 +35,6 @@ from ..simkernel.errors import Interrupt
 from ..simkernel.events import NORMAL, Event
 from ..simkernel.process import Process
 from ..sky.federation import Federation, FederationError
-from ..sky.scheduler import PlacementError
 from .jobs import Job, JobState, Tenant
 from .lease import Lease, LeaseManager
 from .queue import JobQueue
@@ -74,17 +74,6 @@ class SchedulerConfig:
 #: One decision point's capacity snapshot: clouds in placement order
 #: (best score first), available nodes per cloud, and their total.
 CapacityView = Tuple[List[Cloud], Dict[str, int], int]
-
-
-class _FixedAllocation:
-    """Placement policy that returns a pre-computed split (the scheduler
-    already decided; the federation just executes it)."""
-
-    def __init__(self, allocation: Dict[str, int]):
-        self.allocation = dict(allocation)
-
-    def allocate(self, clouds, n, spec):
-        return dict(self.allocation)
 
 
 class FairShareScheduler:
@@ -475,14 +464,15 @@ class FairShareScheduler:
         n = sum(allocation.values())
         tracer = tracer_of(self.sim)
         pspan = tracer.start("provision", parent=job.span, nodes=n)
+        federation = self.federation
         try:
-            cluster = yield self.federation.create_virtual_cluster(
-                self.image_name, n, policy=_FixedAllocation(allocation),
-                # Leased clusters skip the contextualization barrier:
-                # control-plane jobs use no master/worker roles.
-                spec=cfg.spec, contextualize=False, name=job.name,
-            )
-        except (CloudError, PlacementError, FederationError):
+            batches = federation.launch(self.image_name, allocation,
+                                        job.name, cfg.spec)
+            # Leased clusters skip the contextualization barrier:
+            # control-plane jobs use no master/worker roles.
+            cluster = yield from federation.assemble(
+                job.name, self.image_name, batches, contextualize=False)
+        except (CloudError, FederationError):
             # Lost a provisioning race; back in the queue untouched.
             pspan.end(status="error")
             unreserved = job._reserved_work

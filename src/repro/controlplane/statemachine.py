@@ -37,6 +37,9 @@ class LeaseState(Enum):
     RELEASED = "released"  # returned by the holder
     EXPIRED = "expired"    # reclaimed by the sweeper
 
+    # Identity hashing, as on JobState.
+    __hash__ = object.__hash__
+
 
 class TransitionError(Exception):
     """An illegal state transition was attempted."""

@@ -262,23 +262,28 @@ class Condition(Event):
                 event.callbacks.append(self._check)
 
     def _collect_values(self) -> ConditionValue:
-        """Gather triggered leaf events, flattening nested conditions."""
-        leaves: List[Event] = []
+        """Gather triggered leaf events, flattening nested conditions.
 
-        def visit(events: List[Event]) -> None:
-            for e in events:
+        A depth-first walk in child order over an explicit stack of
+        iterators: a recursive closure would make a reference cycle
+        (the function and its own cell) on every success."""
+        leaves: List[Event] = []
+        stack = [iter(self._events)]
+        while stack:
+            for e in stack[-1]:
                 if isinstance(e, Condition) and e._evaluate in (
                     Condition.all_events, Condition.any_events
                 ):
-                    visit(e._events)
-                elif e.callbacks is None and e._ok:
+                    stack.append(iter(e._events))
+                    break
+                if e.callbacks is None and e._ok:
                     # Only children whose processing has completed (or is
                     # in progress right now) count as observed; a Timeout
                     # is "triggered" from creation but has not happened
                     # until the clock reaches it.
                     leaves.append(e)
-
-        visit(self._events)
+            else:
+                stack.pop()
         return ConditionValue(leaves)
 
     def _check(self, event: Event) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence
 
-from ..cloud.provider import Cloud, InstanceSpec
+from ..cloud.provider import Cloud, CloudError, InstanceSpec
 from ..hypervisor.migration import LiveMigrator
 from ..hypervisor.vm import VirtualMachine
 from ..network.billing import BillingMeter
@@ -25,6 +25,7 @@ from ..shrinker.codec import shrinker_codec_factory
 from ..shrinker.coordinator import ClusterMigrationCoordinator
 from ..shrinker.registry import RegistryDirectory
 from ..simkernel.core import Simulator
+from ..simkernel.errors import Interrupt
 from ..simkernel.process import Process
 from ..vine.overlay import ViNeOverlay
 from ..vine.reconfig import MigrationReconfigurator
@@ -163,6 +164,14 @@ class Federation:
             registry.prepopulate_from_disk(cloud.repository.get(name).disk)
 
     # -- cluster lifecycle --------------------------------------------------
+    #
+    # Provisioning keeps a process only where it is concurrent: one
+    # ``Cloud._provision`` batch per cloud.  Every entry point draws the
+    # cluster name and starts its batches in its caller's own step, so
+    # same-instant host placements keep one order whoever asks; the join
+    # and the assembly run as a generator (:meth:`assemble`) inside the
+    # caller's process, or inside the thin process the public methods
+    # return.
 
     def create_virtual_cluster(self, image_name: str, n: int,
                                policy: Optional[PlacementPolicy] = None,
@@ -175,46 +184,107 @@ class Federation:
         Yields a :class:`VirtualCluster` whose members are booted,
         joined to the ViNe overlay and (optionally) contextualized.
         Every member cloud must hold ``image_name`` in its repository —
-        the "same customized execution environment everywhere".
+        the "same customized execution environment everywhere".  A
+        failure (a refused or failed batch) fails the returned process
+        and leaves nothing behind: see :meth:`assemble`.
         """
         if n <= 0:
             raise ValueError("cluster size must be positive")
         policy = policy or Balanced()
         allocation = policy.allocate(list(self.clouds.values()), n, spec)
+        name = name or f"vc{next(Federation._cluster_ids)}"
+        try:
+            batches = self.launch(image_name, allocation, name, spec,
+                                  memory_factory)
+        except CloudError as error:
+            return self.sim.process(_fail(error), name="create-cluster")
+        return self.sim.process(
+            self.assemble(name, image_name, batches, contextualize),
+            name="create-cluster",
+        )
+
+    def launch(self, image_name: str, allocation: Dict[str, int],
+               name: str, spec: InstanceSpec = InstanceSpec(),
+               memory_factory=None) -> List[Process]:
+        """Start cluster ``name``'s provisioning batches now, one per
+        cloud of ``allocation`` (cloud name -> node count), in
+        allocation order; returns the batch processes for
+        :meth:`assemble`.  Raises :class:`FederationError` before any
+        batch starts if a cloud lacks the image; a cloud refusing its
+        batch (:class:`~repro.cloud.provider.QuotaExceeded`) rolls back
+        the batches already started and re-raises."""
         for cloud_name in allocation:
             if image_name not in self.cloud(cloud_name).repository:
                 raise FederationError(
                     f"image {image_name!r} missing at {cloud_name!r}"
                 )
-        return self.sim.process(
-            self._create(image_name, allocation, spec, memory_factory,
-                         contextualize, name),
-            name="create-cluster",
-        )
+        batches: List[Process] = []
+        try:
+            for cloud_name, count in allocation.items():
+                batches.append(self.cloud(cloud_name).run_instances(
+                    image_name, count, spec=spec,
+                    memory_factory=memory_factory,
+                    name_prefix=f"{name}-{cloud_name}",
+                ))
+        except BaseException:
+            self._roll_back(batches)
+            raise
+        return batches
 
-    def _create(self, image_name, allocation, spec, memory_factory,
-                contextualize, name):
-        cluster_name = name or f"vc{next(Federation._cluster_ids)}"
-        procs = [
-            self.cloud(cloud_name).run_instances(
-                image_name, count, spec=spec, memory_factory=memory_factory,
-                name_prefix=f"{cluster_name}-{cloud_name}",
-            )
-            for cloud_name, count in allocation.items()
-        ]
-        results = yield self.sim.all_of(procs)
-        vms: List[VirtualMachine] = []
-        for proc in procs:
-            vms.extend(results[proc])
+    def assemble(self, name: str, image_name: str,
+                 batches: List[Process], contextualize: bool = True):
+        """Join ``batches`` (from :meth:`launch`) and assemble their VMs
+        into cluster ``name``: a generator, for ``yield from`` inside
+        the process that launched them.
+
+        The join is an ``all_of`` over the batches.  If it fails, every
+        batch is rolled back (see :meth:`_roll_back`) and the error
+        re-raised.  If the waiting process is interrupted (a control
+        plane crashing mid-provision), the join and the assembly carry
+        on in a process of their own, as a cluster-creation process
+        would have, and the interrupt is re-raised.
+        """
+        return (yield from self._assemble(self.sim.all_of(batches), name,
+                                          image_name, batches,
+                                          contextualize))
+
+    def _assemble(self, join, name, image_name, batches, contextualize):
+        try:
+            yield join
+        except BaseException as error:
+            if isinstance(error, Interrupt) and join.ok is not False:
+                # The waiting process was interrupted; no batch failed.
+                self.sim.process(
+                    self._assemble(join, name, image_name, batches,
+                                   contextualize),
+                    name="create-cluster",
+                )
+            else:
+                self._roll_back(batches)
+            raise
+        vms = [vm for batch in batches for vm in batch.value]
         for vm in vms:
             self.overlay.register(vm)
-        cluster = VirtualCluster(cluster_name, self, vms, image_name)
+        cluster = VirtualCluster(name, self, vms, image_name)
         if contextualize:
             broker = self.cloud(vms[0].site).context_broker
             roles = {cluster.master.name: "master"}
             yield broker.contextualize(vms, roles)
         self.clusters.append(cluster)
         return cluster
+
+    def _roll_back(self, batches: List[Process]) -> None:
+        """Undo the batches of a failed cluster: interrupt the ones
+        still running (each returns its own reservation) and terminate
+        the VMs of the ones that booted.  Their failures are the
+        caller's to report, so none reaches the kernel undefused."""
+        for batch in batches:
+            batch.defused = True
+            if batch.is_alive:
+                batch.interrupt("rolled back")
+            elif batch.ok:
+                for vm in batch.value:
+                    self.terminate(vm)
 
     def grow_cluster(self, cluster: VirtualCluster, count: int,
                      cloud_name: Optional[str] = None,
@@ -223,21 +293,24 @@ class Federation:
         and contextualized)."""
         if count <= 0:
             raise ValueError("count must be positive")
-        return self.sim.process(
-            self._grow(cluster, count, cloud_name, memory_factory),
-            name=f"grow-{cluster.name}",
-        )
-
-    def _grow(self, cluster, count, cloud_name, memory_factory):
         if cloud_name is None:
             # Prefer the cloud with the most headroom.
             cloud_name = max(self.clouds.values(),
                              key=lambda c: c.capacity()).name
+        proc_name = f"grow-{cluster.name}"
         cloud = self.cloud(cloud_name)
-        vms = yield cloud.run_instances(
-            cluster.image_name, count, memory_factory=memory_factory,
-            name_prefix=f"{cluster.name}-{cloud_name}",
-        )
+        try:
+            batch = cloud.run_instances(
+                cluster.image_name, count, memory_factory=memory_factory,
+                name_prefix=f"{cluster.name}-{cloud_name}",
+            )
+        except CloudError as error:
+            return self.sim.process(_fail(error), name=proc_name)
+        return self.sim.process(self._grow(cluster, cloud, batch),
+                                name=proc_name)
+
+    def _grow(self, cluster, cloud, batch):
+        vms = yield batch
         for vm in vms:
             self.overlay.register(vm)
         yield cloud.context_broker.contextualize(vms)
@@ -268,7 +341,17 @@ class Federation:
         EMR teardown."""
         if cluster is not None and vm in cluster.vms:
             cluster.vms.remove(vm)
-        if vm.has_address and vm.address.host in self.overlay.members:
+        if (vm.has_address
+                and self.overlay.members.get(vm.address.host) is vm):
+            # Membership is the member itself: a NAT address can share
+            # its host id with another VM's overlay address.
             self.overlay.unregister(vm)
         cloud = self._owner(vm)
         return 0.0 if cloud is None else cloud.terminate(vm)
+
+
+def _fail(error: BaseException):
+    """Process body failing at once with ``error``: a provisioning call
+    refused in the caller's step still reports through its process."""
+    raise error
+    yield  # pragma: no cover - makes this a generator

@@ -15,8 +15,8 @@ started plane to them with :func:`install`.
 
 from typing import Dict, List
 
-from repro.cloud.propagation import CowPropagation
-from repro.cloud.provider import Cloud, CloudError
+from repro.cloud.propagation import CowPropagation, DeploymentStats
+from repro.cloud.provider import Cloud, CloudError, InstanceSpec
 from repro.controlplane.jobs import JobState
 from repro.controlplane.scheduler import FairShareScheduler, _Run
 from repro.controlplane.statemachine import transition
@@ -44,8 +44,6 @@ class LayeredCowPropagation(CowPropagation):
     """Copy-on-write deploys whose chain step runs in its own process."""
 
     def _deploy(self, image, hosts, span=None):
-        from repro.cloud.propagation import DeploymentStats
-
         started = self.sim.now
         misses = [h for h in hosts if not self.cache.has(h, image.name)]
         hits = len(hosts) - len(misses)
@@ -108,11 +106,8 @@ class LayeredFederation(Federation):
     process of their own, started from the caller's step."""
 
     def create_virtual_cluster(self, image_name, n, policy=None,
-                               spec=None, memory_factory=None,
+                               spec=InstanceSpec(), memory_factory=None,
                                contextualize=True, name=None):
-        from repro.cloud.provider import InstanceSpec
-
-        spec = spec if spec is not None else InstanceSpec()
         if n <= 0:
             raise ValueError("cluster size must be positive")
         policy = policy or Balanced()

@@ -6,7 +6,9 @@ image without arrays (nothing in a plane run writes or reads guest
 pages), every span without events or links without a list, and every
 event-log record without a ``__dict__``.  These are the allocations
 that peak RSS of those workloads is made of; a structural check holds
-on any host, where an RSS number would not.
+on any host, where an RSS number would not.  A plane run must also
+start no process beyond a runner per job and a batch per cloud of its
+grant.
 """
 
 import importlib.util
@@ -16,6 +18,7 @@ import pytest
 
 from repro.controlplane import StateEvent, eventlog_of
 from repro.hypervisor import MemoryImage
+from repro.simkernel import Process
 
 ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
@@ -61,3 +64,29 @@ def test_spot_plane_spans_and_events_are_lean():
     assert events
     assert all(type(e) is StateEvent for e in events)
     assert not any(hasattr(e, "__dict__") for e in events)
+
+
+def test_plane_run_starts_one_process_per_job_and_per_cloud_batch(
+        monkeypatch):
+    """A lease provisions inside its job's runner: the only processes a
+    plane run starts are one runner per dispatch and one provisioning
+    batch per cloud of its grant (no cluster-creation or deploy
+    process)."""
+    scenario = scenarios.ControlPlane1000(0, smoke=True)
+    started = []
+    init = Process.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        started.append(self.name)
+
+    monkeypatch.setattr(Process, "__init__", recording_init)
+    scenario.run()
+    assert scenario.completed() == scenario.n_jobs
+    grants = [e.detail["allocation"] for e in eventlog_of(scenario.tb.sim)
+              if e.kind == "job" and e.cause == "dispatch"]
+    runners = [n for n in started if n.startswith("run-")]
+    batches = [n for n in started if n.startswith("provision-")]
+    assert len(runners) == len(grants) == scenario.n_jobs
+    assert len(batches) == sum(len(a) for a in grants)
+    assert len(started) == len(runners) + len(batches)

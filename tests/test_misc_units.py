@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro.cloud import InstancePricing, UsageMeter
+from repro.controlplane.jobs import JobState
+from repro.controlplane.statemachine import LeaseState
 from repro.mapreduce.job import TaskKind
 from repro.network import (
     MTU,
@@ -201,7 +203,8 @@ def test_estimate_infinite_without_slots():
 # -- enum keys -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("enum_cls", [TaskKind, TransferClass],
+@pytest.mark.parametrize("enum_cls",
+                         [TaskKind, TransferClass, JobState, LeaseState],
                          ids=lambda cls: cls.__name__)
 def test_hot_key_enums_hash_by_identity(enum_cls):
     # Dict keys on hot paths: the C-level identity hash, which agrees

@@ -214,12 +214,14 @@ def test_a_world_taking_every_path_matches_the_reference():
 @pytest.mark.parametrize("queue", [None, "calendar"])
 def test_in_phase_runs_share_one_kernel_entry_per_tick(queue):
     """Ten jobs started together tick in phase: 200 tick entries on the
-    reference.  Their first ticks drew apart, so they run alone; from
-    the second on the ten share one kernel entry per instant."""
+    reference.  The runners resume from their provisioning joins one
+    after another and draw their first ticks with no seq drawn in
+    between, so the ten share one kernel entry per instant from the
+    first tick on."""
     world = dict(EVERY_PATH, fail_rate=0.0, spikes=[], crash_at=None,
                  patience=10_000.0, hosts=2, lease_term=600.0,
                  jobs=[{"tenant": "ab"[i % 2], "n": 1, "runtime": 200.0,
                         "elastic": None, "at": 0.0} for i in range(10)])
     events = [run_world(world, queue, scheduler)["plane"].sim._n_events
               for scheduler in (None, ReferenceScheduler)]
-    assert events[1] - events[0] == 9 * 18
+    assert events[1] - events[0] == 9 * 19

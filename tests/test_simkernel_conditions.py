@@ -1,5 +1,7 @@
 """Tests for AllOf/AnyOf condition events and operator composition."""
 
+import gc
+
 import pytest
 
 from repro.simkernel import AllOf, AnyOf, ConditionValue, Simulator
@@ -190,3 +192,20 @@ def test_condition_value_missing_key():
 
     p = sim.process(proc(sim))
     assert sim.run(until=p) == "keyerror"
+
+
+def test_nested_condition_success_makes_no_cyclic_garbage():
+    """Flattening a nested condition's leaves builds no reference cycle,
+    so a success leaves nothing for the cyclic collector, and the
+    leaves keep child order, depth first."""
+    sim = Simulator()
+    a, b, c, d = (sim.timeout(t, value=t) for t in (1, 2, 3, 4))
+    cond = AllOf(sim, [a, (b | c) & d])
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run()
+        assert list(cond.value) == [a, b, c, d]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -189,3 +189,87 @@ def test_cluster_members_at_natted_cloud_still_reachable():
     b_vm = cluster.members_at("cloud-b")[0]
     assert not fed.topology.reachable_directly("cloud-a", "cloud-b")
     assert fed.overlay.resolve(a_vm, b_vm) is not None
+
+
+class _Fixed:
+    """Placement policy returning a pre-computed split."""
+
+    def __init__(self, allocation):
+        self.allocation = allocation
+
+    def allocate(self, clouds, n, spec):
+        return dict(self.allocation)
+
+
+def _assert_nothing_left(fed):
+    for cloud in fed.clouds.values():
+        assert cloud.instances == []
+        assert cloud.meter._open == {}
+        for host in cloud.hosts:
+            assert host.vms == [] and host.used_cores == 0
+    assert fed.clusters == []
+    assert fed.overlay.members == {}
+
+
+def test_failed_multi_cloud_create_rolls_back_every_batch():
+    """Cloud b cannot place 6 instances on 4 cores: the caller gets its
+    CloudError, and cloud a's batch, still booting, returns its hosts
+    and addresses instead of booting into a cluster nobody owns."""
+    from repro.cloud import CloudError
+
+    sim, fed = build_federation(hosts_per_cloud=1, cores=4)
+    proc = fed.create_virtual_cluster(
+        "debian", 8, policy=_Fixed({"cloud-a": 2, "cloud-b": 6}))
+    with pytest.raises(CloudError):
+        sim.run(until=proc)
+    sim.run(until=sim.now + 60.0)  # long past cloud a's boot
+    _assert_nothing_left(fed)
+    assert all(c.address_pool.in_use == 0 for c in fed.clouds.values())
+
+
+def test_a_refused_batch_rolls_back_the_batches_started_before_it():
+    from repro.cloud import QuotaExceeded
+
+    sim, fed = build_federation(hosts_per_cloud=1, cores=4)
+    fed.cloud("cloud-b").quota = 1
+    proc = fed.create_virtual_cluster(
+        "debian", 4, policy=_Fixed({"cloud-a": 2, "cloud-b": 2}))
+    with pytest.raises(QuotaExceeded):
+        sim.run(until=proc)
+    sim.run(until=sim.now + 60.0)
+    _assert_nothing_left(fed)
+    assert all(c.address_pool.in_use == 0 for c in fed.clouds.values())
+
+
+def test_a_batch_failing_after_another_booted_terminates_the_booted():
+    sim, fed = build_federation(hosts_per_cloud=1, cores=4)
+    a, b = fed.cloud("cloud-a"), fed.cloud("cloud-b")
+    a.cache.put(a.hosts[0], "debian")  # a warm, b chains its image in
+    batches = fed.launch("debian", {"cloud-a": 2, "cloud-b": 2}, "vc")
+    proc = sim.process(fed.assemble("vc", "debian", batches))
+    sim.run(until=batches[0])
+    assert len(a.instances) == 2 and batches[1].is_alive
+    batches[1].interrupt("lost")
+    with pytest.raises(Exception, match="lost"):
+        sim.run(until=proc)
+    sim.run(until=sim.now + 60.0)
+    _assert_nothing_left(fed)
+    # The booted VMs were billed for their short life, then stopped.
+    assert [seg[0] for seg in a.meter._closed] == ["vc-cloud-a-1",
+                                                   "vc-cloud-a-2"]
+
+
+def test_terminate_leaves_an_overlay_member_with_the_same_host_id():
+    """A bare instance's NAT address ``cloud-a/2`` shares host id 2
+    with the overlay address of a cluster member at cloud b: retiring
+    the bare VM must leave that member in the overlay."""
+    sim, fed = build_federation()
+    cluster = sim.run(until=fed.create_virtual_cluster("debian", 2))
+    member = cluster.members_at("cloud-b")[0]
+    bare = sim.run(until=fed.cloud("cloud-a").run_instances("debian", 1))[0]
+    assert bare.address.network == "cloud-a"
+    assert bare.address.host == member.address.host
+    fed.terminate(bare)
+    assert fed.overlay.members[member.address.host] is member
+    assert bare not in fed.cloud("cloud-a").instances
+    assert bare.state is VMState.STOPPED
