@@ -76,7 +76,7 @@ def test_scale_summary_table(benchmark):
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     rows = [
         (s["n"], f"{s['provision_s']:.1f}", f"{s['makespan']:.0f}",
-         pct(s["locality"]), f"{s['wall_s']:.1f}")
+         pct(s["locality"]), f"{s['wall_s']:.2f}")
         for s in results
     ]
     print_table(

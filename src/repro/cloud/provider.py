@@ -235,7 +235,7 @@ class Cloud:
             distinct = list({h.name: h for h in hosts}.values())
             yield from self.propagation.propagate(image, distinct)
             yield self.sim.timeout(self.boot_delay)
-        except BaseException:
+        except Exception:
             # Return every reservation of the failed batch (atomicity:
             # a partial batch never holds capacity or addresses).
             for vm in vms:

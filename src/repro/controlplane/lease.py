@@ -190,6 +190,9 @@ class LeaseManager:
             node_seconds += self.sim.now - lease.granted_at
             lease.cost += fed.terminate(vm)
         lease.cluster.vms.clear()
+        # An emptied cluster has no master, as when it is built empty;
+        # keeping the reference would keep the released VM alive.
+        lease.cluster.master = None
         if lease.cluster in fed.clusters:
             fed.clusters.remove(lease.cluster)
         lease.ended_at = self.sim.now

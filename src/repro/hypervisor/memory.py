@@ -58,7 +58,8 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     slower than this on fingerprint arrays (see DESIGN.md).
     """
     values = np.sort(values, axis=None)
-    keep = np.ones(len(values), dtype=bool)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
 

@@ -63,7 +63,8 @@ class ShrinkerCodec:
             + digests * self.scheme.digest_bytes
             + n * self.header_bytes
         )
-        self.registry.add(fresh)
+        # ``fresh`` is sorted, distinct and was just probed absent.
+        self.registry._add_absent(fresh)
         return TransferEncoding(
             pages=n,
             full_pages=full,

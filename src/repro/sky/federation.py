@@ -251,7 +251,10 @@ class Federation:
     def _assemble(self, join, name, image_name, batches, contextualize):
         try:
             yield join
-        except BaseException as error:
+        except Exception as error:
+            # Not GeneratorExit: a runner closed with its dead
+            # simulation must not schedule a roll-back into it, which
+            # would keep that simulation alive past the collection.
             if isinstance(error, Interrupt) and join.ok is not False:
                 # The waiting process was interrupted; no batch failed.
                 self.sim.process(

@@ -8,17 +8,23 @@ event-log record without a ``__dict__``.  These are the allocations
 that peak RSS of those workloads is made of; a structural check holds
 on any host, where an RSS number would not.  A plane run must also
 start no process beyond a runner per job and a batch per cloud of its
-grant.
+grant.  A released lease must keep none of its VMs reachable, and a
+Shrinker content registry must rebuild its index only as often as the
+index doubles in size, not once per query.
 """
 
+import gc
 import importlib.util
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.controlplane import StateEvent, eventlog_of
-from repro.hypervisor import MemoryImage
-from repro.simkernel import Process
+from repro.hypervisor import MemoryImage, VirtualMachine
+from repro.shrinker import ContentRegistry
+from repro.simkernel import Process, Simulator
 
 ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
@@ -90,3 +96,63 @@ def test_plane_run_starts_one_process_per_job_and_per_cloud_batch(
     assert len(runners) == len(grants) == scenario.n_jobs
     assert len(batches) == sum(len(a) for a in grants)
     assert len(started) == len(runners) + len(batches)
+
+
+def _reachable_vms(roots):
+    """The VMs reachable from ``roots`` without passing through the
+    simulator (which holds every live object), a class or a module."""
+    seen, found, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (Simulator, type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, VirtualMachine):
+            found.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("name", ["controlplane_1000", "spot_churn_500"])
+def test_released_lease_keeps_no_vm_alive(name):
+    """Teardown empties a lease's cluster, master included, so the
+    terminated VMs (with their memory, disk and address) can be freed."""
+    scenario = scenarios.SCENARIOS[name](0, smoke=True)
+    scenario.run()
+    released = [lease for lease in scenario.plane.leases.leases
+                if not lease.active]
+    assert len(released) >= scenario.n_jobs
+    assert _reachable_vms(released) == []
+
+
+def _index_merges(n_batches, size=512):
+    """Full-index merges of a registry fed ``n_batches`` query-then-add
+    batches of new content, the way a migrating VM feeds it."""
+    registry = ContentRegistry("dst")
+    merges = 0
+    consolidate = registry._consolidate
+
+    def counting():
+        nonlocal merges
+        before = registry._known
+        consolidate()
+        merges += registry._known is not before
+
+    registry._consolidate = counting
+    rng = np.random.default_rng(0)
+    for _ in range(n_batches):
+        batch = rng.integers(0, 2**63, size, dtype=np.uint64)
+        registry.add(batch[~registry.contains(batch)])
+    assert len(registry) == n_batches * size
+    return merges
+
+
+def test_registry_index_merges_grow_logarithmically():
+    """The recent run merges into the index only once it outgrows half
+    the index, so 4x the batches add a constant number of merges
+    (log_1.5 4 < 4), not 4x as many."""
+    few, many = _index_merges(50), _index_merges(200)
+    assert few >= 1
+    assert many <= few + 4

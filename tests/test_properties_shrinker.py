@@ -7,6 +7,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 
@@ -110,11 +111,11 @@ batches = st.one_of(fingerprints, dup_heavy)
 class RegistryMachine(RuleBasedStateMachine):
     """Stateful test: ContentRegistry vs a plain Python set model.
 
-    ``len`` is a rule rather than an invariant because it consolidates
-    the registry: as a rule, additions also pile up in the pending
+    ``len`` is a rule rather than an invariant because it settles the
+    pending buffer: as a rule, additions also pile up in the pending
     buffer across steps.  The thresholds put random interleavings of
-    small batches on both sides of the consolidation trigger; ``bulk``
-    crosses the default one.
+    small batches on both sides of the settle and merge triggers;
+    ``bulk`` crosses the default one.
     """
 
     def __init__(self):
@@ -141,14 +142,33 @@ class RegistryMachine(RuleBasedStateMachine):
         fps[rng.random(n) < 0.5] |= UNIQUE_FLAG
         self.add(fps)
 
-    @rule(fps=batches)
-    def query(self, fps):
+    def _check_contains(self, fps):
         mask = self.reg.contains(fps)
         want = [fp in self.model for fp in fps.tolist()]
         assert mask.dtype == bool
         assert mask.tolist() == want
         self.queries += len(want)
         self.hits += sum(want)
+        return mask
+
+    @rule(fps=batches)
+    def query(self, fps):
+        self._check_contains(fps)
+
+    @precondition(lambda self: self.reg.min_pending <= 1)
+    @rule(steps=st.lists(batches, min_size=2, max_size=6),
+          as_codec=st.booleans())
+    def query_then_add(self, steps, as_codec):
+        """Each batch is queried, then its misses are registered, so the
+        recent run grows between merges.  ``as_codec`` registers them
+        the codec's way: as a sorted, distinct run, with no probe."""
+        for fps in steps:
+            misses = fps[~self._check_contains(fps)]
+            if as_codec:
+                self.reg._add_absent(sorted_unique(misses))
+                self.model |= set(misses.tolist())
+            else:
+                self.add(misses)
 
     @rule()
     def size(self):
@@ -163,9 +183,17 @@ class RegistryMachine(RuleBasedStateMachine):
 
     @invariant()
     def index_sorted_and_distinct(self):
-        known = self.reg._known
-        assert known.dtype == np.uint64
-        assert (known[1:] > known[:-1]).all()
+        """Both runs are sorted and distinct, they are disjoint, and with
+        the pending batches they hold exactly the model set."""
+        runs = (self.reg._known, self.reg._recent)
+        for run in runs:
+            assert run.dtype == np.uint64
+            assert (run[1:] > run[:-1]).all()
+        known, recent = (set(run.tolist()) for run in runs)
+        assert not known & recent
+        assert known | recent <= self.model
+        pending = {fp for fps in self.reg._pending for fp in fps.tolist()}
+        assert known | recent | pending == self.model
 
 
 TestRegistryStateful = RegistryMachine.TestCase

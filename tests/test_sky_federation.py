@@ -1,5 +1,7 @@
 """Tests for the federation, placement policies, cluster lifecycle."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,25 @@ def test_a_batch_failing_after_another_booted_terminates_the_booted():
     # The booted VMs were billed for their short life, then stopped.
     assert [seg[0] for seg in a.meter._closed] == ["vc-cloud-a-1",
                                                    "vc-cloud-a-2"]
+
+
+def test_a_simulation_dropped_mid_provision_is_freed_in_one_collection():
+    """Closing a suspended batch or assembly (GeneratorExit, when the
+    collector finalizes a dropped simulation) runs no roll-back: one
+    that scheduled interrupts would keep the simulation alive until a
+    second full collection."""
+    def abandon():
+        sim, fed = build_federation()
+        fed.create_virtual_cluster("debian", 4)
+        sim.run(until=1.0)  # batches still deploying, assembly waiting
+
+    abandon()
+    gc.collect()
+    gc.disable()
+    try:
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_terminate_leaves_an_overlay_member_with_the_same_host_id():
