@@ -3,7 +3,10 @@
 A Hadoop-like engine over simulated VMs and the flow network:
 
 * one :class:`TaskTracker` per worker VM, with ``vcpus`` execution
-  slots, pulling tasks from the :class:`JobTracker`;
+  slots.  A slot is no process: a free slot waits in the
+  :class:`JobTracker`'s idle line, an attempt handed to it runs as a
+  chain of kernel callbacks (input fetch or shuffle flows, then a
+  compute timer), and its completion calls back into the job tracker;
 * **data-local scheduling**: map tasks prefer nodes holding a replica of
   their input split; remote maps fetch their split over the network
   (possibly across clouds — the cost the paper's §III-C planner
@@ -25,7 +28,8 @@ hypervisor-level sniffer sees).
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,8 +38,7 @@ from ..network.flows import FlowScheduler
 from ..network.transport import Transport
 from ..obs.trace import NULL_SPAN, tracer_of
 from ..simkernel.core import Simulator
-from ..simkernel.errors import Interrupt
-from ..simkernel.events import Event
+from ..simkernel.events import URGENT, Event
 from ..simkernel.process import Process
 from .hdfs import BlockStore
 from .job import JobResult, MapReduceJob, Task, TaskKind, TaskState
@@ -139,137 +142,149 @@ class _JobRun:
 
 
 class TaskTracker:
-    """A worker VM's execution agent."""
+    """A worker VM's execution agent (its slots are no processes)."""
 
     def __init__(self, sim: Simulator, jobtracker: "JobTracker",
                  vm: VirtualMachine, slots: Optional[int] = None,
                  speed: float = 1.0):
+        if slots is not None and slots < 1:
+            raise ValueError("slots must be at least 1")
         if speed <= 0:
             raise ValueError("speed must be positive")
         self.sim = sim
         self.jt = jobtracker
         self.vm = vm
-        self.slots = slots or vm.vcpus
+        self.slots = vm.vcpus if slots is None else slots
         self.speed = speed
         self.active = True
-        self.current_tasks: Dict[int, Optional[Task]] = {}
-        self._slot_procs: List[Process] = [
-            sim.process(self._slot_loop(i), name=f"tt-{vm.name}-s{i}")
-            for i in range(self.slots)
-        ]
+        #: The attempt each slot holds, from hand-out until it ends.
+        self.current_tasks: Dict[int, Optional[Task]] = dict.fromkeys(
+            range(self.slots))
+        #: Trace span of each started attempt.
+        self._spans: Dict[Task, Any] = {}
+        for slot in self.current_tasks:
+            # Each slot joins the idle line at an URGENT entry of its own.
+            sim.call_in(0, lambda _ev, slot=slot:
+                        jobtracker._slot_idle(self, slot), URGENT)
 
     @property
     def name(self) -> str:
         return self.vm.name
 
     def kill_task(self, task: Task) -> bool:
-        """Abort a running attempt (its slot resumes pulling work)."""
+        """Abort a running attempt (its slot then takes new work)."""
+        running = self._slot_of(task) is not None
+        if running:
+            self._interrupt(task, "kill-task")
+        return running
+
+    def _slot_of(self, task: Task) -> Optional[int]:
+        """The slot holding attempt ``task``, or None once it ended."""
         for slot, current in self.current_tasks.items():
             if current is task:
-                proc = self._slot_procs[slot]
-                if proc.is_alive:
-                    proc.interrupt("kill-task")
-                    return True
-        return False
+                return slot
+        return None
 
-    def _slot_loop(self, slot: int):
+    def _interrupt(self, task: Task, cause: str) -> None:
+        """End attempt ``task`` at an URGENT entry of this instant."""
+        self.sim.call_in(0, lambda _ev: self._end(task, cause), URGENT)
+
+    def _end(self, task: Task, cause: Optional[str] = None) -> None:
+        """Free attempt ``task``'s slot: the attempt completed (no
+        ``cause``), a sibling won (``"kill-task"``) or its node left
+        (``"decommission"``, which re-queues it).  The first end wins;
+        the slot then rejoins the idle line if its tracker is active."""
+        slot = self._slot_of(task)
+        if slot is None:
+            return
         self.current_tasks[slot] = None
-        while True:
-            try:
-                # The slot holds its task from hand-out (see
-                # JobTracker._dispatch), before this resumes.
-                task = yield self.jt._request_task(self, slot)
-                if task is None:
-                    return
-                yield from self._execute(task)
-                self.current_tasks[slot] = None
-                self.jt._task_done(self, task)
-            except Interrupt as intr:
-                task = self.current_tasks.get(slot)
-                self.current_tasks[slot] = None
-                if intr.cause == "kill-task":
-                    # A speculative sibling won; this slot lives on
-                    # (unless that was a draining tracker's last task).
-                    self.jt._finish_drain(self)
-                    continue
-                # Forced decommission: abandon the in-flight task.
-                if task is not None:
-                    self.jt._requeue(task)
-                return
+        self._spans.pop(task, NULL_SPAN).end(cause and "interrupted")
+        if cause == "decommission":
+            self.jt._requeue(task)
+        elif cause is None:
+            self.jt._task_done(self, task)
+        else:
+            self.jt._finish_drain(self)
+        self.jt._slot_idle(self, slot)
 
     # -- task execution ---------------------------------------------------
 
-    def _execute(self, task: Task):
-        run = self.jt._run_of(task)
-        if run is None:
-            return  # the job ended while this attempt was queued
-        job = task.job
-        task.attempts += 1
-        span = tracer_of(self.sim).start(
-            f"{task.kind.value}:{task.index}", parent=run.span,
-            track=f"tt:{self.vm.name}", vm=self.vm.name,
-            attempt=task.attempts,
-        )
-        try:
-            if task.kind is TaskKind.MAP:
-                yield from self._execute_map(run, job, task, span)
-            else:
-                yield from self._execute_reduce(run, job, task, span)
-        except BaseException:
-            span.end(status="interrupted")
-            raise
-        span.end()
+    def _after(self, wait, task: Task, step: Callable[[], None]) -> None:
+        """Run ``step()`` after ``wait`` (an event, a delay, or None for
+        at once), unless attempt ``task`` has ended by then."""
+        def resume(event):
+            if self._slot_of(task) is None:
+                return
+            if not event.ok:
+                raise event.value  # a cancelled flow crashes the run
+            step()
 
-    def _execute_map(self, run: _JobRun, job: MapReduceJob, task: Task,
-                     span=NULL_SPAN):
-        local = self.jt.hdfs.is_local(self.vm, job, task.index)
-        span.set(local=local)
-        if local:
-            run.result.local_maps += 1
+        if wait is None:
+            step()
+        elif isinstance(wait, Event):
+            wait.callbacks.append(resume)
         else:
-            run.result.remote_maps += 1
-            src = self.jt.hdfs.any_replica_node(job, task.index)
-            if src is not None and job.split_bytes > 0:
-                run.result.input_fetch_bytes += job.split_bytes
-                self.jt._record_traffic(src.name, self.vm.name,
-                                        job.split_bytes, "mr-input")
-                flow = self.jt.transport.shuffle(
-                    src.site, self.vm.site, job.split_bytes,
-                    tag="mr-input", src_vm=src.name, dst_vm=self.vm.name,
-                    span=span,
-                )
-                yield flow.done
-        yield self.sim.timeout(job.map_cpu[task.index] / self.speed)
-        run.map_outputs[task.index] = (self.vm.name, self.vm.site)
+            self.sim.call_in(wait, resume)
 
-    def _execute_reduce(self, run: _JobRun, job: MapReduceJob, task: Task,
-                        span=NULL_SPAN):
+    def _compute(self, task: Task, cpu: float) -> None:
+        """Run ``cpu`` seconds of work at this tracker's speed, then end."""
+        self._after(cpu / self.speed, task, lambda: self._end(task))
+
+    def _execute(self, task: Task) -> None:
+        """Start attempt ``task`` in the slot holding it: a remote map
+        fetches its split, a reduce its shuffle, then both compute."""
+        run = self.jt._run_of(task)
+        if run is None:  # the job ended while this attempt was queued
+            self._end(task)
+            return
+        job, vm = task.job, self.vm
+        task.attempts += 1
+        span = self._spans[task] = tracer_of(self.sim).start(
+            f"{task.kind.value}:{task.index}", parent=run.span,
+            track=f"tt:{vm.name}", vm=vm.name, attempt=task.attempts,
+        )
+        if task.kind is TaskKind.MAP:
+            local = self.jt.hdfs.is_local(vm, job, task.index)
+            span.set(local=local)
+            fetch = None
+            if local:
+                run.result.local_maps += 1
+            else:
+                run.result.remote_maps += 1
+                src = self.jt.hdfs.any_replica_node(job, task.index)
+                if src is not None and job.split_bytes > 0:
+                    run.result.input_fetch_bytes += job.split_bytes
+                    self.jt._record_traffic(src.name, vm.name,
+                                            job.split_bytes, "mr-input")
+                    fetch = self.jt.transport.shuffle(
+                        src.site, vm.site, job.split_bytes, tag="mr-input",
+                        src_vm=src.name, dst_vm=vm.name, span=span).done
+            self._after(fetch, task,
+                        lambda: self._compute(task, job.map_cpu[task.index]))
+            return
         # Shuffle: this reducer's partition of every map output,
         # aggregated into one flow per source node.
-        per_map = (job.map_output_bytes / job.n_reduces
-                   if job.n_reduces else 0.0)
+        per_map = job.map_output_bytes / job.n_reduces
         by_source: Dict[Tuple[str, str], float] = defaultdict(float)
-        for idx, (src_name, src_site) in run.map_outputs.items():
-            if src_name == self.vm.name:
-                continue  # local read
-            by_source[(src_name, src_site)] += per_map
+        for src_name, src_site in run.map_outputs.values():
+            if src_name != vm.name:  # else a local read
+                by_source[(src_name, src_site)] += per_map
         waits = []
         for (src_name, src_site), nbytes in by_source.items():
             if nbytes <= 0:
                 continue
             run.result.shuffle_bytes += nbytes
-            self.jt._record_traffic(src_name, self.vm.name, nbytes,
-                                    "mr-shuffle")
-            flow = self.jt.transport.shuffle(
-                src_site, self.vm.site, nbytes,
-                tag="mr-shuffle", src_vm=src_name, dst_vm=self.vm.name,
-                span=span,
-            )
-            waits.append(flow.done)
-        if waits:
-            yield self.sim.all_of(waits)
-            span.event("shuffle-complete", sources=len(waits))
-        yield self.sim.timeout(job.reduce_cpu[task.index] / self.speed)
+            self.jt._record_traffic(src_name, vm.name, nbytes, "mr-shuffle")
+            waits.append(self.jt.transport.shuffle(
+                src_site, vm.site, nbytes, tag="mr-shuffle",
+                src_vm=src_name, dst_vm=vm.name, span=span).done)
+
+        def compute():
+            if waits:
+                span.event("shuffle-complete", sources=len(waits))
+            self._compute(task, job.reduce_cpu[task.index])
+
+        self._after(self.sim.all_of(waits) if waits else None, task, compute)
 
     def __repr__(self):
         return (f"<TaskTracker {self.name!r} slots={self.slots} "
@@ -300,9 +315,9 @@ class JobTracker:
         self.trackers: Dict[str, TaskTracker] = {}
         self.traffic_recorder = traffic_recorder
         self.current: Optional[_JobRun] = None
-        #: Parked slot requests ``(tracker, slot, event)`` of active
-        #: trackers, in arrival order.
-        self._waiters: Deque[Tuple[TaskTracker, int, Event]] = deque()
+        #: Idle slots ``(tracker, slot)`` of active trackers, in the
+        #: order they became free.
+        self._waiters: Deque[Tuple[TaskTracker, int]] = deque()
         #: One turn event per submitted job, in submission order; the
         #: head's job runs and the rest wait (FIFO, one job at a time).
         self._turns: List[Event] = []
@@ -339,24 +354,16 @@ class JobTracker:
             raise ValueError(f"{vm.name!r} has no tracker")
         tracker.active = False
         self.hdfs.remove_node(vm)
-        # Wake its parked slot loops with "no more work".
-        still: Deque[Tuple[TaskTracker, int, Event]] = deque()
-        for waiter in self._waiters:
-            if waiter[0] is tracker:
-                waiter[2].succeed(None)
-            else:
-                still.append(waiter)
-        self._waiters = still
+        self._waiters = deque(waiter for waiter in self._waiters
+                              if waiter[0] is not tracker)
         if not graceful:
-            for slot, task in tracker.current_tasks.items():
-                proc = tracker._slot_procs[slot]
-                if task is not None and proc.is_alive:
-                    proc.interrupt("decommission")
+            for task in tracker.current_tasks.values():
+                if task is not None:
+                    tracker._interrupt(task, "decommission")
         self._invalidate_outputs(vm)
         self._dispatch()
         drained = self.sim.event()
-        busy = any(t is not None for t in tracker.current_tasks.values())
-        if graceful and busy:
+        if graceful and any(tracker.current_tasks.values()):
             self._draining[tracker] = drained
         else:
             drained.succeed()
@@ -385,12 +392,8 @@ class JobTracker:
         node departure.
         """
         run = self.current
-        if run is None or run.finished:
-            return
-        if run.job.n_reduces == 0:
-            return
-        if run.reduces_done == run.job.n_reduces:
-            return
+        if run is None or run.reduces_done == run.job.n_reduces:
+            return  # no job, or no reducer left to read map outputs
         lost = [idx for idx, (holder, _site) in run.map_outputs.items()
                 if holder == vm.name]
         for idx in lost:
@@ -401,17 +404,12 @@ class JobTracker:
             run.maps_done -= 1
             run.result.reexecuted_tasks += 1
 
-    def _request_task(self, tracker: TaskTracker, slot: int) -> Event:
-        ev = self.sim.event()
+    def _slot_idle(self, tracker: TaskTracker, slot: int) -> None:
+        """Park a free slot at the back of the idle line and dispatch (a
+        retired tracker's slot just drops out: it gets no more work)."""
         if tracker.active:
-            self._waiters.append((tracker, slot, ev))
+            self._waiters.append((tracker, slot))
             self._dispatch()
-        else:
-            # A retired tracker gets no more work.  Every parked waiter
-            # already missed at this instant, so a dispatch here would
-            # serve none of them.
-            ev.succeed(None)
-        return ev
 
     def _requeue(self, task: Task) -> None:
         run = self.current
@@ -435,6 +433,8 @@ class JobTracker:
             # Stale completion from a removed job.
             self._finish_drain(tracker)
             return
+        if task.kind is TaskKind.MAP:  # the last attempt to finish holds it
+            run.map_outputs[task.index] = (tracker.vm.name, tracker.vm.site)
         run.running.pop(task, None)
         started = run.task_start.pop(task, None)
         key = (task.kind, task.index)
@@ -481,8 +481,7 @@ class JobTracker:
         """Fire a draining tracker's drain event once none of its slots
         holds an attempt (finished, stale or killed by a sibling)."""
         if tracker in self._draining and not any(
-            t is not None for t in tracker.current_tasks.values()
-        ):
+                tracker.current_tasks.values()):
             # The node leaves for good now: outputs it produced while
             # draining disappear with it and must be re-executed if
             # reducers still need them.
@@ -533,26 +532,27 @@ class JobTracker:
         return Task(run.job, best.kind, best.index)
 
     def _dispatch(self) -> None:
-        """Hand pending work to the parked waiters, in arrival order.
+        """Hand pending work to the idle slots, in the line's order.
 
-        A slot holds its task from hand-out, before its loop resumes, so
-        a removal, a drain check or a sibling's kill at the same instant
-        sees the task.
+        A slot holds its task from hand-out; the attempt starts at a
+        NORMAL entry of this instant, so a removal, a drain check or a
+        sibling's kill in between sees the task (and a kill or a
+        decommission, URGENT, ends it before it starts).
 
         Without speculation the work on offer does not depend on who
-        asks, so the first waiter that finds none ends the pass and the
-        rest stay parked untouched.  A backup attempt does depend on who
-        asks, so speculative dispatch tries every waiter, against one
+        asks, so the first slot that finds none ends the pass and the
+        rest stay idle untouched.  A backup attempt does depend on who
+        asks, so speculative dispatch tries every idle slot, against one
         straggler bar (it cannot move within a dispatch).
         """
         run = self.current
         if run is None or run.finished:
             return
         waiters = self._waiters
-        missed: Deque[Tuple[TaskTracker, int, Event]] = deque()
+        missed: Deque[Tuple[TaskTracker, int]] = deque()
         bar = unset = object()
         while waiters:
-            tracker, slot, ev = waiters[0]
+            tracker, slot = waiters[0]
             task = self._pick(run, tracker)
             if task is None:
                 if not self.speculative:
@@ -563,13 +563,13 @@ class JobTracker:
                     task = self._pick_speculative(run, tracker, bar)
             waiters.popleft()
             if task is None:
-                missed.append((tracker, slot, ev))
+                missed.append((tracker, slot))
                 continue
             task.state = TaskState.RUNNING
             run.running[task] = tracker
             run.task_start[task] = self.sim.now
             tracker.current_tasks[slot] = task
-            ev.succeed(task)
+            tracker._after(0.0, task, partial(tracker._execute, task))
         if missed:  # only a speculative pass misses and goes on
             self._waiters = missed
 
@@ -595,11 +595,9 @@ class JobTracker:
                 f"mr:{job.name}", track=f"mr:{job.name}",
                 maps=job.n_maps, reduces=job.n_reduces,
             )
-            run.result.started_at = self.sim.now
             self.current = run
             self._dispatch()
-            result = yield run.completed
-            return result
+            return (yield run.completed)
         finally:
             # Leave the line (also when withdrawn while waiting); the
             # head hands its turn to the next job.

@@ -210,7 +210,7 @@ class CallbackProfiler:
     ::
 
         prof = CallbackProfiler()
-        sim = Simulator(queue="calendar", profiler=prof)
+        sim = Simulator(profiler=prof)
         ...run the scenario...
         snap = prof.snapshot()
         print(snap.format())

@@ -12,8 +12,8 @@ ship:
 :class:`CalendarQueue`
     A bucketed calendar tuned for the timer-dominated regime (probes,
     price ticks and lease expiries arm tick-aligned storms; the flow
-    allocator keeps its completion deadlines in its own heap and queues
-    only the earliest).  Entries hash into *days*
+    allocator queues one wake per armed flow outside a lane and at
+    most one per lane, under reserved seqs).  Entries hash into *days*
     — buckets of ``bucket_width`` simulated seconds, held in a dict
     keyed by ``int(time / width)`` — and a lazy min-heap of day keys
     orders the buckets.  Within a bucket entries are kept sorted, so

@@ -13,7 +13,8 @@ from repro.mapreduce import (
     TaskKind,
 )
 from repro.network import FlowScheduler, Site, Topology, gbit_per_s, mbit_per_s
-from repro.simkernel import Simulator
+from repro.network.flows import FlowCancelled
+from repro.simkernel import Process, Simulator
 from repro.workloads.blast import blast_job
 
 
@@ -373,6 +374,56 @@ def test_remove_unknown_tracker_rejected():
     stranger = VirtualMachine(sim, "x", MemoryImage(16))
     with pytest.raises(ValueError):
         jt.remove_tracker(stranger)
+
+
+@pytest.mark.parametrize("slots", [0, -1])
+def test_tracker_needs_at_least_one_slot(slots):
+    sim, sched, jt, vms, hosts = build_cluster(n_nodes=0)
+    vm = VirtualMachine(sim, "n0", MemoryImage(256), vcpus=2)
+    hosts["s1"].place(vm)
+    vm.boot()
+    with pytest.raises(ValueError, match="slots"):
+        jt.add_tracker(vm, slots=slots)
+    assert not jt.trackers and jt.total_slots == 0
+    assert jt.add_tracker(vm).slots == 2  # None means one per vCPU
+
+
+def test_slots_are_not_processes(monkeypatch):
+    """Adding 3 trackers x 2 slots and running a job with a shuffle
+    across two sites creates one process: the job's."""
+    sim, sched, jt, _, hosts = build_cluster(n_nodes=0, sites=("s1", "s2"))
+    vms = []
+    for i in range(3):
+        vm = VirtualMachine(sim, f"w{i}", MemoryImage(256), vcpus=1)
+        hosts[("s1", "s2")[i % 2]].place(vm)
+        vm.boot()
+        vms.append(vm)
+    made = []
+    init = Process.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.name)
+
+    monkeypatch.setattr(Process, "__init__", spy)
+    for vm in vms:
+        jt.add_tracker(vm, slots=2)
+    result = sim.run(until=jt.submit(simple_job(n_maps=12, n_reduces=2)))
+    assert result.map_attempts == 12 and result.shuffle_bytes > 0
+    assert made == ["job-test"]
+
+
+def test_cancelled_shuffle_crashes_the_run():
+    """A failed wait is no silent loss of work: a cancelled shuffle flow
+    surfaces from ``sim.run``."""
+    sim, sched, jt, vms, _ = build_cluster(n_nodes=2, vcpus=1)
+    job = simple_job(n_maps=2, map_s=1, n_reduces=1, reduce_s=1, out=1e9)
+    proc = jt.submit(job)
+    sim.run(until=sim.timeout(1.5))  # maps done, the reducer shuffling
+    (flow,) = sched.active_flows
+    sched.cancel(flow)
+    with pytest.raises(FlowCancelled):
+        sim.run(until=proc)
 
 
 def test_elastic_cluster_wrapper():

@@ -3,12 +3,15 @@
 Random clusters run one or two queued jobs twice: once on the library
 :class:`~repro.mapreduce.JobTracker` and :class:`~repro.mapreduce.BlockStore`,
 once on :class:`tests.mr_dispatch_oracle.ReferenceJobTracker` and
-``ReferenceBlockStore``.  The clusters span one to three sites, place
-splits with replication 1 to 4, run with speculation on and off, and
-lose trackers mid-job (gracefully or forced) or gain new ones.  Every
-task start ``[time, tracker, kind, index]``, every field of every job
-result, every drain event's firing time, the clock and the kernel's
-sequence number must agree.
+``ReferenceBlockStore``, a standalone engine with one process per slot.
+The clusters span one to three sites, place splits with replication 1
+to 4, run with speculation on and off, and lose trackers mid-job
+(gracefully or forced) or gain new ones.  Every task start ``[time,
+tracker, kind, index]``, every field of every job result, every drain
+event's firing time and the clock must agree.  The kernel's sequence
+number must agree too, less one per slot-process exit and per ``None``
+answer to a retired tracker's request, which only the reference has;
+a world that removes no tracker has neither.
 """
 
 import dataclasses
@@ -23,7 +26,11 @@ from repro.mapreduce.engine import TaskTracker
 from repro.network import FlowScheduler, Site, Topology, gbit_per_s
 from repro.simkernel import Simulator
 
-from tests.mr_dispatch_oracle import ReferenceBlockStore, ReferenceJobTracker
+from tests.mr_dispatch_oracle import (
+    ReferenceBlockStore,
+    ReferenceJobTracker,
+    ReferenceTaskTracker,
+)
 
 #: Simulated time the world keeps running after its last job ends, so
 #: late drains still fire.
@@ -47,7 +54,7 @@ def run_world(jt_cls, store_cls, world):
                 rng=np.random.default_rng(world["seed"]),
                 speculative=world["speculative"],
                 speculative_min_samples=2)
-    made, drains = [], []
+    made, drains, removed = [], [], []
 
     def add_node():
         k = len(made)
@@ -69,6 +76,7 @@ def run_world(jt_cls, store_cls, world):
                 add_node()
             elif len(live) > 1:
                 vm = live[pick % len(live)]
+                removed.append(vm.name)
                 sim.process(watch(vm.name,
                                   jt.remove_tracker(vm, graceful=graceful)))
 
@@ -89,19 +97,24 @@ def run_world(jt_cls, store_cls, world):
     sim.run(until=sim.all_of(procs))
     sim.run(until=sim.now + TAIL)
     return {"results": [dataclasses.asdict(p.value) for p in procs],
-            "drains": drains, "now": sim.now, "seq": sim._seq}
+            "drains": drains, "removed": removed, "now": sim.now,
+            "seq": sim._seq, "jt": jt}
 
 
 def run_both(world):
     starts = []
-    execute = TaskTracker._execute
+    hooked = (TaskTracker, ReferenceTaskTracker)
+    executes = [cls._execute for cls in hooked]
 
-    def logged(tracker, task):
-        starts[-1].append([tracker.sim.now, tracker.name, task.kind.value,
-                           task.index])
-        return execute(tracker, task)
+    def hook(execute):
+        def logged(tracker, task):
+            starts[-1].append([tracker.sim.now, tracker.name,
+                               task.kind.value, task.index])
+            return execute(tracker, task)
+        return logged
 
-    TaskTracker._execute = logged
+    for cls, execute in zip(hooked, executes):
+        cls._execute = hook(execute)
     try:
         outcomes = []
         for jt_cls, store_cls in ((JobTracker, BlockStore),
@@ -109,17 +122,26 @@ def run_both(world):
             starts.append([])
             outcomes.append(run_world(jt_cls, store_cls, world))
     finally:
-        TaskTracker._execute = execute
+        for cls, execute in zip(hooked, executes):
+            cls._execute = execute
     return starts, outcomes
 
 
 def assert_same(world):
     (got_starts, want_starts), (got, want) = run_both(world)
+    ref = want.pop("jt")
+    got.pop("jt")
     assert len(got_starts) == len(want_starts)
     for i, (g, w) in enumerate(zip(got_starts, want_starts)):
         assert g == w, f"task start {i} differs"
+    # What only slot processes cost the kernel: one sequence number per
+    # exit and per no-op wake-up.  Without a removal there is neither.
+    extra = ref.slot_exits + ref.noop_wakeups
+    if not got["removed"]:
+        assert extra == 0
+    assert want.pop("seq") - got.pop("seq") == extra
     assert got == want
-    return got_starts, got
+    return got_starts, got, extra
 
 
 _change = st.tuples(
@@ -158,9 +180,10 @@ def test_reference_check_covers_every_path():
                  "changes": [(6.0, "remove", 0, False), (0.5, "add", 0, True),
                              (0.5, "remove", 1, True),
                              (7.0, "remove", 2, True)]}
-        starts, got = assert_same(world)
+        starts, got, extra = assert_same(world)
         assert len(starts) >= 24 + 2 + 12 + 1
         assert len(got["drains"]) == 3
+        assert extra > 0
         assert any(r["reexecuted_tasks"] for r in got["results"])
         assert any(r["speculative_launched"]
                    for r in got["results"]) == speculative

@@ -271,6 +271,11 @@ def test_a_simulation_dropped_mid_provision_is_freed_in_one_collection():
         fed.create_virtual_cluster("debian", 4)
         sim.run(until=1.0)  # batches still deploying, assembly waiting
 
+    # Garbage an earlier test left may make more when finalized:
+    # collect until none is left, so the one collection below frees
+    # only this test's simulation.
+    while gc.collect():
+        pass
     abandon()
     gc.collect()
     gc.disable()
